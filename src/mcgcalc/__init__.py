@@ -30,8 +30,7 @@ from .braids import (
 from .endos import (
     DEFAULT_IMAGE_BUDGET,
     FreeEndomorphism,
-    get_image_budget,
-    set_image_budget,
+    product,
     verify_inverse_pair,
 )
 from .errors import (
@@ -113,7 +112,6 @@ __all__ = [
     "format_word",
     "from_yz",
     "fundamental_relator",
-    "get_image_budget",
     "insert_relations",
     "is_trivial_braid",
     "kernel_backend",
@@ -124,12 +122,12 @@ __all__ = [
     "pillar_switching_inverse",
     "pillar_switching_twist_word",
     "pillar_switching_yz",
+    "product",
     "psi_action",
     "random_braid_word",
     "random_word",
     "replay_proof_chains",
     "restrict_to_z",
-    "set_image_budget",
     "to_yz",
     "verify_artin_restriction",
     "verify_inverse_pair",

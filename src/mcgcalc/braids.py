@@ -29,7 +29,7 @@ from functools import lru_cache
 from random import Random
 from typing import Optional
 
-from .endos import FreeEndomorphism
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import BasisMismatchError, NotZStableError, WordSyntaxError
 from .pillars import (
     conjugate_to_yz,
@@ -127,23 +127,24 @@ def _artin_generator(index: int, strands: int, sign: int) -> FreeEndomorphism:
     return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
 
 
-def artin_action(b: BraidWord, *, budget: Optional[int] = None) -> FreeEndomorphism:
+def artin_action(
+    b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> FreeEndomorphism:
     """The Artin automorphism of the rank-n free group, rightmost letter first."""
-    result = FreeEndomorphism.identity(Basis.abstract(b.strands))
-    for k in b.letters:
-        result = result.compose(
-            _artin_generator(abs(k), b.strands, 1 if k > 0 else -1), budget=budget
-        )
-    return result
+    return product(
+        Basis.abstract(b.strands),
+        [_artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in b.letters],
+        budget=budget,
+    )
 
 
-def is_trivial_braid(b: BraidWord) -> bool:
+def is_trivial_braid(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> bool:
     """Word problem: true iff the braid word represents the identity braid."""
-    return artin_action(b).is_identity()
+    return artin_action(b, budget=budget).is_identity()
 
 
 def psi_action(
-    b: BraidWord, genus: Optional[int] = None, *, budget: Optional[int] = None
+    b: BraidWord, genus: Optional[int] = None, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> FreeEndomorphism:
     """Image of a braid word under beta_i -> sigma_i, over the xy basis.
 
@@ -158,15 +159,11 @@ def psi_action(
         )
     if g < 2:
         raise ValueError(f"psi needs genus >= 2, got {g}")
-    result = FreeEndomorphism.identity(Basis.xy(g))
-    for k in b.letters:
-        factor = (
-            pillar_switching_action(k, g)
-            if k > 0
-            else pillar_switching_inverse(-k, g)
-        )
-        result = result.compose(factor, budget=budget)
-    return result
+    factors = [
+        pillar_switching_action(k, g) if k > 0 else pillar_switching_inverse(-k, g)
+        for k in b.letters
+    ]
+    return product(Basis.xy(g), factors, budget=budget)
 
 
 def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
@@ -195,7 +192,9 @@ def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(abstract, tuple(images))
 
 
-def verify_psi_relations(genus: int) -> VerificationReport:
+def verify_psi_relations(
+    genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> VerificationReport:
     """Braid relations among all switchings sigma_0 .. sigma_{g-1}.
 
     Checks sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1}
@@ -204,27 +203,34 @@ def verify_psi_relations(genus: int) -> VerificationReport:
     """
     if genus < 2:
         raise ValueError(f"pillar switchings need genus >= 2, got {genus}")
+    basis = Basis.xy(genus)
     sigma = [pillar_switching_action(i, genus) for i in range(genus)]
+
+    def word(*indices):
+        return product(basis, [sigma[i] for i in indices], budget=budget)
+
     cases = []
     for i in range(genus - 1):
-        lhs = sigma[i].compose(sigma[i + 1]).compose(sigma[i])
-        rhs = sigma[i + 1].compose(sigma[i]).compose(sigma[i + 1])
         cases.append(
-            case_from_endos(f"braid-relation-sigma{i}-sigma{i + 1}", lhs, rhs)
+            case_from_endos(
+                f"braid-relation-sigma{i}-sigma{i + 1}",
+                word(i, i + 1, i),
+                word(i + 1, i, i + 1),
+            )
         )
     for i in range(genus):
         for j in range(i + 2, genus):
             cases.append(
                 case_from_endos(
-                    f"commutation-sigma{i}-sigma{j}",
-                    sigma[i].compose(sigma[j]),
-                    sigma[j].compose(sigma[i]),
+                    f"commutation-sigma{i}-sigma{j}", word(i, j), word(j, i)
                 )
             )
     return VerificationReport(genus, tuple(cases))
 
 
-def verify_artin_restriction(genus: int) -> VerificationReport:
+def verify_artin_restriction(
+    genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> VerificationReport:
     """The injectivity diagram: psi restricted to the z subgroup is Artin.
 
     For each i, carries sigma_i to the yz basis, checks the substitution
@@ -235,7 +241,7 @@ def verify_artin_restriction(genus: int) -> VerificationReport:
         raise ValueError(f"the restriction diagram needs genus >= 2, got {genus}")
     cases = []
     for i in range(1, genus):
-        yz_form = conjugate_to_yz(pillar_switching_action(i, genus))
+        yz_form = conjugate_to_yz(pillar_switching_action(i, genus), budget=budget)
         cases.append(
             case_from_endos(
                 f"cor-2.1-yz-action-sigma{i}", yz_form, pillar_switching_yz(i, genus)
@@ -249,7 +255,7 @@ def verify_artin_restriction(genus: int) -> VerificationReport:
             continue
         cases.append(
             case_from_endos(
-                name, restricted, artin_action(BraidWord(genus, (i,)))
+                name, restricted, artin_action(BraidWord(genus, (i,)), budget=budget)
             )
         )
     return VerificationReport(genus, tuple(cases))

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .braids import (
@@ -27,7 +28,7 @@ from .braids import (
     verify_artin_restriction,
     verify_psi_relations,
 )
-from .endos import FreeEndomorphism, set_image_budget
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism
 from .errors import ImageBudgetError
 from .pillars import (
     pillar_switching_action,
@@ -66,14 +67,16 @@ def _parse_genus_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _check_runners(seed: int) -> dict[str, Callable[[int], VerificationReport]]:
+def _check_runners(
+    seed: int, budget: int
+) -> dict[str, Callable[[int], VerificationReport]]:
     return {
-        "thm22": verify_theorem_2_2,
-        "chains": replay_proof_chains,
-        "relations": verify_psi_relations,
-        "relator": verify_relator_invariance,
-        "artin-restriction": verify_artin_restriction,
-        "yz-roundtrip": lambda g: verify_yz_roundtrip(g, seed=seed),
+        "thm22": partial(verify_theorem_2_2, budget=budget),
+        "chains": partial(replay_proof_chains, budget=budget),
+        "relations": partial(verify_psi_relations, budget=budget),
+        "relator": partial(verify_relator_invariance, budget=budget),
+        "artin-restriction": partial(verify_artin_restriction, budget=budget),
+        "yz-roundtrip": partial(verify_yz_roundtrip, seed=seed),
     }
 
 
@@ -93,7 +96,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     selected.append(name)
     if args.genus.start < 2:
         raise _UsageError("verification checks need genus >= 2")
-    runners = _check_runners(args.seed)
+    runners = _check_runners(args.seed, args.budget)
     tasks = [(which, g) for which in selected for g in args.genus]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = [pool.submit(runners[which], g) for which, g in tasks]
@@ -132,14 +135,16 @@ def _make_endo(args: argparse.Namespace) -> FreeEndomorphism:
             raise _UsageError(f"sigma expects an integer index, got {args.spec!r}")
         return pillar_switching_action(index, g)
     if args.object == "twist-word":
-        return evaluate_twist_word(parse_twist_word(args.spec, g))
-    return psi_action(parse_braid_word(args.spec, g), g)
+        return evaluate_twist_word(
+            parse_twist_word(args.spec, g), budget=args.budget
+        )
+    return psi_action(parse_braid_word(args.spec, g), g, budget=args.budget)
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
     endo = _make_endo(args)
     target = parse_word(args.on, Basis.xy(args.genus))
-    print(format_word(endo.apply(target)))
+    print(format_word(endo.apply(target, budget=args.budget)))
     return 0
 
 
@@ -157,7 +162,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_braid_trivial(args: argparse.Namespace) -> int:
     braid = parse_braid_word(args.word, args.strands)
-    if is_trivial_braid(braid):
+    if is_trivial_braid(braid, budget=args.budget):
         print("trivial")
         return 0
     print("nontrivial")
@@ -192,7 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--jobs", type=int, default=1, metavar="N")
     p_verify.add_argument("--seed", type=int, default=0, metavar="N")
-    p_verify.add_argument("--budget", type=int, default=None, metavar="N")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_act = sub.add_parser("act", help="apply a mapping class to a word")
@@ -200,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_act.add_argument("spec", help="twist word, sigma index, or braid word")
     p_act.add_argument("--genus", type=int, required=True)
     p_act.add_argument("--on", required=True, metavar="WORD")
-    p_act.add_argument("--budget", type=int, default=None, metavar="N")
     p_act.set_defaults(func=_cmd_act)
 
     p_export = sub.add_parser("export", help="print a mapping class's images")
@@ -208,15 +211,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("spec")
     p_export.add_argument("--genus", type=int, required=True)
     p_export.add_argument("--json", action="store_true")
-    p_export.add_argument("--budget", type=int, default=None, metavar="N")
     p_export.set_defaults(func=_cmd_export)
 
     p_braid = sub.add_parser("braid-trivial", help="decide the braid word problem")
     p_braid.add_argument("word")
     p_braid.add_argument("--strands", type=int, required=True)
-    p_braid.add_argument("--budget", type=int, default=None, metavar="N")
     p_braid.set_defaults(func=_cmd_braid_trivial)
 
+    for p in (p_verify, p_act, p_export, p_braid):
+        p.add_argument("--budget", type=int, default=DEFAULT_IMAGE_BUDGET, metavar="N")
     return parser
 
 
@@ -225,12 +228,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
-    previous_budget = None
+    if args.budget < 1:
+        parser.error("--budget must be >= 1")
     try:
-        if args.budget is not None:
-            if args.budget < 1:
-                parser.error("--budget must be >= 1")
-            previous_budget = set_image_budget(args.budget)
         return args.func(args)
     except _UsageError as exc:
         parser.error(str(exc))  # exits 2
@@ -238,9 +238,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ImageBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if previous_budget is not None:
-            set_image_budget(previous_budget)
 
 
 if __name__ == "__main__":

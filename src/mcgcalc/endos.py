@@ -5,8 +5,10 @@ acts as ``h`` first, then ``f``, so a product written left to right
 applies its rightmost factor first. Images of inverse letters are never
 stored; they are the inverted images of the positive letters.
 
-Iterated composition can grow images exponentially, so ``apply`` and
-``compose`` enforce a total-letter budget (default 10**7) and raise
+``product`` is the one evaluator of a product of generators; ``compose``
+and ``power`` are its two- and k-factor cases. Iterated composition can
+grow images exponentially, so ``apply`` and ``product`` take a
+total-letter ``budget`` per call (default 10**7) and raise
 ``ImageBudgetError`` instead of thrashing.
 """
 
@@ -14,29 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, ImageBudgetError
 from .words import Basis, BasisKind, Symbol, Word, format_word, parse_word
 
 DEFAULT_IMAGE_BUDGET = 10**7
-
-_image_budget = DEFAULT_IMAGE_BUDGET
-
-
-def set_image_budget(budget: int) -> int:
-    """Set the global letter budget; returns the previous value."""
-    global _image_budget
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    previous = _image_budget
-    _image_budget = budget
-    return previous
-
-
-def get_image_budget() -> int:
-    return _image_budget
 
 
 @dataclass(frozen=True, repr=False)
@@ -116,49 +102,36 @@ class FreeEndomorphism:
             ) from None
         return self.images[position]
 
-    def apply(self, w: Word, *, budget: Optional[int] = None) -> Word:
+    def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
         """Image of ``w``: substitute letterwise and reduce."""
         if w.basis != self.basis:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
-        limit = _image_budget if budget is None else budget
         table = self._table  # type: ignore[attr-defined]
-        needed = 0
-        for code in w.data:
-            needed += len(table[code if code > 0 else -code])
-        if needed > limit:
-            raise ImageBudgetError(needed, limit)
+        needed = _unreduced_size(w.data, table)
+        if needed > budget:
+            raise ImageBudgetError(needed, budget)
         return Word._reduced(self.basis, _wordops.substitute(w.data, table))
 
     def compose(
-        self, other: "FreeEndomorphism", *, budget: Optional[int] = None
+        self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET
     ) -> "FreeEndomorphism":
         """The map acting as ``other`` first, then ``self``."""
-        if other.basis != self.basis:
-            raise BasisMismatchError(
-                f"cannot compose maps over {self.basis} and {other.basis}"
-            )
-        limit = _image_budget if budget is None else budget
-        images = tuple(self.apply(img, budget=limit) for img in other.images)
-        total = sum(len(img) for img in images)
-        if total > limit:
-            raise ImageBudgetError(total, limit)
-        return FreeEndomorphism(self.basis, images)
+        return product(self.basis, (self, other), budget=budget)
 
     def __mul__(self, other: "FreeEndomorphism") -> "FreeEndomorphism":
         if not isinstance(other, FreeEndomorphism):
             return NotImplemented
         return self.compose(other)
 
-    def power(self, k: int, *, budget: Optional[int] = None) -> "FreeEndomorphism":
+    def power(
+        self, k: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+    ) -> "FreeEndomorphism":
         """k-fold self-composition; ``power(0)`` is the identity."""
         if k < 0:
             raise ValueError(f"power expects k >= 0, got {k}")
-        result = FreeEndomorphism.identity(self.basis)
-        for _ in range(k):
-            result = self.compose(result, budget=budget)
-        return result
+        return product(self.basis, (self,) * k, budget=budget)
 
     def is_identity(self) -> bool:
         return all(
@@ -197,8 +170,61 @@ class FreeEndomorphism:
         return f"FreeEndomorphism({self.basis}: {parts})"
 
 
+def _unreduced_size(word: tuple[int, ...], table: Sequence[tuple[int, ...]]) -> int:
+    """Letters in the image of ``word`` under ``table`` before reduction."""
+    return sum([len(table[code if code > 0 else -code]) for code in word])
+
+
+def product(
+    basis: Basis,
+    factors: Sequence[FreeEndomorphism],
+    *,
+    budget: int = DEFAULT_IMAGE_BUDGET,
+) -> FreeEndomorphism:
+    """The product f_1 f_2 ... f_n of ``factors``, rightmost acting first.
+
+    ``product(basis, ())`` is the identity. The factors' code tables are
+    composed directly and the result is wrapped once; a generator a
+    factor fixes keeps its accumulated image without a substitution.
+    Raises ``ImageBudgetError`` before materializing an image whose
+    unreduced size exceeds ``budget``, and after any step whose images
+    total more than ``budget`` letters.
+    """
+    for f in factors:
+        if f.basis != basis:
+            raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
+    if not factors:
+        return FreeEndomorphism.identity(basis)
+    codes = [sym.code for sym in basis.symbols]
+    letters = [(code, (code,)) for code in codes]
+
+    def check_total(table):
+        total = sum([len(table[code]) for code in codes])
+        if total > budget:
+            raise ImageBudgetError(total, budget)
+
+    table = factors[0]._table  # type: ignore[attr-defined]
+    check_total(table)
+    for f in factors[1:]:
+        factor_table = f._table  # type: ignore[attr-defined]
+        step = list(table)
+        for code, letter in letters:
+            img = factor_table[code]
+            if img == letter:  # f fixes this generator
+                continue
+            needed = _unreduced_size(img, table)
+            if needed > budget:
+                raise ImageBudgetError(needed, budget)
+            step[code] = _wordops.substitute(img, table)
+        table = step
+        check_total(table)
+    return FreeEndomorphism(
+        basis, tuple(Word._reduced(basis, table[code]) for code in codes)
+    )
+
+
 def verify_inverse_pair(
-    f: FreeEndomorphism, h: FreeEndomorphism, *, budget: Optional[int] = None
+    f: FreeEndomorphism, h: FreeEndomorphism, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> bool:
     """True iff ``f`` and ``h`` compose to the identity in both orders."""
     if f.basis != h.basis:

@@ -46,7 +46,7 @@ from functools import lru_cache
 from random import Random
 
 from . import _wordops, chains
-from .endos import FreeEndomorphism
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism
 from .errors import BasisMismatchError, WordSyntaxError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
@@ -226,7 +226,9 @@ def from_yz(w: Word) -> Word:
     )
 
 
-def conjugate_to_yz(f: FreeEndomorphism) -> FreeEndomorphism:
+def conjugate_to_yz(
+    f: FreeEndomorphism, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> FreeEndomorphism:
     """Carry an xy endomorphism through the basis change to the yz side."""
     if f.basis.kind is not BasisKind.XY:
         raise BasisMismatchError(
@@ -234,7 +236,8 @@ def conjugate_to_yz(f: FreeEndomorphism) -> FreeEndomorphism:
         )
     yz = Basis.yz(f.basis.genus_or_rank)
     images = tuple(
-        to_yz(f.apply(from_yz(yz.generator(sym)))) for sym in yz.symbols
+        to_yz(f.apply(from_yz(yz.generator(sym)), budget=budget))
+        for sym in yz.symbols
     )
     return FreeEndomorphism(yz, images)
 
@@ -316,7 +319,9 @@ def _case_number(i: int, genus: int) -> int:
     return 1 if i == 0 else (3 if i == genus - 1 else 2)
 
 
-def verify_theorem_2_2(genus: int) -> VerificationReport:
+def verify_theorem_2_2(
+    genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> VerificationReport:
     """Certify the twist factorizations (1)-(3) of every sigma_i at this genus.
 
     Each case compares the evaluated twist word with the switching action
@@ -330,7 +335,9 @@ def verify_theorem_2_2(genus: int) -> VerificationReport:
         cases.append(
             case_from_endos(
                 name,
-                evaluate_twist_word(pillar_switching_twist_word(i, genus)),
+                evaluate_twist_word(
+                    pillar_switching_twist_word(i, genus), budget=budget
+                ),
                 pillar_switching_action(i, genus),
             )
         )
@@ -338,7 +345,12 @@ def verify_theorem_2_2(genus: int) -> VerificationReport:
 
 
 def _replay_case(
-    prefix: str, genus: int, factors_text: str, chain_table: dict, subs: dict
+    prefix: str,
+    genus: int,
+    factors_text: str,
+    chain_table: dict,
+    subs: dict,
+    budget: int,
 ) -> list[CheckCase]:
     factors = parse_twist_word(factors_text.format(**subs), genus).symbols
     actions = [dehn_twist_action(sym, genus) for sym in factors]
@@ -350,7 +362,7 @@ def _replay_case(
         for step, (sym, action, template) in enumerate(
             zip(factors, actions, step_templates), start=1
         ):
-            current = action.apply(current)
+            current = action.apply(current, budget=budget)
             expected = word_with_z(template.format(**subs), genus)
             if current != expected:
                 mismatches.append(
@@ -360,7 +372,9 @@ def _replay_case(
     return out
 
 
-def replay_proof_chains(genus: int) -> VerificationReport:
+def replay_proof_chains(
+    genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> VerificationReport:
     """Replay the factorizations one twist at a time against the chain tables.
 
     Every tabulated intermediate image must match the engine exactly. The
@@ -371,10 +385,17 @@ def replay_proof_chains(genus: int) -> VerificationReport:
     if genus < 2:
         raise ValueError(f"the factorizations need genus >= 2, got {genus}")
     cases = _replay_case(
-        "thm-2.2-chain-case-1", genus, chains.CASE_1_FACTORS, chains.CASE_1_CHAINS, {}
+        "thm-2.2-chain-case-1",
+        genus,
+        chains.CASE_1_FACTORS,
+        chains.CASE_1_CHAINS,
+        {},
+        budget,
     )
     final_z1 = word_with_z(chains.CASE_1_CHAINS["z1"][-1], genus)
-    from_action = pillar_switching_action(0, genus).apply(z_loop(1, genus))
+    from_action = pillar_switching_action(0, genus).apply(
+        z_loop(1, genus), budget=budget
+    )
     cases.append(
         CheckCase(
             "thm-2.2-chain-case-1-z1-vs-action",
@@ -392,12 +413,18 @@ def replay_proof_chains(genus: int) -> VerificationReport:
                 chains.CASE_2_FACTORS,
                 chains.CASE_2_CHAINS,
                 subs,
+                budget,
             )
         )
     subs = {"g": genus, "gm1": genus - 1}
     cases.extend(
         _replay_case(
-            "thm-2.2-chain-case-3", genus, chains.CASE_3_FACTORS, chains.CASE_3_CHAINS, subs
+            "thm-2.2-chain-case-3",
+            genus,
+            chains.CASE_3_FACTORS,
+            chains.CASE_3_CHAINS,
+            subs,
+            budget,
         )
     )
     return VerificationReport(genus, tuple(cases))
@@ -412,19 +439,21 @@ def _all_twist_symbols(genus: int):
             yield TwistSymbol(TwistKind.W, i, sign)
 
 
-def verify_relator_invariance(genus: int) -> VerificationReport:
+def verify_relator_invariance(
+    genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+) -> VerificationReport:
     """Check that every shipped action fixes the boundary relator exactly."""
     if genus < 2:
         raise ValueError(f"pillar switchings need genus >= 2, got {genus}")
     relator = fundamental_relator(genus)
     twist_mm = []
     for sym in _all_twist_symbols(genus):
-        image = dehn_twist_action(sym, genus).apply(relator)
+        image = dehn_twist_action(sym, genus).apply(relator, budget=budget)
         if image != relator:
             twist_mm.append(Mismatch(str(sym), image, relator))
     sigma_mm = []
     for i in range(genus):
-        image = pillar_switching_action(i, genus).apply(relator)
+        image = pillar_switching_action(i, genus).apply(relator, budget=budget)
         if image != relator:
             sigma_mm.append(Mismatch(f"sigma{i}", image, relator))
     return VerificationReport(

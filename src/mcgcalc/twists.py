@@ -27,9 +27,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
-
-from .endos import FreeEndomorphism
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import WordSyntaxError
 from .words import Basis, Word, parse_word
 
@@ -185,10 +183,11 @@ def dehn_twist_action(sym: TwistSymbol, genus: int) -> FreeEndomorphism:
 
 
 def evaluate_twist_word(
-    tw: TwistWord, *, budget: Optional[int] = None
+    tw: TwistWord, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> FreeEndomorphism:
     """Evaluate a twist word to one endomorphism, rightmost twist first."""
-    result = FreeEndomorphism.identity(Basis.xy(tw.genus))
-    for sym in tw.symbols:
-        result = result.compose(dehn_twist_action(sym, tw.genus), budget=budget)
-    return result
+    return product(
+        Basis.xy(tw.genus),
+        [dehn_twist_action(sym, tw.genus) for sym in tw.symbols],
+        budget=budget,
+    )

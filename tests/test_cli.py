@@ -158,18 +158,23 @@ def test_verify_output_independent_of_jobs(capsys):
     assert out_serial == out_parallel
 
 
-def test_budget_flag_propagates(capsys):
-    code, _, err = run(
-        capsys,
-        "act",
-        "braid-psi",
-        "b1 b1 b1 b1",
-        "--genus",
-        "2",
-        "--on",
-        "x1",
-        "--budget",
-        "2",
-    )
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "braid-psi", "b1 b1 b1 b1", "--genus", "2", "--on", "x1"],
+        ["export", "braid-psi", "b1 b1 b1 b1", "--genus", "2"],
+        ["braid-trivial", "b1 b1 b1 b1", "--strands", "3"],
+        ["verify", "--genus", "2..3", "--which", "thm22", "--jobs", "2"],
+    ],
+    ids=["act", "export", "braid-trivial", "verify"],
+)
+def test_budget_flag_propagates(capsys, argv):
+    code, _, err = run(capsys, *argv, "--budget", "2")
     assert code == 2
     assert "budget" in err
+
+
+def test_budget_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["braid-trivial", "b1", "--strands", "3", "--budget", "0"])
+    assert excinfo.value.code == 2

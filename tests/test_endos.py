@@ -6,16 +6,20 @@ from hypothesis import given, strategies as st
 from mcgcalc import (
     Basis,
     BasisMismatchError,
+    BraidWord,
     FreeEndomorphism,
     ImageBudgetError,
     TwistKind,
     TwistSymbol,
     Word,
+    artin_action,
     dehn_twist_action,
-    get_image_budget,
+    evaluate_twist_word,
+    is_trivial_braid,
+    parse_twist_word,
     parse_word,
     pillar_switching_action,
-    set_image_budget,
+    product,
     verify_inverse_pair,
 )
 
@@ -24,6 +28,11 @@ XY2 = Basis.xy(2)
 A1 = dehn_twist_action(TwistSymbol(TwistKind.A, 1), 2)
 B1 = dehn_twist_action(TwistSymbol(TwistKind.B, 1), 2)
 W1 = dehn_twist_action(TwistSymbol(TwistKind.W, 1), 2)
+TWISTS_AND_INVERSES = [
+    dehn_twist_action(TwistSymbol(kind, 1, sign), 2)
+    for kind in (TwistKind.A, TwistKind.B, TwistKind.W)
+    for sign in (1, -1)
+]
 
 
 def signed_codes(basis):
@@ -101,6 +110,22 @@ def test_power():
         f.power(-1)
 
 
+# --- product -------------------------------------------------------------------
+
+
+@given(st.lists(st.sampled_from(TWISTS_AND_INVERSES), max_size=6), words(XY2))
+def test_product_matches_applying_factors_right_to_left(factors, w):
+    expected = w
+    for f in reversed(factors):
+        expected = f.apply(expected)
+    assert product(XY2, factors).apply(w) == expected
+
+
+def test_product_rejects_basis_mismatch():
+    with pytest.raises(BasisMismatchError):
+        product(Basis.xy(3), [A1])
+
+
 # --- equality ------------------------------------------------------------------
 
 
@@ -167,16 +192,30 @@ def test_compose_respects_budget():
     assert excinfo.value.needed > 3
 
 
-def test_global_budget_setting():
-    old = set_image_budget(4)
-    try:
-        assert get_image_budget() == 4
-        with pytest.raises(ImageBudgetError):
-            W1.compose(W1)
-    finally:
-        set_image_budget(old)
-    with pytest.raises(ValueError):
-        set_image_budget(0)
+# Each budget admits the first factor and is exceeded at a later step.
+@pytest.mark.parametrize(
+    "evaluate, budget",
+    [
+        (
+            lambda budget: evaluate_twist_word(
+                parse_twist_word("w1 a1 b1 w1 a1 b1", 2), budget=budget
+            ),
+            20,
+        ),
+        (lambda budget: artin_action(BraidWord(3, (1, 2, 1, 2)), budget=budget), 8),
+        (
+            lambda budget: is_trivial_braid(BraidWord(3, (1, 2, 1, 2)), budget=budget),
+            8,
+        ),
+        (lambda budget: W1.power(3, budget=budget), 40),
+    ],
+    ids=["evaluate_twist_word", "artin_action", "is_trivial_braid", "power"],
+)
+def test_products_respect_budget_argument(evaluate, budget):
+    with pytest.raises(ImageBudgetError) as excinfo:
+        evaluate(budget)
+    assert excinfo.value.budget == budget
+    assert excinfo.value.needed > budget
 
 
 # --- construction and JSON --------------------------------------------------------
