@@ -54,7 +54,6 @@ from .pillars import (
     verify_relator_invariance,
     verify_theorem_2_2,
     verify_yz_roundtrip,
-    word_with_z,
 )
 from .reports import CheckCase, Mismatch, VerificationReport
 from .twists import (
@@ -65,6 +64,7 @@ from .twists import (
     evaluate_twist_word,
     format_twist_word,
     parse_twist_word,
+    word_with_z,
     z_loop,
 )
 from .words import (

@@ -38,7 +38,7 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
-from .words import Basis, BasisKind, Family, Symbol, Word
+from .words import Basis, BasisKind, Family, Symbol, Word, _join_tokens, _tokenize
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,8 @@ _BRAID_TOKEN_RE = re.compile(r"b([0-9]+)(\^-1)?")
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid text; ``1`` denotes the empty braid."""
-    if text.strip() == "1":
-        return BraidWord(strands, ())
-    letters = []
-    for m in re.finditer(r"\S+", text):
-        token, pos = m.group(0), m.start()
+
+    def decode(token: str, pos: int) -> int:
         tm = _BRAID_TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad braid token {token!r}", pos)
@@ -103,27 +100,23 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
             raise WordSyntaxError(
                 f"braid index {index} out of range for {strands} strands", pos
             )
-        letters.append(-index if tm.group(2) else index)
-    if not letters:
-        raise WordSyntaxError('empty braid text (use "1" for the identity)', 0)
-    return BraidWord(strands, tuple(letters))
+        return -index if tm.group(2) else index
+
+    return BraidWord(strands, tuple(_tokenize(text, "braid text", decode)))
 
 
 def format_braid_word(b: BraidWord) -> str:
-    if not b.letters:
-        return "1"
-    return " ".join(f"b{k}" if k > 0 else f"b{-k}^-1" for k in b.letters)
+    return _join_tokens(f"b{k}" if k > 0 else f"b{-k}^-1" for k in b.letters)
 
 
 @lru_cache(maxsize=None)
 def _artin_generator(index: int, strands: int, sign: int) -> FreeEndomorphism:
     basis = Basis.abstract(strands)
-    a = basis.generator(f"al{index}")
-    b = basis.generator(f"al{index + 1}")
+    a, b = f"al{index}", f"al{index + 1}"
     if sign > 0:
-        images = {f"al{index}": b, f"al{index + 1}": b.inverse() * a * b}
+        images = {a: b, b: f"{b}^-1 {a} {b}"}
     else:
-        images = {f"al{index}": a * b * a.inverse(), f"al{index + 1}": a}
+        images = {a: f"{a} {b} {a}^-1", b: a}
     return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
 
 

@@ -41,13 +41,12 @@ that for every shipped action.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from random import Random
 
 from . import _wordops, chains
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism
-from .errors import BasisMismatchError, WordSyntaxError
+from .errors import BasisMismatchError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
     TwistKind,
@@ -56,9 +55,10 @@ from .twists import (
     dehn_twist_action,
     evaluate_twist_word,
     parse_twist_word,
+    word_with_z,
     z_loop,
 )
-from .words import Basis, BasisKind, Word, parse_word, random_word
+from .words import Basis, BasisKind, Word, random_word
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -106,42 +106,30 @@ def _require_switching_index(i: int, genus: int) -> None:
 def pillar_switching_action(i: int, genus: int) -> FreeEndomorphism:
     """The action of sigma_i on the xy free group, images fully expanded."""
     _require_switching_index(i, genus)
-    basis = Basis.xy(genus)
+    j = i + 1
     if i == 0:
-        z1 = z_loop(1, genus)
-        y1 = basis.generator("y1")
         images = {
-            "x1": z1.inverse() * y1 * z1 * y1.inverse() * z1,
-            "y1": z1.inverse() * y1.inverse() * z1,
-            "y2": z1.inverse() * y1 * z1 * basis.generator("y2"),
+            "x1": "z1^-1 y1 z1 y1^-1 z1",
+            "y1": "z1^-1 y1^-1 z1",
+            "y2": "z1^-1 y1 z1 y2",
         }
     elif i == genus - 1:
-        g = genus
-        zg1 = z_loop(g - 1, genus)
-        xg = basis.generator(f"x{g}")
-        yg = basis.generator(f"y{g}")
         images = {
-            f"x{g - 1}": yg.inverse() * basis.generator(f"x{g - 1}") * yg,
-            f"x{g}": xg * zg1.inverse() * xg.inverse(),
-            f"y{g - 1}": basis.generator(f"y{g - 1}") * yg,
-            f"y{g}": xg * yg.inverse() * xg.inverse(),
+            f"x{i}": f"y{j}^-1 x{i} y{j}",
+            f"x{j}": f"x{j} z{i}^-1 x{j}^-1",
+            f"y{i}": f"y{i} y{j}",
+            f"y{j}": f"x{j} y{j}^-1 x{j}^-1",
         }
     else:
-        z = z_loop(i + 1, genus)
-        ynext = basis.generator(f"y{i + 1}")
         images = {
-            f"x{i}": ynext.inverse() * basis.generator(f"x{i}") * ynext,
-            f"x{i + 1}": z.inverse()
-            * ynext
-            * z
-            * ynext.inverse()
-            * basis.generator(f"x{i}")
-            * z,
-            f"y{i}": basis.generator(f"y{i}") * ynext,
-            f"y{i + 1}": z.inverse() * ynext.inverse() * z,
-            f"y{i + 2}": z.inverse() * ynext * z * basis.generator(f"y{i + 2}"),
+            f"x{i}": f"y{j}^-1 x{i} y{j}",
+            f"x{j}": f"z{j}^-1 y{j} z{j} y{j}^-1 x{i} z{j}",
+            f"y{i}": f"y{i} y{j}",
+            f"y{j}": f"z{j}^-1 y{j}^-1 z{j}",
+            f"y{j + 1}": f"z{j}^-1 y{j} z{j} y{j + 1}",
         }
-    return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
+    expanded = {name: word_with_z(text, genus) for name, text in images.items()}
+    return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
 
 
 @lru_cache(maxsize=None)
@@ -256,60 +244,23 @@ def pillar_switching_yz(i: int, genus: int) -> FreeEndomorphism:
         raise ValueError(
             "sigma_0 has no yz substitution form; conjugate the xy action instead"
         )
-    basis = Basis.yz(genus)
+    j = i + 1
     if i == genus - 1:
-        g = genus
-        zg = basis.generator(f"z{g}")
-        yg = basis.generator(f"y{g}")
         images = {
-            f"y{g - 1}": basis.generator(f"y{g - 1}") * yg,
-            f"y{g}": zg.inverse() * yg.inverse() * zg,
-            f"z{g - 1}": zg,
-            f"z{g}": zg.inverse() * basis.generator(f"z{g - 1}") * zg,
+            f"y{i}": f"y{i} y{j}",
+            f"y{j}": f"z{j}^-1 y{j}^-1 z{j}",
+            f"z{i}": f"z{j}",
+            f"z{j}": f"z{j}^-1 z{i} z{j}",
         }
     else:
-        znext = basis.generator(f"z{i + 1}")
-        ynext = basis.generator(f"y{i + 1}")
         images = {
-            f"y{i}": basis.generator(f"y{i}") * ynext,
-            f"y{i + 1}": znext.inverse() * ynext.inverse() * znext,
-            f"y{i + 2}": znext.inverse() * ynext * znext * basis.generator(f"y{i + 2}"),
-            f"z{i}": znext,
-            f"z{i + 1}": znext.inverse() * basis.generator(f"z{i}") * znext,
+            f"y{i}": f"y{i} y{j}",
+            f"y{j}": f"z{j}^-1 y{j}^-1 z{j}",
+            f"y{j + 1}": f"z{j}^-1 y{j} z{j} y{j + 1}",
+            f"z{i}": f"z{j}",
+            f"z{j}": f"z{j}^-1 z{i} z{j}",
         }
-    return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
-
-
-# --- words with z abbreviations --------------------------------------------
-
-_Z_TOKEN_RE = re.compile(r"(x|y|z)([0-9]+)(\^-1)?")
-
-
-def word_with_z(text: str, genus: int) -> Word:
-    """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
-
-    This is the notation the factorization chains are tabulated in.
-    """
-    basis = Basis.xy(genus)
-    if text.strip() == "1":
-        return Word.identity(basis)
-    result = Word.identity(basis)
-    for m in re.finditer(r"\S+", text):
-        token, pos = m.group(0), m.start()
-        tm = _Z_TOKEN_RE.fullmatch(token)
-        if tm is None:
-            raise WordSyntaxError(f"bad token {token!r}", pos)
-        index = int(tm.group(2))
-        if tm.group(1) == "z":
-            if not 1 <= index <= genus:
-                raise WordSyntaxError(
-                    f"z index {index} out of range for genus {genus}", pos
-                )
-            piece = z_loop(index, genus)
-        else:
-            piece = parse_word(f"{tm.group(1)}{index}", basis)
-        result = result * (piece.inverse() if tm.group(3) else piece)
-    return result
+    return FreeEndomorphism.from_images(Basis.yz(genus), images, fix_unlisted=True)
 
 
 # --- verifiers --------------------------------------------------------------

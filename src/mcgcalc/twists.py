@@ -27,9 +27,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import WordSyntaxError
-from .words import Basis, Word, parse_word
+from .words import Basis, Word, _join_tokens, _letter_decoder, _tokenize, parse_word
 
 
 class TwistKind(Enum):
@@ -104,11 +105,8 @@ _TWIST_TOKEN_RE = re.compile(r"([abw])([0-9]+)(\^-1)?")
 
 def parse_twist_word(text: str, genus: int) -> TwistWord:
     """Parse twist-word text; ``1`` denotes the empty product."""
-    if text.strip() == "1":
-        return TwistWord(genus, ())
-    symbols = []
-    for m in re.finditer(r"\S+", text):
-        token, pos = m.group(0), m.start()
+
+    def decode(token: str, pos: int) -> TwistSymbol:
         tm = _TWIST_TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad twist token {token!r}", pos)
@@ -120,16 +118,13 @@ def parse_twist_word(text: str, genus: int) -> TwistWord:
             sym.validate_for_genus(genus)
         except ValueError as exc:
             raise WordSyntaxError(str(exc), pos) from None
-        symbols.append(sym)
-    if not symbols:
-        raise WordSyntaxError('empty twist word (use "1" for the identity)', 0)
-    return TwistWord(genus, tuple(symbols))
+        return sym
+
+    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode)))
 
 
 def format_twist_word(tw: TwistWord) -> str:
-    if not tw.symbols:
-        return "1"
-    return " ".join(str(sym) for sym in tw.symbols)
+    return _join_tokens(str(sym) for sym in tw.symbols)
 
 
 @lru_cache(maxsize=None)
@@ -148,38 +143,56 @@ def z_loop(i: int, genus: int) -> Word:
     return parse_word(f"x{i}^-1 y{i + 1} x{i + 1} y{i + 1}^-1", basis)
 
 
+_Z_TOKEN_RE = re.compile(r"(x|y|z)([0-9]+)(\^-1)?")
+
+
+def word_with_z(text: str, genus: int) -> Word:
+    """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
+
+    This is the notation the factorization chains are tabulated in.
+    """
+    basis = Basis.xy(genus)
+    letter = _letter_decoder(basis)
+
+    def decode(token: str, pos: int) -> tuple[int, ...]:
+        tm = _Z_TOKEN_RE.fullmatch(token)
+        if tm is None:
+            raise WordSyntaxError(f"bad token {token!r}", pos)
+        if tm.group(1) != "z":
+            return (letter(token, pos),)
+        index = int(tm.group(2))
+        if not 1 <= index <= genus:
+            raise WordSyntaxError(
+                f"z index {index} out of range for genus {genus}", pos
+            )
+        z = z_loop(index, genus)
+        return (z.inverse() if tm.group(3) else z).data
+
+    pieces = _tokenize(text, "word text", decode)
+    codes = [code for piece in pieces for code in piece]
+    return Word._reduced(basis, _wordops.reduce_letters(codes))
+
+
 @lru_cache(maxsize=None)
 def dehn_twist_action(sym: TwistSymbol, genus: int) -> FreeEndomorphism:
     """The action of one signed twist on the xy free group."""
     sym.validate_for_genus(genus)
-    basis = Basis.xy(genus)
     i = sym.index
+    # suffixes raising a letter to the twist's sign and to its opposite
+    same, opposite = ("", "^-1") if sym.sign > 0 else ("^-1", "")
     if sym.kind is TwistKind.A:
-        tail = f"x{i}^-1" if sym.sign > 0 else f"x{i}"
-        mapping = {f"y{i}": f"y{i} {tail}"}
-        return FreeEndomorphism.from_images(basis, mapping, fix_unlisted=True)
-    if sym.kind is TwistKind.B:
-        tail = f"y{i}" if sym.sign > 0 else f"y{i}^-1"
-        mapping = {f"x{i}": f"x{i} {tail}"}
-        return FreeEndomorphism.from_images(basis, mapping, fix_unlisted=True)
-    z = z_loop(i, genus)
-    x = basis.generator(f"x{i}")
-    y = basis.generator(f"y{i}")
-    y_next = basis.generator(f"y{i + 1}")
-    if sym.sign > 0:
-        images = {
-            f"x{i}": z.inverse() * x * z,
-            f"y{i}": y * z,
-            f"y{i + 1}": z.inverse() * y_next,
-        }
+        images = {f"y{i}": f"y{i} x{i}{opposite}"}
+    elif sym.kind is TwistKind.B:
+        images = {f"x{i}": f"x{i} y{i}{same}"}
     else:
-        # back-substituted inverse images (z is itself fixed by w_i)
+        # the inverse images are back-substituted (z_i is itself fixed by w_i)
         images = {
-            f"x{i}": z * x * z.inverse(),
-            f"y{i}": y * z.inverse(),
-            f"y{i + 1}": z * y_next,
+            f"x{i}": f"z{i}{opposite} x{i} z{i}{same}",
+            f"y{i}": f"y{i} z{i}{same}",
+            f"y{i + 1}": f"z{i}{opposite} y{i + 1}",
         }
-    return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
+    expanded = {name: word_with_z(text, genus) for name, text in images.items()}
+    return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
 
 
 def evaluate_twist_word(

@@ -17,7 +17,8 @@ operates on; the ``Letter``/``Symbol`` views decode on demand.
 
 Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
-``1`` denotes the identity.
+``1`` denotes the identity. ``_tokenize`` reads this text and the twist,
+braid and z-word text alike; each grammar supplies only a token decoder.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Union
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, WordSyntaxError
@@ -290,17 +292,54 @@ class Word:
 _TOKEN_RE = re.compile(r"(al|x|y|z)([0-9]+)(\^-1)?")
 
 
-def parse_word(text: str, basis: Basis) -> Word:
-    """Parse word text over ``basis``; the result is freely reduced.
+def _tokenize(text: str, what: str, decode: Callable[[str, int], Any]) -> list:
+    """Decode every whitespace-separated token of ``text``, left to right.
 
-    Raises ``WordSyntaxError`` (with the character offset) for malformed
-    tokens or indices the basis does not admit.
+    This is the one reader of word, twist, braid and z-word text.
+    ``decode(token, offset)`` returns the token's value or raises
+    ``WordSyntaxError`` at that offset. The text ``1`` alone gives no
+    values (the identity); text without tokens is an error naming ``what``.
     """
     if text.strip() == "1":
-        return Word.identity(basis)
-    codes = []
-    for m in re.finditer(r"\S+", text):
-        token, pos = m.group(0), m.start()
+        return []
+    values = [decode(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
+    if not values:
+        raise WordSyntaxError(f'empty {what} (use "1" for the identity)', 0)
+    return values
+
+
+def _join_tokens(tokens: Iterable[str]) -> str:
+    """Tokens written as text: one space apart, and ``1`` for none."""
+    return " ".join(tokens) or "1"
+
+
+@lru_cache(maxsize=None)
+def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
+    """The letters of ``basis`` both ways: name -> signed code, signed code -> name.
+
+    The cache hands the same pair to every caller, so both are read-only.
+    The names are indexed by the signed code itself: a negative code
+    counts from the end of the tuple.
+    """
+    codes = {}
+    for sym in basis.symbols:
+        codes[sym.name] = sym.code
+        codes[sym.name + "^-1"] = -sym.code
+    names = [""] * (2 * max(codes.values()) + 1)
+    for name, code in codes.items():
+        names[code] = name
+    return MappingProxyType(codes), tuple(names)
+
+
+def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
+    """The decoder of one letter token over ``basis`` to its signed code."""
+    codes = _letter_table(basis)[0]
+
+    def decode(token: str, pos: int) -> int:
+        code = codes.get(token)
+        if code is not None:
+            return code
+        # Another spelling of a letter (``x01``), or the reason for rejecting it.
         tm = _TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad token {token!r}", pos)
@@ -312,21 +351,24 @@ def parse_word(text: str, basis: Basis) -> Word:
             raise WordSyntaxError(
                 f"symbol {sym.name} is out of range for {basis}", pos
             )
-        codes.append(-sym.code if tm.group(3) else sym.code)
-    if not codes:
-        raise WordSyntaxError('empty word text (use "1" for the identity)', 0)
+        return -sym.code if tm.group(3) else sym.code
+
+    return decode
+
+
+def parse_word(text: str, basis: Basis) -> Word:
+    """Parse word text over ``basis``; the result is freely reduced.
+
+    Raises ``WordSyntaxError`` (with the character offset) for malformed
+    tokens or indices the basis does not admit.
+    """
+    codes = _tokenize(text, "word text", _letter_decoder(basis))
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 
 
 def format_word(w: Word) -> str:
     """Render a word in the text grammar; the identity renders as ``1``."""
-    if not w.data:
-        return "1"
-    parts = []
-    for code in w.data:
-        name = Symbol.from_code(abs(code)).name
-        parts.append(name if code > 0 else name + "^-1")
-    return " ".join(parts)
+    return _join_tokens(map(_letter_table(w.basis)[1].__getitem__, w.data))
 
 
 def random_word(basis: Basis, length: int, rng: Random) -> Word:

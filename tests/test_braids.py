@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mcgcalc import (
     Basis,
@@ -11,6 +12,7 @@ from mcgcalc import (
     WordSyntaxError,
     artin_action,
     evaluate_twist_word,
+    format_braid_word,
     insert_relations,
     is_trivial_braid,
     parse_braid_word,
@@ -204,6 +206,18 @@ def test_parse_and_format():
     assert str(b) == "b1 b2^-1 b1"
     assert str(BraidWord(3, ())) == "1"
     assert parse_braid_word("1", 3) == BraidWord(3, ())
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(2, 12))
+    letter = st.sampled_from([k for k in range(1 - strands, strands) if k])
+    return BraidWord(strands, tuple(draw(st.lists(letter, max_size=30))))
+
+
+@given(braid_words())
+def test_parse_format_braid_word_roundtrip(b):
+    assert parse_braid_word(format_braid_word(b), b.strands) == b
 
 
 def test_parse_rejects_out_of_range_indices():

@@ -5,6 +5,7 @@ from mcgcalc import (
     BasisMismatchError,
     FreeEndomorphism,
     Word,
+    WordSyntaxError,
     commutator,
     dehn_twist_action,
     evaluate_twist_word,
@@ -234,6 +235,22 @@ def test_word_with_z():
         word_with_z("z3", 2)
     with pytest.raises(WordSyntaxError):
         word_with_z("al1", 2)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("z1 x3", "symbol x3 is out of range for xy(2)", 3),
+        ("y1 x00", "index must be >= 1 in 'x00'", 3),
+        ("", 'empty word text (use "1" for the identity)', 0),
+        ("   ", 'empty word text (use "1" for the identity)', 0),
+    ],
+)
+def test_word_with_z_rejects_like_parse_word(text, message, position):
+    with pytest.raises(WordSyntaxError) as excinfo:
+        word_with_z(text, 2)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
 
 
 # --- yz switching forms ------------------------------------------------------------------

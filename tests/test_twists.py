@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from mcgcalc import (
     Basis,
@@ -102,6 +103,21 @@ def test_parse_twist_word():
     assert len(tw) == 7
     assert tw.symbols[0] == twist("a", 2, -1)
     assert format_twist_word(tw) == "a2^-1 w1 a1 b1 w1 a1 b1"
+
+
+@st.composite
+def twist_words(draw):
+    genus = draw(st.integers(2, 12))
+    kinds, signs = st.sampled_from(list(TwistKind)), st.sampled_from((1, -1))
+    symbols = st.builds(TwistSymbol, kinds, st.integers(1, genus), signs).filter(
+        lambda sym: sym.kind is not TwistKind.W or sym.index < genus
+    )
+    return TwistWord(genus, tuple(draw(st.lists(symbols, max_size=20))))
+
+
+@given(twist_words())
+def test_parse_format_twist_word_roundtrip(tw):
+    assert parse_twist_word(format_twist_word(tw), tw.genus) == tw
 
 
 def test_parse_twist_word_errors():

@@ -11,7 +11,10 @@ from mcgcalc import (
     WordSyntaxError,
     format_word,
     fundamental_relator,
+    parse_braid_word,
+    parse_twist_word,
     parse_word,
+    word_with_z,
 )
 
 XY2 = Basis.xy(2)
@@ -166,24 +169,13 @@ def test_parse_simple():
     assert [str(letter) for letter in w.letters] == ["x1", "y1^-1"]
 
 
-def test_parse_out_of_range_index():
-    with pytest.raises(WordSyntaxError):
-        parse_word("x3", XY2)
-
-
-def test_parse_reports_position():
-    with pytest.raises(WordSyntaxError) as excinfo:
-        parse_word("x1 q7", XY2)
-    assert excinfo.value.position == 3
-
-
 def test_parse_five_letter_reduced_word_over_yz():
     w = parse_word("z1^-1 y1 z1 y1^-1 z1", YZ2)
     assert len(w) == 5
 
 
 def test_parse_identity_token():
-    assert parse_word("1", XY2) == Word.identity(XY2)
+    assert parse_word("1", XY2) == parse_word(" 1\n", XY2) == Word.identity(XY2)
     with pytest.raises(WordSyntaxError):
         parse_word("1 x1", XY2)
     with pytest.raises(WordSyntaxError):
@@ -196,9 +188,53 @@ def test_format_identity_and_letters():
     assert format_word(parse_word("z1^-1 y1^-1 z1", YZ2)) == "z1^-1 y1^-1 z1"
 
 
-@given(words(XY2))
+# two-digit indices, the yz basis, and the two-letter ``al`` prefix
+ROUNDTRIP_BASES = (XY2, Basis.xy(12), Basis.yz(3), Basis.abstract(10))
+
+
+@given(st.sampled_from(ROUNDTRIP_BASES).flatmap(words))
 def test_parse_format_roundtrip(w):
-    assert parse_word(format_word(w), XY2) == w
+    assert parse_word(format_word(w), w.basis) == w
+
+
+def test_parse_accepts_leading_zeros():
+    expected = parse_word("x1 y2^-1", XY2)
+    assert parse_word("x01 y002^-1", XY2) == word_with_z("x01 y002^-1", 2) == expected
+
+
+EMPTY = '(use "1" for the identity)'
+W2 = "twist w2 is out of range for genus 2 (w indices run 1..1)"
+
+
+@pytest.mark.parametrize(
+    "parse, text, arg, message, position",
+    [
+        (parse_word, "x1 q7", XY2, "bad token 'q7'", 3),
+        (parse_word, "x1 x0", XY2, "index must be >= 1 in 'x0'", 3),
+        (parse_word, "y1 x3", XY2, "symbol x3 is out of range for xy(2)", 3),
+        (parse_word, "y1 x03^-1", XY2, "symbol x3 is out of range for xy(2)", 3),
+        (parse_word, "x1 z1", XY2, "symbol z1 is out of range for xy(2)", 3),
+        (parse_word, "1 x1", XY2, "bad token '1'", 0),
+        (parse_word, "", XY2, f"empty word text {EMPTY}", 0),
+        (parse_word, "   ", XY2, f"empty word text {EMPTY}", 0),
+        (parse_twist_word, "c1", 2, "bad twist token 'c1'", 0),
+        (parse_twist_word, "a1 a0", 2, "index must be >= 1 in 'a0'", 3),
+        (parse_twist_word, "w2", 2, W2, 0),
+        (parse_twist_word, "", 2, f"empty twist word {EMPTY}", 0),
+        (parse_braid_word, "a1", 3, "bad braid token 'a1'", 0),
+        (parse_braid_word, "b0", 3, "braid index 0 out of range for 3 strands", 0),
+        (parse_braid_word, "b1 b3", 3, "braid index 3 out of range for 3 strands", 3),
+        (parse_braid_word, "", 3, f"empty braid text {EMPTY}", 0),
+        (word_with_z, "z3", 2, "z index 3 out of range for genus 2", 0),
+        (word_with_z, "y1 z3^-1", 2, "z index 3 out of range for genus 2", 3),
+        (word_with_z, "al1", 2, "bad token 'al1'", 0),
+    ],
+)
+def test_parse_error_contract(parse, text, arg, message, position):
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse(text, arg)
+    assert str(excinfo.value) == f"{message} (at position {position})"
+    assert excinfo.value.position == position
 
 
 def test_format_parse_canonicalizes():
