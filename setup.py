@@ -1,19 +1,19 @@
-"""Builds the optional compiled word kernel.
+"""Builds the optional compiled word kernel, ``src/mcgcalc/_wordops_c.c``.
 
-The package works without it (a pure-Python kernel is selected at import
-time), so a missing Cython or C compiler only costs speed.
+It is a plain C extension: any C compiler builds it, with nothing beyond
+setuptools. The package works without it (the pure-Python kernel is
+selected at import time), so ``optional=True`` turns a failed compile into
+a warning and only costs speed.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/mcgcalc/_wordops_c.pyx"],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "mcgcalc._wordops_c",
+            ["src/mcgcalc/_wordops_c.c"],
+            optional=True,
+        )
+    ]
+)

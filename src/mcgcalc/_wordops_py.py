@@ -1,9 +1,9 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.pyx``: same four functions,
-same semantics, used when the extension is unavailable or explicitly
-requested. Letters are nonzero signed integers; a letter and its
-negative cancel.
+Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
+same semantics, used when the extension is not built or when
+``MCGCALC_KERNEL=py`` asks for it. Letters are nonzero signed integers;
+a letter and its negative cancel.
 """
 
 BACKEND = "py"

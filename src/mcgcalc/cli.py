@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Optional, Sequence
 
+from ._wordops import kernel_backend
 from .braids import (
     is_trivial_braid,
     parse_braid_word,
@@ -105,6 +106,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ok = all(report.all_hold for report in reports)
     if args.json:
         payload = {
+            "kernel": kernel_backend(),
             "ok": ok,
             "results": [
                 {"which": which, **report.to_json_dict()}

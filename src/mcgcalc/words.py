@@ -371,14 +371,33 @@ def format_word(w: Word) -> str:
     return _join_tokens(map(_letter_table(w.basis)[1].__getitem__, w.data))
 
 
+@lru_cache(maxsize=None)
+def _signed_letters(basis: Basis) -> tuple[int, ...]:
+    """The 2r letter codes of ``basis``, each inverse pair adjacent: c, -c, ...
+
+    The inverse of the letter at index ``k`` sits at index ``k ^ 1``.
+    """
+    return tuple(code for sym in basis.symbols for code in (sym.code, -sym.code))
+
+
 def random_word(basis: Basis, length: int, rng: Random) -> Word:
-    """A uniformly random reduced word of exactly ``length`` letters."""
-    pool = [sym.code for sym in basis.symbols]
-    codes: list[int] = []
-    for _ in range(length):
-        while True:
-            code = rng.choice(pool) * rng.choice((1, -1))
-            if not codes or codes[-1] != -code:
-                break
-        codes.append(code)
+    """A uniformly random reduced word of exactly ``length`` letters.
+
+    Each letter costs one ``rng.random()`` and one table lookup: the first
+    is uniform over the 2r letters, every later one uniform over the 2r - 1
+    letters that do not cancel the previous one (the draw skips the
+    previous letter's inverse by shifting the indices above it).
+    """
+    if length <= 0:
+        return Word.identity(basis)
+    letters = _signed_letters(basis)
+    n = len(letters)
+    draw = rng.random
+    k = int(draw() * n)
+    codes = [letters[k]]
+    push = codes.append
+    for _ in range(length - 1):
+        j = int(draw() * (n - 1))
+        k = j + (j >= k ^ 1)
+        push(letters[k])
     return Word._reduced(basis, tuple(codes))

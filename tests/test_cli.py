@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mcgcalc import Basis, parse_word
+from mcgcalc import Basis, kernel_backend, parse_word
 from mcgcalc.cli import main
 
 
@@ -128,6 +128,14 @@ def test_verify_json_output(capsys):
     assert payload["ok"] is True
     kinds = {entry["which"] for entry in payload["results"]}
     assert kinds == {"thm22", "relator"}
+
+
+def test_verify_json_names_the_kernel(capsys):
+    code, out, _ = run(capsys, "verify", "--genus", "2", "--which", "relator", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kernel"] == kernel_backend() in ("py", "c")
+    assert set(payload) == {"kernel", "ok", "results"}
 
 
 def test_verify_genus_1_is_usage_error(capsys):

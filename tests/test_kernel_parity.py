@@ -1,76 +1,153 @@
-"""The compiled and pure word kernels must agree letter for letter."""
+"""The compiled and pure word kernels must agree letter for letter.
 
-import os
-import random
-import subprocess
-import sys
+They agree on valid input, reduced or not, and raise the same exception
+type on the invalid input below; the header of ``_wordops_c.c`` names where
+they differ. Tier-1 runs both: the ``compiled_kernel`` fixture builds the
+extension when it is not built in place.
+"""
+
+import ctypes
 
 import pytest
+from hypothesis import given, strategies as st
 
-from mcgcalc import _wordops_py
+from conftest import c_compiler, compile_kernel
+from mcgcalc import _wordops_py as py
 
-compiled = pytest.importorskip(
-    "mcgcalc._wordops_c", reason="compiled kernel not built"
+RANK = 6
+LONG_MIN = -(1 << (8 * ctypes.sizeof(ctypes.c_long) - 1))
+
+letters = st.integers(-RANK, RANK).filter(bool)
+unreduced = st.lists(letters, max_size=40)
+words = st.one_of(unreduced, unreduced.map(py.reduce_letters))
+tables = st.lists(words, min_size=RANK, max_size=RANK).map(lambda imgs: [(), *imgs])
+
+
+def outcome(fn, *args):
+    """The result of a call with its type, or the type of what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # the exception type is what both kernels must share
+        return type(exc)
+    return type(result), result
+
+
+@given(u=words, v=words, table=tables, as_lists=st.booleans())
+def test_kernels_agree(compiled_kernel, u, v, table, as_lists):
+    if as_lists:
+        table = [list(img) for img in table]
+    else:
+        u, v = tuple(u), tuple(v)
+    calls = [
+        ("reduce_letters", (u,)),
+        ("concat_reduced", (u, v)),
+        ("invert_reduced", (u,)),
+        ("substitute", (u, table)),
+        ("substitute", (v, table)),
+    ]
+    for name, args in calls:
+        assert outcome(getattr(compiled_kernel, name), *args) == outcome(
+            getattr(py, name), *args
+        ), name
+
+
+BAD = object()
+
+# (function, arguments, result or exception type), the same for both kernels.
+CONTRACT = [
+    ("substitute", ((3,), [(), (1,), (2,)]), IndexError),
+    ("substitute", ((-3,), [(), (1,), (2,)]), IndexError),
+    ("substitute", ((LONG_MIN,), [(), (1,)]), IndexError),
+    ("substitute", ((1 << 80,), [(), (1,)]), IndexError),
+    ("substitute", ((0,), [(1, 2), (3,)]), (-2, -1)),
+    ("substitute", ([2, -1], [(), [1, 2], [3]]), (3, -2, -1)),
+    ("substitute", ((1, -1), ((), (2,))), ()),
+    ("substitute", (("x1",), [(), (1,)]), TypeError),
+    ("substitute", ((1.0,), [(), (1,)]), TypeError),
+    ("substitute", ((1,), [(), (1, "x1")]), TypeError),
+    ("substitute", ((1,),), TypeError),
+    ("substitute", (5, [(), (1,)]), TypeError),
+    ("reduce_letters", ([1, 2, -2],), (1,)),
+    ("reduce_letters", ([1, "x1"],), TypeError),
+    ("reduce_letters", ([1, BAD],), TypeError),
+    ("reduce_letters", (5,), TypeError),
+    ("concat_reduced", ([1, 2], [-2, 3]), [1, 3]),
+    ("concat_reduced", ([1, 2], [-2, -1]), []),
+    ("concat_reduced", ((1,), ("x1",)), TypeError),
+    ("concat_reduced", ((1,), [2]), TypeError),
+    ("concat_reduced", ((1,),), TypeError),
+    ("invert_reduced", ([1, -2],), (2, -1)),
+    ("invert_reduced", (("x1",),), TypeError),
+    ("invert_reduced", (None,), TypeError),
+]
+
+
+@pytest.mark.parametrize("name, args, expected", CONTRACT)
+def test_kernel_contract(compiled_kernel, name, args, expected):
+    for kernel in (py, compiled_kernel):
+        fn = getattr(kernel, name)
+        if isinstance(expected, type):
+            with pytest.raises(expected):
+                fn(*args)
+        else:
+            result = fn(*args)
+            assert result == expected and type(result) is type(expected)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("reduce_letters", ([LONG_MIN],)),
+        ("reduce_letters", ([1, 1 << 80],)),
+        ("concat_reduced", ((1,), (LONG_MIN,))),
+        ("invert_reduced", ((LONG_MIN,),)),
+        ("substitute", ((-1,), [(), (LONG_MIN,)])),
+        ("substitute", ((1,), [(), (1 << 80,)])),
+    ],
 )
+def test_letters_beyond_a_c_long(compiled_kernel, name, args):
+    """The pure kernel computes with Python ints; the compiled one refuses,
+    so that negating a letter is always defined in C."""
+    getattr(py, name)(*args)
+    with pytest.raises(OverflowError):
+        getattr(compiled_kernel, name)(*args)
 
 
-def random_reduced(rng, alphabet, length):
-    out = []
-    for _ in range(length):
-        while True:
-            c = rng.choice(alphabet) * rng.choice((1, -1))
-            if not out or out[-1] != -c:
-                break
-        out.append(c)
-    return tuple(out)
+def test_backend_name(compiled_kernel):
+    assert compiled_kernel.BACKEND == "c"
+    assert py.BACKEND == "py"
 
 
-def test_reduce_letters_parity():
-    rng = random.Random(0)
-    alphabet = list(range(1, 9))
-    for _ in range(300):
-        seq = [rng.choice(alphabet) * rng.choice((1, -1)) for _ in range(rng.randrange(40))]
-        assert compiled.reduce_letters(seq) == _wordops_py.reduce_letters(seq)
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    compiler = c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    _, proc = compile_kernel(compiler, tmp_path, ["-Wall", "-Wextra"])
+    assert proc.returncode == 0, proc.stderr
+    assert "_wordops_c.c" not in proc.stderr, proc.stderr
 
 
-def test_concat_and_invert_parity():
-    rng = random.Random(1)
-    alphabet = list(range(1, 9))
-    for _ in range(300):
-        u = random_reduced(rng, alphabet, rng.randrange(30))
-        v = random_reduced(rng, alphabet, rng.randrange(30))
-        assert compiled.concat_reduced(u, v) == _wordops_py.concat_reduced(u, v)
-        assert compiled.invert_reduced(u) == _wordops_py.invert_reduced(u)
+# --- both kernels end to end ----------------------------------------------------
+
+CLI_RUNS = {
+    "verify": ["verify", "--genus", "2..4", "--all", "--json", "--seed", "1"],
+    "braid-trivial": ["braid-trivial", "--strands", "4", "b1 b2 b1 b3 b2^-1 b1^-1 b2^-1 b3^-1"],
+    "act": ["act", "twist-word", "a1 b2 w1^-1 a3", "--genus", "3", "--on", "x1 y2 x3^-1 y1"],
+}
 
 
-def test_substitute_parity():
-    rng = random.Random(2)
-    alphabet = list(range(1, 7))
-    for _ in range(200):
-        images = [()] + [
-            random_reduced(rng, alphabet, rng.randrange(6)) for _ in alphabet
-        ]
-        word = random_reduced(rng, alphabet, rng.randrange(25))
-        assert compiled.substitute(word, images) == _wordops_py.substitute(
-            word, images
-        )
-
-
-def test_results_are_reduced_tuples():
-    seq = [1, -1, 2, 3, -3, -2, 4]
-    out = compiled.reduce_letters(seq)
-    assert isinstance(out, tuple)
-    assert out == (4,)
+@pytest.mark.parametrize("argv", CLI_RUNS.values(), ids=CLI_RUNS.keys())
+def test_cli_output_is_kernel_independent(run_cli, argv):
+    pure = run_cli("py", argv)
+    compiled = run_cli("c", argv)
+    assert pure.stderr == compiled.stderr == ""
+    assert compiled.returncode == pure.returncode
+    # verify --json names the kernel that ran; everything else is byte-identical.
+    assert compiled.stdout == pure.stdout.replace('"kernel": "py"', '"kernel": "c"')
 
 
 @pytest.mark.parametrize("backend", ["py", "c"])
-def test_env_var_selects_backend(backend):
-    env = dict(os.environ, MCGCALC_KERNEL=backend)
-    result = subprocess.run(
-        [sys.executable, "-c", "import mcgcalc; print(mcgcalc.kernel_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+def test_env_var_selects_backend(run_cli, backend):
+    result = run_cli(backend, ["verify", "--genus", "2", "--which", "relator", "--json"])
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == backend
+    assert f'"kernel": "{backend}"' in result.stdout

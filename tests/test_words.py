@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from mcgcalc import (
     parse_braid_word,
     parse_twist_word,
     parse_word,
+    random_word,
     word_with_z,
 )
 
@@ -277,3 +280,34 @@ def test_basis_symbol_order():
     assert [s.name for s in XY2.symbols] == ["x1", "y1", "x2", "y2"]
     assert [s.name for s in YZ2.symbols] == ["y1", "y2", "z1", "z2"]
     assert [s.name for s in Basis.abstract(2).symbols] == ["al1", "al2"]
+
+
+# --- random words --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("basis", [XY2, YZ2, Basis.xy(12), Basis.abstract(3)], ids=str)
+@given(length=st.integers(0, 80), seed=st.integers(0, 2**32))
+def test_random_word_contract(basis, length, seed):
+    w = random_word(basis, length, Random(seed))
+    assert len(w) == length
+    assert Word(basis, w.data) == w  # the constructor checks admission and reducedness
+    assert random_word(basis, length, Random(seed)) == w
+
+
+def test_random_word_length_zero_is_identity():
+    assert random_word(XY2, 0, Random(0)) == Word.identity(XY2)
+
+
+def test_random_word_reaches_every_letter_and_successor():
+    """20,000 two-letter draws at genus 2: every letter starts a word about
+    equally often, and every letter follows every letter but its inverse."""
+    rng = Random(7)
+    draws = [random_word(XY2, 2, rng).data for _ in range(20_000)]
+    letters = [c for sym in XY2.symbols for c in (sym.code, -sym.code)]
+    firsts = {c: 0 for c in letters}
+    for first, _ in draws:
+        firsts[first] += 1
+    assert min(firsts.values()) > 0.9 * len(draws) / len(letters)
+    assert set(draws) == {
+        (a, b) for a in letters for b in letters if b != -a
+    }
