@@ -1,16 +1,17 @@
 """Word-kernel selection: compiled extension if built, pure Python otherwise.
 
 Set ``MCGCALC_KERNEL=py`` or ``MCGCALC_KERNEL=c`` to force a backend
-(``c`` raises if the extension was never compiled).
+(``c`` raises if the extension was never compiled); any other nonempty
+value raises ImportError.
 """
 
 import os
 
 _requested = os.environ.get("MCGCALC_KERNEL", "").strip().lower()
 
-if _requested in ("py", "python", "pure"):
+if _requested == "py":
     from . import _wordops_py as _impl
-elif _requested in ("c", "compiled", "ext"):
+elif _requested == "c":
     from . import _wordops_c as _impl  # type: ignore[attr-defined]
 elif _requested == "":
     try:

@@ -4,14 +4,12 @@
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel.
  *
- * Invalid input raises the pure kernel's exception type, with three
- * differences. Letters are read as C longs in [-LONG_MAX, LONG_MAX], so
+ * Invalid input raises the pure kernel's exception type, with one
+ * difference. Letters are read as C longs in [-LONG_MAX, LONG_MAX], so
  * negating one is always defined: one outside that range raises
- * OverflowError where the pure kernel computes with Python ints. Every
- * letter that is not an int raises TypeError, also where the pure kernel
- * passes it through without negating it. ``substitute`` takes a tuple or
- * list of tuple or list images. Only ints are read inside the loops, so no
- * Python code runs there and borrowed items stay valid.
+ * OverflowError where the pure kernel computes with Python ints. Only ints
+ * are read inside the loops, so no Python code runs there and borrowed
+ * items stay valid.
  *
  * ``setup.py build_ext --inplace`` builds it; by hand:
  *     cc -O2 -shared -fPIC -I<python include> _wordops_c.c \

@@ -1,18 +1,16 @@
 """Stepwise image tables for the twist factorizations of the pillar switchings.
 
 For each factorization case and each starting loop, the table lists the
-image after every single twist is applied, rightmost twist first (the
-``*_FACTORS`` strings are already in application order). Words use the
-z<k> abbreviation, expanded by the replay verifier over the xy basis.
+image after every single twist of ``pillar_switching_twist_word`` is
+applied, rightmost twist first. Words use the z<k> abbreviation,
+expanded by the replay verifier over the xy basis.
 
 Placeholders: case 2 is indexed by the middle pillar position i
 (2 <= i <= g-1, giving sigma_{i-1}), with ``{im1}``/``{ip1}`` standing
 for i-1/i+1; case 3 uses ``{g}``/``{gm1}`` for g/g-1.
 """
 
-# sigma_0 = a2^-1 (w1 a1 b1)^2, applied right to left:
-CASE_1_FACTORS = "b1 a1 w1 b1 a1 w1 a2^-1"
-
+# sigma_0 = a2^-1 (w1 a1 b1)^2:
 CASE_1_CHAINS = {
     "x1": [
         "x1 y1",
@@ -53,8 +51,6 @@ CASE_1_CHAINS = {
 }
 
 # sigma_{i-1} = a_{i+1}^-1 a_i b_i w_i w_{i-1} a_{i-1}^-1 b_i a_i:
-CASE_2_FACTORS = "a{i} b{i} a{im1}^-1 w{im1} w{i} b{i} a{i} a{ip1}^-1"
-
 CASE_2_CHAINS = {
     "x{im1}": [
         "x{im1}",
@@ -129,8 +125,6 @@ CASE_2_CHAINS = {
 }
 
 # sigma_{g-1} = (w_{g-1} a_g b_g)^2 a_{g-1}^-1:
-CASE_3_FACTORS = "a{gm1}^-1 b{g} a{g} w{gm1} b{g} a{g} w{gm1}"
-
 CASE_3_CHAINS = {
     "x{gm1}": [
         "x{gm1}",

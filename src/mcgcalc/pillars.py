@@ -295,89 +295,52 @@ def verify_theorem_2_2(
     return VerificationReport(genus, tuple(cases))
 
 
-def _replay_case(
-    prefix: str,
-    genus: int,
-    factors_text: str,
-    chain_table: dict,
-    subs: dict,
-    budget: int,
-) -> list[CheckCase]:
-    factors = parse_twist_word(factors_text.format(**subs), genus).symbols
-    actions = [dehn_twist_action(sym, genus) for sym in factors]
-    out = []
-    for start_template, step_templates in chain_table.items():
-        start_name = start_template.format(**subs)
-        current = word_with_z(start_name, genus)
-        mismatches = []
-        for step, (sym, action, template) in enumerate(
-            zip(factors, actions, step_templates), start=1
-        ):
-            current = action.apply(current, budget=budget)
-            expected = word_with_z(template.format(**subs), genus)
-            if current != expected:
-                mismatches.append(
-                    Mismatch(f"{start_name} after step {step} ({sym})", current, expected)
-                )
-        out.append(CheckCase(f"{prefix}-{start_name}", tuple(mismatches)))
-    return out
-
-
 def replay_proof_chains(
     genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> VerificationReport:
     """Replay the factorizations one twist at a time against the chain tables.
 
-    Every tabulated intermediate image must match the engine exactly. The
-    extra case-1 check compares the final z_1 line with what the sigma_0
-    action itself does to z_1: the tabulated line is derivable from the
-    x/y images, and any inconsistency is reported, never patched.
+    The twists are those of ``pillar_switching_twist_word``, rightmost
+    first, so this replays the very factorizations ``verify_theorem_2_2``
+    certifies. Every tabulated intermediate image must match the engine
+    exactly. The extra case-1 check compares the final z_1 line with what
+    the sigma_0 action itself does to z_1: the tabulated line is derivable
+    from the x/y images, and any inconsistency is reported, never patched.
     """
     if genus < 2:
         raise ValueError(f"the factorizations need genus >= 2, got {genus}")
-    cases = _replay_case(
-        "thm-2.2-chain-case-1",
-        genus,
-        chains.CASE_1_FACTORS,
-        chains.CASE_1_CHAINS,
-        {},
-        budget,
-    )
-    final_z1 = word_with_z(chains.CASE_1_CHAINS["z1"][-1], genus)
-    from_action = pillar_switching_action(0, genus).apply(
-        z_loop(1, genus), budget=budget
-    )
-    cases.append(
-        CheckCase(
-            "thm-2.2-chain-case-1-z1-vs-action",
-            ()
-            if from_action == final_z1
-            else (Mismatch("z1", from_action, final_z1),),
-        )
-    )
-    for i in range(2, genus):
-        subs = {"i": i, "im1": i - 1, "ip1": i + 1}
-        cases.extend(
-            _replay_case(
-                f"thm-2.2-chain-case-2-sigma{i - 1}",
-                genus,
-                chains.CASE_2_FACTORS,
-                chains.CASE_2_CHAINS,
-                subs,
-                budget,
-            )
-        )
-    subs = {"g": genus, "gm1": genus - 1}
-    cases.extend(
-        _replay_case(
-            "thm-2.2-chain-case-3",
-            genus,
-            chains.CASE_3_FACTORS,
-            chains.CASE_3_CHAINS,
-            subs,
-            budget,
-        )
-    )
+    cases = []
+    for i in range(genus):
+        case = _case_number(i, genus)
+        prefix = f"thm-2.2-chain-case-{case}"
+        if case == 1:
+            table, subs = chains.CASE_1_CHAINS, {}
+        elif case == 2:
+            prefix += f"-sigma{i}"
+            table, subs = chains.CASE_2_CHAINS, {"i": i + 1, "im1": i, "ip1": i + 2}
+        else:
+            table, subs = chains.CASE_3_CHAINS, {"g": genus, "gm1": genus - 1}
+        factors = pillar_switching_twist_word(i, genus).symbols[::-1]
+        actions = [dehn_twist_action(sym, genus) for sym in factors]
+        for start_template, step_templates in table.items():
+            start_name = start_template.format(**subs)
+            current = word_with_z(start_name, genus)
+            mismatches = []
+            for step, (sym, action, template) in enumerate(
+                zip(factors, actions, step_templates, strict=True), start=1
+            ):
+                current = action.apply(current, budget=budget)
+                expected = word_with_z(template.format(**subs), genus)
+                if current != expected:
+                    mismatches.append(
+                        Mismatch(f"{start_name} after step {step} ({sym})", current, expected)
+                    )
+            cases.append(CheckCase(f"{prefix}-{start_name}", tuple(mismatches)))
+        if case == 1:
+            final_z1 = word_with_z(table["z1"][-1], genus)
+            z1 = pillar_switching_action(0, genus).apply(z_loop(1, genus), budget=budget)
+            wrong = () if z1 == final_z1 else (Mismatch("z1", z1, final_z1),)
+            cases.append(CheckCase("thm-2.2-chain-case-1-z1-vs-action", wrong))
     return VerificationReport(genus, tuple(cases))
 
 
@@ -429,6 +392,9 @@ def verify_yz_roundtrip(
     homomorphisms that compose to the identity on every generator (in
     both directions) are mutually inverse. The random-word case rechecks
     the same thing on ``samples`` seeded words per direction.
+
+    Unlike the other verifiers it takes no ``budget``: the basis change is
+    a fixed substitution whose images grow linearly with word length.
     """
     if genus < 2:
         raise ValueError(f"the yz basis change needs genus >= 2, got {genus}")

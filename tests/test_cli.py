@@ -157,13 +157,26 @@ def test_verify_bad_range_is_usage_error(capsys):
 
 
 def test_verify_output_independent_of_jobs(capsys):
-    _, out_serial, _ = run(
-        capsys, "verify", "--genus", "2..4", "--which", "thm22,relations", "--jobs", "1"
-    )
-    _, out_parallel, _ = run(
-        capsys, "verify", "--genus", "2..4", "--which", "thm22,relations", "--jobs", "4"
-    )
-    assert out_serial == out_parallel
+    outputs = {
+        run(capsys, "verify", "--all", "--genus", "2..4", "--json", "--jobs", jobs)
+        for jobs in ("1", "2", "4")
+    }
+    assert len(outputs) == 1
+    code, out, err = outputs.pop()
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is True
+    order = list(dict.fromkeys(entry["which"] for entry in payload["results"]))
+    assert order == [
+        "thm22", "chains", "relations", "relator", "artin-restriction", "yz-roundtrip"
+    ]
+
+
+def test_verify_jobs_zero_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--genus", "2", "--which", "thm22", "--jobs", "0"])
+    assert excinfo.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -180,6 +193,15 @@ def test_budget_flag_propagates(capsys, argv):
     code, _, err = run(capsys, *argv, "--budget", "2")
     assert code == 2
     assert "budget" in err
+
+
+def test_budget_does_not_reach_the_basis_change(capsys):
+    # yz-roundtrip is a fixed substitution and takes no budget.
+    code, out, err = run(
+        capsys, "verify", "--genus", "2..3", "--which", "yz-roundtrip", "--budget", "2"
+    )
+    assert code == 0, err
+    assert "all passed" in out
 
 
 def test_budget_zero_is_usage_error(capsys):

@@ -1,9 +1,10 @@
 """The compiled and pure word kernels must agree letter for letter.
 
 They agree on valid input, reduced or not, and raise the same exception
-type on the invalid input below; the header of ``_wordops_c.c`` names where
-they differ. Tier-1 runs both: the ``compiled_kernel`` fixture builds the
-extension when it is not built in place.
+type on the invalid input below. They differ only on letters beyond a C
+long, which the compiled kernel refuses (``test_letters_beyond_a_c_long``).
+Tier-1 runs both: the ``compiled_kernel`` fixture builds the extension when
+it is not built in place.
 """
 
 import ctypes
@@ -51,6 +52,33 @@ def test_kernels_agree(compiled_kernel, u, v, table, as_lists):
         ), name
 
 
+# Letters and images the compiled kernel refuses, mixed with valid ones: both
+# kernels must raise the same exception type for the first fault they meet.
+faulty_letters = st.one_of(
+    letters, st.sampled_from([0, RANK + 1, -(RANK + 1), True, 1.0, -2.0, "x1", None])
+)
+faulty_words = st.lists(faulty_letters, max_size=12)
+faulty_tables = st.lists(
+    st.one_of(faulty_words, faulty_words.map(tuple), st.sampled_from(["ab", None])),
+    min_size=RANK + 1,
+    max_size=RANK + 1,
+)
+
+
+@given(u=faulty_words, v=faulty_words, table=faulty_tables)
+def test_kernels_agree_on_faulty_input(compiled_kernel, u, v, table):
+    calls = [
+        ("reduce_letters", (u,)),
+        ("concat_reduced", (tuple(u), tuple(v))),
+        ("invert_reduced", (u,)),
+        ("substitute", (u, table)),
+    ]
+    for name, args in calls:
+        assert outcome(getattr(compiled_kernel, name), *args) == outcome(
+            getattr(py, name), *args
+        ), name
+
+
 BAD = object()
 
 # (function, arguments, result or exception type), the same for both kernels.
@@ -66,19 +94,32 @@ CONTRACT = [
     ("substitute", ((1.0,), [(), (1,)]), TypeError),
     ("substitute", ((1,), [(), (1, "x1")]), TypeError),
     ("substitute", ((1,),), TypeError),
+    ("substitute", ((1,), {1: (2,)}), TypeError),
+    ("substitute", ((1,), [(), ("x1",)]), TypeError),
+    ("substitute", ((1,), [(), (1.0, -1.0)]), TypeError),
+    ("substitute", ((1,), [(), "ab"]), TypeError),
+    ("substitute", ((3, "x1"), [(), (1,)]), IndexError),
+    ("substitute", (("x1", 3), [(), (1,)]), TypeError),
+    ("substitute", ([True, -1], [(), (2,)]), ()),
     ("substitute", (5, [(), (1,)]), TypeError),
     ("reduce_letters", ([1, 2, -2],), (1,)),
     ("reduce_letters", ([1, "x1"],), TypeError),
     ("reduce_letters", ([1, BAD],), TypeError),
+    ("reduce_letters", (["a"],), TypeError),
+    ("reduce_letters", ([1.0, -1.0],), TypeError),
+    ("reduce_letters", ([True, -1],), ()),
     ("reduce_letters", (5,), TypeError),
     ("concat_reduced", ([1, 2], [-2, 3]), [1, 3]),
     ("concat_reduced", ([1, 2], [-2, -1]), []),
     ("concat_reduced", ((1,), ("x1",)), TypeError),
     ("concat_reduced", ((1,), [2]), TypeError),
+    ("concat_reduced", ((1,), (2.0,)), TypeError),
+    ("concat_reduced", (("x1",), (2,)), TypeError),
     ("concat_reduced", ((1,),), TypeError),
     ("invert_reduced", ([1, -2],), (2, -1)),
     ("invert_reduced", (("x1",),), TypeError),
     ("invert_reduced", (None,), TypeError),
+    ("invert_reduced", ([1.5],), TypeError),
 ]
 
 
@@ -151,3 +192,10 @@ def test_env_var_selects_backend(run_cli, backend):
     result = run_cli(backend, ["verify", "--genus", "2", "--which", "relator", "--json"])
     assert result.returncode == 0, result.stderr
     assert f'"kernel": "{backend}"' in result.stdout
+
+
+@pytest.mark.parametrize("value", ["pure", "python", "compiled", "ext"])
+def test_env_var_rejects_other_values(run_cli, value):
+    result = run_cli(value, ["verify", "--genus", "2", "--which", "relator", "--json"])
+    assert result.returncode != 0
+    assert repr(value) in result.stderr

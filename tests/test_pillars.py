@@ -209,6 +209,70 @@ def test_replay_case_counts():
     assert len(replay_proof_chains(4).cases) == 10 + 2 * 7
 
 
+def _chain_names(case, starts):
+    return [f"thm-2.2-chain-case-{case}-{start}" for start in starts.split()]
+
+
+@pytest.mark.parametrize(
+    "genus, names",
+    [
+        (
+            2,
+            _chain_names("1", "x1 y1 y2 z1 z1-vs-action")
+            + _chain_names("3", "x1 x2 y1 y2 z1"),
+        ),
+        (
+            5,
+            _chain_names("1", "x1 y1 y2 z1 z1-vs-action")
+            + _chain_names("2-sigma1", "x1 x2 y1 y2 y3 z1 z2")
+            + _chain_names("2-sigma2", "x2 x3 y2 y3 y4 z2 z3")
+            + _chain_names("2-sigma3", "x3 x4 y3 y4 y5 z3 z4")
+            + _chain_names("3", "x4 x5 y4 y5 z4"),
+        ),
+    ],
+)
+def test_replay_case_names_in_order(genus, names):
+    assert [case.name for case in replay_proof_chains(genus).cases] == names
+
+
+def test_replay_reads_the_certified_factorization(monkeypatch):
+    # Swapping the two rightmost twists of sigma_0 must break the case-1
+    # replay: the chains replay the factorization thm22 certifies.
+    import mcgcalc.pillars as pillars
+    from mcgcalc import TwistWord
+
+    certified = pillars.pillar_switching_twist_word
+
+    def swapped(i, genus):
+        word = certified(i, genus)
+        if i:
+            return word
+        *head, x, y = word.symbols
+        return TwistWord(genus, (*head, y, x))
+
+    monkeypatch.setattr(pillars, "pillar_switching_twist_word", swapped)
+    report = replay_proof_chains(2)
+    failed = [case.name for case in report.cases if not case.holds]
+    assert failed and all(name.startswith("thm-2.2-chain-case-1-") for name in failed)
+    assert report.case("thm-2.2-chain-case-1-x1").mismatches[0].generator == (
+        "x1 after step 1 (a1)"
+    )
+
+
+def test_replay_needs_one_table_line_per_twist(monkeypatch):
+    import mcgcalc.pillars as pillars
+    from mcgcalc import TwistWord
+
+    certified = pillars.pillar_switching_twist_word
+    monkeypatch.setattr(
+        pillars,
+        "pillar_switching_twist_word",
+        lambda i, genus: TwistWord(genus, certified(i, genus).symbols[1:]),
+    )
+    with pytest.raises(ValueError):
+        replay_proof_chains(2)
+
+
 def test_replay_contains_z1_consistency_case():
     report = replay_proof_chains(2)
     case = report.case("thm-2.2-chain-case-1-z1-vs-action")
