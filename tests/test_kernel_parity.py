@@ -94,6 +94,24 @@ CONTRACT = [
     ("substitute", ((1.0,), [(), (1,)]), TypeError),
     ("substitute", ((1,), [(), (1, "x1")]), TypeError),
     ("substitute", ((1,),), TypeError),
+    ("substitute", (5, [(), (1,)]), TypeError),
+    ("reduce_letters", ([1, 2, -2],), (1,)),
+    ("reduce_letters", ([1, "x1"],), TypeError),
+    ("reduce_letters", ([1, BAD],), TypeError),
+    ("reduce_letters", (5,), TypeError),
+    ("concat_reduced", ([1, 2], [-2, 3]), [1, 3]),
+    ("concat_reduced", ([1, 2], [-2, -1]), []),
+    ("concat_reduced", ((1,), ("x1",)), TypeError),
+    ("concat_reduced", ((1,), [2]), TypeError),
+    ("concat_reduced", ((1,),), TypeError),
+    ("invert_reduced", ([1, -2],), (2, -1)),
+    ("invert_reduced", (("x1",),), TypeError),
+    ("invert_reduced", (None,), TypeError),
+]
+
+# Non-int letters and non-sequence image tables, which the pure kernel refuses
+# as the compiled one does. Appended so the cases above keep their test ids.
+CONTRACT += [
     ("substitute", ((1,), {1: (2,)}), TypeError),
     ("substitute", ((1,), [(), ("x1",)]), TypeError),
     ("substitute", ((1,), [(), (1.0, -1.0)]), TypeError),
@@ -101,24 +119,11 @@ CONTRACT = [
     ("substitute", ((3, "x1"), [(), (1,)]), IndexError),
     ("substitute", (("x1", 3), [(), (1,)]), TypeError),
     ("substitute", ([True, -1], [(), (2,)]), ()),
-    ("substitute", (5, [(), (1,)]), TypeError),
-    ("reduce_letters", ([1, 2, -2],), (1,)),
-    ("reduce_letters", ([1, "x1"],), TypeError),
-    ("reduce_letters", ([1, BAD],), TypeError),
     ("reduce_letters", (["a"],), TypeError),
     ("reduce_letters", ([1.0, -1.0],), TypeError),
     ("reduce_letters", ([True, -1],), ()),
-    ("reduce_letters", (5,), TypeError),
-    ("concat_reduced", ([1, 2], [-2, 3]), [1, 3]),
-    ("concat_reduced", ([1, 2], [-2, -1]), []),
-    ("concat_reduced", ((1,), ("x1",)), TypeError),
-    ("concat_reduced", ((1,), [2]), TypeError),
     ("concat_reduced", ((1,), (2.0,)), TypeError),
     ("concat_reduced", (("x1",), (2,)), TypeError),
-    ("concat_reduced", ((1,),), TypeError),
-    ("invert_reduced", ([1, -2],), (2, -1)),
-    ("invert_reduced", (("x1",),), TypeError),
-    ("invert_reduced", (None,), TypeError),
     ("invert_reduced", ([1.5],), TypeError),
 ]
 
