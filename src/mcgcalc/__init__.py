@@ -71,7 +71,6 @@ from .words import (
     Basis,
     BasisKind,
     Family,
-    Letter,
     Symbol,
     Word,
     format_word,
@@ -91,7 +90,6 @@ __all__ = [
     "Family",
     "FreeEndomorphism",
     "ImageBudgetError",
-    "Letter",
     "Mismatch",
     "NotZStableError",
     "Symbol",

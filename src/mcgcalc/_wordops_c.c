@@ -4,12 +4,10 @@
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel.
  *
- * Invalid input raises the pure kernel's exception type, with one
- * difference. Letters are read as C longs in [-LONG_MAX, LONG_MAX], so
- * negating one is always defined: one outside that range raises
- * OverflowError where the pure kernel computes with Python ints. Only ints
- * are read inside the loops, so no Python code runs there and borrowed
- * items stay valid.
+ * Invalid input raises the pure kernel's exception type. Letters are read
+ * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
+ * one outside that range raises OverflowError. Only ints are read inside
+ * the loops, so no Python code runs there and borrowed items stay valid.
  *
  * ``setup.py build_ext --inplace`` builds it; by hand:
  *     cc -O2 -shared -fPIC -I<python include> _wordops_c.c \

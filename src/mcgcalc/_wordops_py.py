@@ -1,53 +1,82 @@
 """Pure-Python word kernel.
 
 Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
-same semantics, used when the extension is not built or when
+same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Letters are nonzero signed integers;
 a letter and its negative cancel. Every letter the compiled kernel reads
-must be an ``int`` here too, else ``TypeError``; only letters beyond a C
-long differ, as this kernel computes with them.
+is read here too, as a C long in [-LONG_MAX, LONG_MAX], and results hold
+plain ints; ``concat_reduced`` joins its arguments' own letters in both.
 """
 
+import struct
 from itertools import chain, repeat
-from operator import neg
+from operator import index, neg
 
 BACKEND = "py"
+LONG_MAX = (1 << (8 * struct.calcsize("l") - 1)) - 1
 
 
-def _check_letters(seq):
-    if not all(map(isinstance, seq, repeat(int))):
-        bad = next(s for s in seq if not isinstance(s, int))
-        raise TypeError(f"letters are ints, not {type(bad).__name__}")
+def _check_letters(letters):
+    """Raise what the compiled kernel raises at the first letter it cannot read:
+    TypeError for a non-int, OverflowError outside [-LONG_MAX, LONG_MAX]."""
+    for s in letters:
+        if not isinstance(s, int):
+            raise TypeError(f"letters are ints, not {type(s).__name__}")
+        if not -LONG_MAX <= s <= LONG_MAX:
+            raise OverflowError("letter code does not fit the compiled kernel")
 
 
-def _check_substitution(word, images):
-    """Raise what the compiled kernel raises for ``substitute(word, images)``."""
+def _fits(letters):
+    """True if every letter is a plain int in [-LONG_MAX, LONG_MAX] (no walk)."""
+    if not set(map(type, letters)) <= {int}:
+        return False
+    values = set(letters)
+    return not values or -LONG_MAX <= min(values) and max(values) <= LONG_MAX
+
+
+def _plain_letters(seq):
+    """``seq`` as a tuple of plain ints, read as the compiled kernel reads it."""
+    seq = tuple(seq)
+    if _fits(seq):
+        return seq
+    _check_letters(seq)
+    return tuple(map(index, seq))  # int subclasses, such as bool, as plain ints
+
+
+def _plain_images(word, images):
+    """``images`` with the images ``word`` uses as plain ints.
+
+    Raises what the compiled kernel raises for ``substitute(word, images)``,
+    at the first fault in the order it reads the word and the images its
+    letters use.
+    """
     if all(map(isinstance, word, repeat(int))):
-        letters = dict.fromkeys(word)
+        letters = set(word)
         if not letters or -len(images) < min(letters) <= max(letters) < len(images):
             used = [images[-s if s < 0 else s] for s in letters]
-            if all(map(isinstance, used, repeat((tuple, list)))) and all(
-                map(isinstance, chain.from_iterable(used), repeat(int))
+            if all(map(isinstance, used, repeat((tuple, list)))) and _fits(
+                list(chain.from_iterable(used))
             ):
-                return
-    # Some input is bad: find the first fault in the order the compiled
-    # kernel reads the word and the images its letters use.
+                return images
+    plain = list(images)
     for s in word:
-        _check_letters((s,))
-        img = images[-s if s < 0 else s]
+        if not isinstance(s, int):
+            raise TypeError(f"letters are ints, not {type(s).__name__}")
+        k = -s if s < 0 else s
+        img = images[k]
         if not isinstance(img, (tuple, list)):
             raise TypeError("images are tuples or lists")
-        _check_letters(img)
+        _check_letters(img if s > 0 else img[::-1])
+        plain[k] = tuple(map(index, img))
+    return plain
 
 
 def reduce_letters(seq):
     """Freely reduce a letter sequence (single left-to-right stack scan)."""
-    seq = tuple(seq)
-    _check_letters(seq)
     out = []
     pop = out.pop
     push = out.append
-    for s in seq:
+    for s in _plain_letters(seq):
         if out and out[-1] == -s:
             pop()
         else:
@@ -75,9 +104,7 @@ def concat_reduced(u, v):
 
 def invert_reduced(u):
     """Inverse of a reduced word: reverse the sequence, negate each letter."""
-    u = tuple(u)
-    _check_letters(u)
-    return tuple(map(neg, reversed(u)))
+    return tuple(map(neg, _plain_letters(tuple(u)[::-1])))
 
 
 def substitute(word, images):
@@ -90,7 +117,7 @@ def substitute(word, images):
     if not isinstance(images, (tuple, list)):
         raise TypeError("substitute expects a tuple or list of images")
     word = tuple(word)
-    _check_substitution(word, images)
+    images = _plain_images(word, images)
     out = []
     pop = out.pop
     push = out.append

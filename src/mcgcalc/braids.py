@@ -29,7 +29,8 @@ from functools import lru_cache
 from random import Random
 from typing import Optional
 
-from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
+from . import _wordops
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
 from .errors import BasisMismatchError, NotZStableError, WordSyntaxError
 from .pillars import (
     conjugate_to_yz,
@@ -70,13 +71,7 @@ class BraidWord:
 
     def free_reduce(self) -> "BraidWord":
         """Cancel adjacent inverse pairs (a correct move in the braid group)."""
-        out: list[int] = []
-        for k in self.letters:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
-        return BraidWord(self.strands, tuple(out))
+        return BraidWord(self.strands, _wordops.reduce_letters(self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -173,16 +168,16 @@ def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
     abstract = Basis.abstract(g)
     images = []
     for i in range(1, g + 1):
-        image = f.image_of(f"z{i}")
+        image = f.table[Symbol(Family.Z, i).code]
         codes = []
-        for code in image.data:
+        for code in image:
             sym = Symbol.from_code(abs(code))
             if sym.family is not Family.Z:
-                raise NotZStableError(f"z{i}", image)
+                raise NotZStableError(f"z{i}", Word._reduced(f.basis, image))
             target = Symbol(Family.ALPHA, sym.index).code
             codes.append(target if code > 0 else -target)
-        images.append(Word._reduced(abstract, tuple(codes)))
-    return FreeEndomorphism(abstract, tuple(images))
+        images.append(tuple(codes))
+    return FreeEndomorphism(abstract, _code_table(abstract, images))
 
 
 def verify_psi_relations(

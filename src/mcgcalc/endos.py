@@ -1,22 +1,25 @@
 """Endomorphisms of a free group, given by one image word per generator.
 
+A map is stored as its code table, the form the word kernel substitutes
+with: ``table[code]`` is the image (a tuple of signed letter codes) of
+the generator with that positive code, and codes the basis does not use
+hold ``()``. Images of inverse letters are never stored; they are the
+inverted images of the positive letters.
+
 Everything downstream composes maps right to left: ``compose(f, h)``
 acts as ``h`` first, then ``f``, so a product written left to right
-applies its rightmost factor first. Images of inverse letters are never
-stored; they are the inverted images of the positive letters.
-
-``product`` is the one evaluator of a product of generators; ``compose``
-and ``power`` are its two- and k-factor cases. Iterated composition can
-grow images exponentially, so ``apply`` and ``product`` take a
-total-letter ``budget`` per call (default 10**7) and raise
-``ImageBudgetError`` instead of thrashing.
+applies its rightmost factor first. ``product`` is the one evaluator of
+a product of generators; ``compose`` and ``power`` are its two- and
+k-factor cases. Iterated composition can grow images exponentially, so
+``apply`` and ``product`` take a total-letter ``budget`` per call
+(default 10**7) and raise ``ImageBudgetError`` instead of thrashing.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, ImageBudgetError
@@ -25,39 +28,51 @@ from .words import Basis, BasisKind, Symbol, Word, format_word, parse_word
 DEFAULT_IMAGE_BUDGET = 10**7
 
 
+def _code_table(
+    basis: Basis, images: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """The code table of ``images``, which are aligned with ``basis.symbols``."""
+    table: list[tuple[int, ...]] = [()] * _row_count(basis)
+    for sym, image in zip(basis.symbols, images, strict=True):
+        table[sym.code] = image
+    return tuple(table)
+
+
+def _row_count(basis: Basis) -> int:
+    return max(sym.code for sym in basis.symbols) + 1
+
+
 @dataclass(frozen=True, repr=False)
 class FreeEndomorphism:
-    """A map of the free group over ``basis``, one image per generator.
+    """A map of the free group over ``basis``, held as its code table.
 
-    ``images`` is aligned with ``basis.symbols``. Instances are immutable
-    values; composition materializes all images eagerly.
+    ``table[code]`` is the image of the generator with that code, as
+    signed letter codes; build maps with ``from_images``, ``identity`` or
+    ``product``. Instances are immutable values; composition materializes
+    all images eagerly.
     """
 
     basis: Basis
-    images: tuple[Word, ...]
+    table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.images) != self.basis.rank:
+        if len(self.table) != _row_count(self.basis):
             raise ValueError(
-                f"expected {self.basis.rank} images for {self.basis}, "
-                f"got {len(self.images)}"
+                f"expected a table of {_row_count(self.basis)} rows for "
+                f"{self.basis}, got {len(self.table)}"
             )
-        for img in self.images:
-            if img.basis != self.basis:
-                raise BasisMismatchError(
-                    f"image {img} lives over {img.basis}, not {self.basis}"
-                )
-        # code -> image data, densely indexed for the kernel
-        table: list[tuple[int, ...]] = [()] * (
-            max(sym.code for sym in self.basis.symbols) + 1
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        """The image words, aligned with ``basis.symbols``."""
+        return tuple(
+            Word._reduced(self.basis, self.table[sym.code])
+            for sym in self.basis.symbols
         )
-        for sym, img in zip(self.basis.symbols, self.images):
-            table[sym.code] = img.data
-        object.__setattr__(self, "_table", table)
 
     @classmethod
     def identity(cls, basis: Basis) -> "FreeEndomorphism":
-        return cls(basis, tuple(basis.generator(sym) for sym in basis.symbols))
+        return cls(basis, _code_table(basis, ((sym.code,) for sym in basis.symbols)))
 
     @classmethod
     def from_images(
@@ -77,30 +92,24 @@ class FreeEndomorphism:
         for sym in basis.symbols:
             if sym.name in by_name:
                 value = by_name.pop(sym.name)
-                images.append(
-                    value if isinstance(value, Word) else parse_word(value, basis)
-                )
+                if not isinstance(value, Word):
+                    value = parse_word(value, basis)
+                elif value.basis != basis:
+                    raise BasisMismatchError(
+                        f"image {value} lives over {value.basis}, not {basis}"
+                    )
+                images.append(value.data)
             elif fix_unlisted:
-                images.append(basis.generator(sym))
+                images.append((sym.code,))
             else:
                 raise ValueError(f"missing image for generator {sym.name}")
         if by_name:
             raise ValueError(f"unknown generators in mapping: {sorted(by_name)}")
-        return cls(basis, tuple(images))
+        return cls(basis, _code_table(basis, images))
 
     def image_of(self, name_or_symbol: Union[str, Symbol]) -> Word:
-        sym = (
-            name_or_symbol
-            if isinstance(name_or_symbol, Symbol)
-            else Symbol.from_code(self.basis.generator(name_or_symbol).data[0])
-        )
-        try:
-            position = self.basis.symbols.index(sym)
-        except ValueError:
-            raise BasisMismatchError(
-                f"symbol {sym.name} is not a generator of {self.basis}"
-            ) from None
-        return self.images[position]
+        code = self.basis.generator(name_or_symbol).data[0]
+        return Word._reduced(self.basis, self.table[code])
 
     def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
         """Image of ``w``: substitute letterwise and reduce."""
@@ -108,11 +117,10 @@ class FreeEndomorphism:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
-        table = self._table  # type: ignore[attr-defined]
-        needed = _unreduced_size(w.data, table)
+        needed = _unreduced_size(w.data, self.table)
         if needed > budget:
             raise ImageBudgetError(needed, budget)
-        return Word._reduced(self.basis, _wordops.substitute(w.data, table))
+        return Word._reduced(self.basis, _wordops.substitute(w.data, self.table))
 
     def compose(
         self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET
@@ -134,10 +142,7 @@ class FreeEndomorphism:
         return product(self.basis, (self,) * k, budget=budget)
 
     def is_identity(self) -> bool:
-        return all(
-            img.data == (sym.code,)
-            for sym, img in zip(self.basis.symbols, self.images)
-        )
+        return all(self.table[sym.code] == (sym.code,) for sym in self.basis.symbols)
 
     def to_json_dict(self) -> dict:
         return {
@@ -184,8 +189,8 @@ def product(
     """The product f_1 f_2 ... f_n of ``factors``, rightmost acting first.
 
     ``product(basis, ())`` is the identity. The factors' code tables are
-    composed directly and the result is wrapped once; a generator a
-    factor fixes keeps its accumulated image without a substitution.
+    composed directly; a generator a factor fixes keeps its accumulated
+    image without a substitution.
     Raises ``ImageBudgetError`` before materializing an image whose
     unreduced size exceeds ``budget``, and after any step whose images
     total more than ``budget`` letters.
@@ -203,24 +208,21 @@ def product(
         if total > budget:
             raise ImageBudgetError(total, budget)
 
-    table = factors[0]._table  # type: ignore[attr-defined]
+    table = factors[0].table
     check_total(table)
     for f in factors[1:]:
-        factor_table = f._table  # type: ignore[attr-defined]
         step = list(table)
         for code, letter in letters:
-            img = factor_table[code]
+            img = f.table[code]
             if img == letter:  # f fixes this generator
                 continue
             needed = _unreduced_size(img, table)
             if needed > budget:
                 raise ImageBudgetError(needed, budget)
             step[code] = _wordops.substitute(img, table)
-        table = step
+        table = tuple(step)
         check_total(table)
-    return FreeEndomorphism(
-        basis, tuple(Word._reduced(basis, table[code]) for code in codes)
-    )
+    return FreeEndomorphism(basis, table)
 
 
 def verify_inverse_pair(

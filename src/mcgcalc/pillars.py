@@ -45,7 +45,7 @@ from functools import lru_cache
 from random import Random
 
 from . import _wordops, chains
-from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table
 from .errors import BasisMismatchError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
@@ -163,35 +163,28 @@ def pillar_switching_inverse(i: int, genus: int) -> FreeEndomorphism:
 
 
 @lru_cache(maxsize=None)
-def _yz_to_xy_table(genus: int) -> list:
-    """Letter-code images of the yz generators inside the xy free group."""
-    xy = Basis.xy(genus)
+def _yz_to_xy_table(genus: int) -> tuple[tuple[int, ...], ...]:
+    """The code table of the yz generators' images in the xy free group."""
     yz = Basis.yz(genus)
-    table: list = [()] * (max(sym.code for sym in yz.symbols) + 1)
-    for i in range(1, genus + 1):
-        table[yz.generator(f"y{i}").data[0]] = xy.generator(f"y{i}").data
-        table[yz.generator(f"z{i}").data[0]] = z_loop(i, genus).data
-    return table
+    return _code_table(yz, (word_with_z(sym.name, genus).data for sym in yz.symbols))
 
 
 @lru_cache(maxsize=None)
-def _xy_to_yz_table(genus: int) -> list:
-    """Letter-code images of the xy generators inside the yz free group.
+def _xy_to_yz_table(genus: int) -> tuple[tuple[int, ...], ...]:
+    """The code table of the xy generators' images in the yz free group.
 
     x_g = z_g^-1 and, descending, x_i = y_{i+1} x_{i+1} y_{i+1}^-1 z_i^-1.
     """
-    xy = Basis.xy(genus)
     yz = Basis.yz(genus)
-    table: list = [()] * (max(sym.code for sym in xy.symbols) + 1)
-    for i in range(1, genus + 1):
-        table[xy.generator(f"y{i}").data[0]] = yz.generator(f"y{i}").data
+    images = {f"y{i}": yz.generator(f"y{i}") for i in range(1, genus + 1)}
     x_image = yz.generator(f"z{genus}").inverse()
-    table[xy.generator(f"x{genus}").data[0]] = x_image.data
+    images[f"x{genus}"] = x_image
     for i in range(genus - 1, 0, -1):
-        ynext = yz.generator(f"y{i + 1}")
+        ynext = images[f"y{i + 1}"]
         x_image = ynext * x_image * ynext.inverse() * yz.generator(f"z{i}").inverse()
-        table[xy.generator(f"x{i}").data[0]] = x_image.data
-    return table
+        images[f"x{i}"] = x_image
+    xy = Basis.xy(genus)
+    return _code_table(xy, (images[sym.name].data for sym in xy.symbols))
 
 
 def to_yz(w: Word) -> Word:
@@ -223,11 +216,11 @@ def conjugate_to_yz(
             f"conjugate_to_yz expects an xy endomorphism, got one over {f.basis}"
         )
     yz = Basis.yz(f.basis.genus_or_rank)
-    images = tuple(
-        to_yz(f.apply(from_yz(yz.generator(sym)), budget=budget))
+    images = (
+        to_yz(f.apply(from_yz(yz.generator(sym)), budget=budget)).data
         for sym in yz.symbols
     )
-    return FreeEndomorphism(yz, images)
+    return FreeEndomorphism(yz, _code_table(yz, images))
 
 
 @lru_cache(maxsize=None)

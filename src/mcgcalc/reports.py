@@ -73,8 +73,8 @@ def case_from_endos(
 ) -> CheckCase:
     """Compare two maps generator by generator; record every difference."""
     mismatches = tuple(
-        Mismatch(sym.name, left, right)
-        for sym, left, right in zip(lhs.basis.symbols, lhs.images, rhs.images)
-        if left != right
+        Mismatch(sym.name, lhs.image_of(sym), rhs.image_of(sym))
+        for sym in lhs.basis.symbols
+        if lhs.table[sym.code] != rhs.table[sym.code]
     )
     return CheckCase(name, mismatches)

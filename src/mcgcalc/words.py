@@ -11,9 +11,11 @@ kinds cover all uses downstream:
   target of the Artin representation.
 
 Words are always stored freely reduced, so equality is a plain sequence
-comparison. Internally a letter is one signed integer code (positive for
-the generator, negative for its inverse), which is what the word kernel
-operates on; the ``Letter``/``Symbol`` views decode on demand.
+comparison. A letter is one signed integer code: positive for the
+generator, negative for its inverse. ``Word.data`` is the tuple of these
+codes, the form the word kernel operates on; ``Symbol`` names the
+generator behind a positive code. ``_letter_table`` decides which codes
+a basis admits and what they are called.
 
 Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
@@ -29,7 +31,7 @@ from enum import Enum, IntEnum
 from functools import lru_cache
 from random import Random
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, WordSyntaxError
@@ -45,7 +47,6 @@ class Family(IntEnum):
 
 
 _FAMILY_PREFIX = {Family.X: "x", Family.Y: "y", Family.Z: "z", Family.ALPHA: "al"}
-_PREFIX_FAMILY = {text: fam for fam, text in _FAMILY_PREFIX.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -77,43 +78,10 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True)
-class Letter:
-    """A single occurrence of a generator or its inverse."""
-
-    symbol: Symbol
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"letter sign must be +1 or -1, got {self.sign}")
-
-    @property
-    def code(self) -> int:
-        return self.sign * self.symbol.code
-
-    @classmethod
-    def from_code(cls, code: int) -> "Letter":
-        return cls(Symbol.from_code(abs(code)), 1 if code > 0 else -1)
-
-    def inverse(self) -> "Letter":
-        return Letter(self.symbol, -self.sign)
-
-    def __str__(self) -> str:
-        return self.symbol.name + ("" if self.sign > 0 else "^-1")
-
-
 class BasisKind(Enum):
     XY = "xy"
     YZ = "yz"
     ABSTRACT = "abstract"
-
-
-_KIND_FAMILIES = {
-    BasisKind.XY: frozenset((int(Family.X), int(Family.Y))),
-    BasisKind.YZ: frozenset((int(Family.Y), int(Family.Z))),
-    BasisKind.ABSTRACT: frozenset((int(Family.ALPHA),)),
-}
 
 
 @lru_cache(maxsize=None)
@@ -166,37 +134,22 @@ class Basis:
         return _basis_symbols(self.kind, self.genus_or_rank)
 
     def admits(self, symbol: Symbol) -> bool:
-        return (
-            int(symbol.family) in _KIND_FAMILIES[self.kind]
-            and symbol.index <= self.genus_or_rank
-        )
-
-    def _admits_code(self, code: int) -> bool:
-        # code is the positive symbol code
-        return ((code - 1) & 3) in _KIND_FAMILIES[self.kind] and (
-            (code - 1) >> 2
-        ) < self.genus_or_rank
+        return symbol.name in _letter_table(self)[0]
 
     def generator(self, name_or_symbol: Union[str, Symbol]) -> "Word":
-        """The one-letter word for a generator of this basis."""
-        sym = (
-            name_or_symbol
+        """The one-letter word for a generator of this basis, by canonical name."""
+        name = (
+            name_or_symbol.name
             if isinstance(name_or_symbol, Symbol)
-            else _symbol_from_name(name_or_symbol)
+            else name_or_symbol
         )
-        if not self.admits(sym):
-            raise BasisMismatchError(f"symbol {sym.name} is not admitted by {self}")
-        return Word._reduced(self, (sym.code,))
+        code = _letter_table(self)[0].get(name, 0)
+        if code <= 0:
+            raise BasisMismatchError(f"{name!r} is not a generator of {self}")
+        return Word._reduced(self, (code,))
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.genus_or_rank})"
-
-
-def _symbol_from_name(name: str) -> Symbol:
-    m = _TOKEN_RE.fullmatch(name)
-    if m is None or m.group(3):
-        raise ValueError(f"bad symbol name {name!r}")
-    return Symbol(_PREFIX_FAMILY[m.group(1)], int(m.group(2)))
 
 
 @dataclass(frozen=True, repr=False)
@@ -216,11 +169,7 @@ class Word:
             object.__setattr__(self, "data", tuple(self.data))
         prev = 0
         for code in self.data:
-            mag = code if code > 0 else -code
-            if code == 0 or not self.basis._admits_code(mag):
-                raise BasisMismatchError(
-                    f"letter code {code} is not admitted by {self.basis}"
-                )
+            _admitted(self.basis, code)
             if prev == -code:
                 raise ValueError("word is not freely reduced")
             prev = code
@@ -238,28 +187,13 @@ class Word:
         return cls._reduced(basis, ())
 
     @classmethod
-    def from_letters(
-        cls, basis: Basis, letters: Iterable[Union[Letter, int]]
-    ) -> "Word":
-        """Freely reduce a raw letter sequence over ``basis``.
+    def from_letters(cls, basis: Basis, codes: Iterable[int]) -> "Word":
+        """Freely reduce a sequence of signed letter codes over ``basis``.
 
-        Accepts ``Letter`` objects or raw signed codes; every letter must
-        be admitted by the basis.
+        Every letter must be admitted by the basis.
         """
-        codes = []
-        for item in letters:
-            code = item.code if isinstance(item, Letter) else int(item)
-            mag = code if code > 0 else -code
-            if code == 0 or not basis._admits_code(mag):
-                raise BasisMismatchError(
-                    f"letter {item} is not admitted by {basis}"
-                )
-            codes.append(code)
+        codes = [_admitted(basis, code) for code in codes]
         return cls._reduced(basis, _wordops.reduce_letters(codes))
-
-    @property
-    def letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter.from_code(code) for code in self.data)
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -278,9 +212,6 @@ class Word:
 
     def __bool__(self) -> bool:
         return bool(self.data)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -317,7 +248,8 @@ def _join_tokens(tokens: Iterable[str]) -> str:
 def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
     """The letters of ``basis`` both ways: name -> signed code, signed code -> name.
 
-    The cache hands the same pair to every caller, so both are read-only.
+    This is the one rule for which codes and names a basis admits. The
+    cache hands the same pair to every caller, so both are read-only.
     The names are indexed by the signed code itself: a negative code
     counts from the end of the tuple.
     """
@@ -329,6 +261,14 @@ def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
     for name, code in codes.items():
         names[code] = name
     return MappingProxyType(codes), tuple(names)
+
+
+def _admitted(basis: Basis, code: int) -> int:
+    """``code`` itself if it is a letter of ``basis``, else BasisMismatchError."""
+    names = _letter_table(basis)[1]
+    if 2 * abs(code) < len(names) and names[code]:
+        return code
+    raise BasisMismatchError(f"letter code {code} is not admitted by {basis}")
 
 
 def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
@@ -346,12 +286,10 @@ def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
         index = int(tm.group(2))
         if index < 1:
             raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
-        sym = Symbol(_PREFIX_FAMILY[tm.group(1)], index)
-        if not basis.admits(sym):
-            raise WordSyntaxError(
-                f"symbol {sym.name} is out of range for {basis}", pos
-            )
-        return -sym.code if tm.group(3) else sym.code
+        name = f"{tm.group(1)}{index}"
+        if name not in codes:
+            raise WordSyntaxError(f"symbol {name} is out of range for {basis}", pos)
+        return -codes[name] if tm.group(3) else codes[name]
 
     return decode
 

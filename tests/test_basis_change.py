@@ -19,6 +19,7 @@ from mcgcalc import (
     verify_yz_roundtrip,
     word_with_z,
 )
+from mcgcalc.pillars import _xy_to_yz_table, _yz_to_xy_table
 
 
 def test_to_yz_of_last_x_generator():
@@ -72,6 +73,13 @@ def test_substitutions_are_homomorphisms():
         u = random_word(Basis.xy(3), rng.randrange(20), rng)
         v = random_word(Basis.xy(3), rng.randrange(20), rng)
         assert to_yz(u * v) == to_yz(u) * to_yz(v)
+
+
+@pytest.mark.parametrize("build", [_xy_to_yz_table, _yz_to_xy_table])
+def test_basis_change_tables_are_tuples(build):
+    table = build(3)
+    assert type(table) is tuple
+    assert all(type(row) is tuple for row in table)
 
 
 def test_verify_yz_roundtrip_report():

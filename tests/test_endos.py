@@ -14,11 +14,13 @@ from mcgcalc import (
     Word,
     artin_action,
     dehn_twist_action,
+    format_word,
     evaluate_twist_word,
     is_trivial_braid,
     parse_twist_word,
     parse_word,
     pillar_switching_action,
+    pillar_switching_yz,
     product,
     verify_inverse_pair,
 )
@@ -158,6 +160,51 @@ def test_equal_endos_act_equally(w):
     assert f.apply(w) == h.apply(w)
 
 
+def test_equal_maps_are_equal_values_however_built():
+    by_product = product(XY2, [A1, B1])
+    by_compose = A1.compose(B1)
+    by_images = FreeEndomorphism.from_images(
+        XY2, {sym.name: format_word(by_product.image_of(sym)) for sym in XY2.symbols}
+    )
+    assert by_product == by_compose == by_images
+    assert len({by_product, by_compose, by_images}) == 1
+    identities = [
+        product(XY2, []),
+        A1.power(0),
+        FreeEndomorphism.identity(XY2),
+        FreeEndomorphism.from_images(XY2, {}, fix_unlisted=True),
+        A1.compose(FreeEndomorphism.from_images(XY2, {"y1": "y1 x1"}, fix_unlisted=True)),
+    ]
+    assert all(f == identities[0] for f in identities)
+    assert len(set(identities)) == 1
+    assert len({by_product, identities[0]}) == 2
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pillar_switching_action(1, 3),
+        pillar_switching_yz(1, 3),
+        artin_action(BraidWord(4, (1, -3, 2))),
+    ],
+    ids=["xy", "yz", "abstract"],
+)
+def test_images_follow_the_basis_symbols(f):
+    assert len(f.images) == len(f.basis.symbols)
+    for sym, image in zip(f.basis.symbols, f.images):
+        assert image == f.image_of(sym) == f.apply(f.basis.generator(sym))
+        assert image.data == f.table[sym.code]
+    assert type(f.table) is tuple
+    assert all(type(row) is tuple for row in f.table)
+
+
+def test_constructor_checks_the_table_length():
+    rows = FreeEndomorphism.identity(XY2).table
+    assert FreeEndomorphism(XY2, rows) == FreeEndomorphism.identity(XY2)
+    with pytest.raises(ValueError):
+        FreeEndomorphism(XY2, rows[:-1])
+
+
 # --- inverse verification -------------------------------------------------------
 
 
@@ -226,6 +273,10 @@ def test_from_images_requires_all_generators():
         FreeEndomorphism.from_images(XY2, {"x1": "x1"})
     with pytest.raises(ValueError):
         FreeEndomorphism.from_images(XY2, {"nope": "x1"}, fix_unlisted=True)
+    with pytest.raises(BasisMismatchError):
+        FreeEndomorphism.from_images(
+            XY2, {"y1": parse_word("y1", Basis.yz(2))}, fix_unlisted=True
+        )
 
 
 def test_image_of_by_name():

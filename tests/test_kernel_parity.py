@@ -1,10 +1,10 @@
 """The compiled and pure word kernels must agree letter for letter.
 
-They agree on valid input, reduced or not, and raise the same exception
-type on the invalid input below. They differ only on letters beyond a C
-long, which the compiled kernel refuses (``test_letters_beyond_a_c_long``).
-Tier-1 runs both: the ``compiled_kernel`` fixture builds the extension when
-it is not built in place.
+They agree on valid input, reduced or not, down to the type of every
+letter, and raise the same exception type on the invalid input below,
+letters beyond a C long included. Tier-1 runs both: the
+``compiled_kernel`` fixture builds the extension when it is not built in
+place.
 """
 
 import ctypes
@@ -17,6 +17,7 @@ from mcgcalc import _wordops_py as py
 
 RANK = 6
 LONG_MIN = -(1 << (8 * ctypes.sizeof(ctypes.c_long) - 1))
+LONG_MAX = -LONG_MIN - 1
 
 letters = st.integers(-RANK, RANK).filter(bool)
 unreduced = st.lists(letters, max_size=40)
@@ -25,12 +26,13 @@ tables = st.lists(words, min_size=RANK, max_size=RANK).map(lambda imgs: [(), *im
 
 
 def outcome(fn, *args):
-    """The result of a call with its type, or the type of what it raised."""
+    """The result of a call with its type and its letters' types, or the type
+    of what it raised."""
     try:
         result = fn(*args)
     except Exception as exc:  # the exception type is what both kernels must share
         return type(exc)
-    return type(result), result
+    return type(result), result, [type(s) for s in result]
 
 
 @given(u=words, v=words, table=tables, as_lists=st.booleans())
@@ -55,7 +57,10 @@ def test_kernels_agree(compiled_kernel, u, v, table, as_lists):
 # Letters and images the compiled kernel refuses, mixed with valid ones: both
 # kernels must raise the same exception type for the first fault they meet.
 faulty_letters = st.one_of(
-    letters, st.sampled_from([0, RANK + 1, -(RANK + 1), True, 1.0, -2.0, "x1", None])
+    letters,
+    st.sampled_from(
+        [0, RANK + 1, -(RANK + 1), True, 1.0, -2.0, "x1", None, LONG_MIN, 1 << 80]
+    ),
 )
 faulty_words = st.lists(faulty_letters, max_size=12)
 faulty_tables = st.lists(
@@ -127,6 +132,28 @@ CONTRACT += [
     ("invert_reduced", ([1.5],), TypeError),
 ]
 
+# Results hold plain ints, also where the input held bools, and letters
+# beyond a C long raise OverflowError wherever either kernel reads one.
+CONTRACT += [
+    ("reduce_letters", ([True],), (1,)),
+    ("reduce_letters", ([2, True, -True],), (2,)),
+    ("substitute", ((1,), [(), (True,)]), (1,)),
+    ("substitute", ((-1, 2), [(), (True, 3), (False,)]), (-3, -1, 0)),
+    ("invert_reduced", ([True, 2],), (-2, -1)),
+    ("reduce_letters", ([LONG_MAX, -LONG_MAX, -LONG_MAX],), (-LONG_MAX,)),
+    ("substitute", ((-1,), [(), (LONG_MAX,)]), (-LONG_MAX,)),
+    ("reduce_letters", ([LONG_MIN],), OverflowError),
+    ("reduce_letters", ([1, 1 << 80],), OverflowError),
+    ("concat_reduced", ((1,), (LONG_MIN,)), OverflowError),
+    ("invert_reduced", ((LONG_MIN,),), OverflowError),
+    ("substitute", ((-1,), [(), (LONG_MIN,)]), OverflowError),
+    ("substitute", ((1,), [(), (1 << 80,)]), OverflowError),
+    ("reduce_letters", ([1 << 80, "x1"],), OverflowError),
+    ("invert_reduced", (["x1", 1 << 80],), OverflowError),
+    ("substitute", ((-1,), [(), ("x1", 1 << 80)]), OverflowError),
+    ("substitute", ((1,), [(), ("x1", 1 << 80)]), TypeError),
+]
+
 
 @pytest.mark.parametrize("name, args, expected", CONTRACT)
 def test_kernel_contract(compiled_kernel, name, args, expected):
@@ -138,25 +165,7 @@ def test_kernel_contract(compiled_kernel, name, args, expected):
         else:
             result = fn(*args)
             assert result == expected and type(result) is type(expected)
-
-
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("reduce_letters", ([LONG_MIN],)),
-        ("reduce_letters", ([1, 1 << 80],)),
-        ("concat_reduced", ((1,), (LONG_MIN,))),
-        ("invert_reduced", ((LONG_MIN,),)),
-        ("substitute", ((-1,), [(), (LONG_MIN,)])),
-        ("substitute", ((1,), [(), (1 << 80,)])),
-    ],
-)
-def test_letters_beyond_a_c_long(compiled_kernel, name, args):
-    """The pure kernel computes with Python ints; the compiled one refuses,
-    so that negating a letter is always defined in C."""
-    getattr(py, name)(*args)
-    with pytest.raises(OverflowError):
-        getattr(compiled_kernel, name)(*args)
+            assert [type(s) for s in result] == [type(s) for s in expected]
 
 
 def test_backend_name(compiled_kernel):

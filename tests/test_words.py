@@ -7,7 +7,6 @@ from mcgcalc import (
     Basis,
     BasisMismatchError,
     Family,
-    Letter,
     Symbol,
     Word,
     WordSyntaxError,
@@ -169,7 +168,7 @@ def test_invert_is_a_two_sided_inverse(w):
 
 def test_parse_simple():
     w = parse_word("x1 y1^-1", XY2)
-    assert [str(letter) for letter in w.letters] == ["x1", "y1^-1"]
+    assert w.data == (Symbol(Family.X, 1).code, -Symbol(Family.Y, 1).code)
 
 
 def test_parse_five_letter_reduced_word_over_yz():
@@ -256,8 +255,6 @@ def test_symbol_codes_roundtrip():
 def test_symbol_and_letter_validation():
     with pytest.raises(ValueError):
         Symbol(Family.X, 0)
-    with pytest.raises(ValueError):
-        Letter(Symbol(Family.X, 1), 2)
 
 
 def test_word_constructor_enforces_invariants():
@@ -274,6 +271,39 @@ def test_basis_admits():
     assert not XY2.admits(Symbol(Family.Z, 1))
     assert YZ2.admits(Symbol(Family.Z, 2))
     assert Basis.abstract(3).admits(Symbol(Family.ALPHA, 3))
+
+
+def accepts(build, *args):
+    """Whether ``build(*args)`` admits its letter (True) or refuses it (False)."""
+    try:
+        build(*args)
+    except (BasisMismatchError, WordSyntaxError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize("basis", [Basis.xy(3), Basis.yz(3), Basis.abstract(4)], ids=str)
+def test_every_view_of_a_letter_agrees_on_admission(basis):
+    letters = {c for sym in basis.symbols for c in (sym.code, -sym.code)}
+    for code in range(-20, 21):
+        admitted = code in letters
+        assert accepts(Word, basis, (code,)) is admitted, code
+        assert accepts(Word.from_letters, basis, [code]) is admitted, code
+        if code == 0:
+            continue
+        sym = Symbol.from_code(abs(code))
+        assert basis.admits(sym) is admitted, code
+        assert accepts(basis.generator, sym.name) is admitted, code
+        assert accepts(basis.generator, sym) is admitted, code
+        name = sym.name if code > 0 else sym.name + "^-1"
+        assert accepts(parse_word, name, basis) is admitted, code
+
+
+def test_generator_takes_canonical_generator_names_only():
+    assert XY2.generator("x2") == parse_word("x2", XY2)
+    for name in ("x01", "x1^-1", "x0", "q1", ""):
+        with pytest.raises(BasisMismatchError):
+            XY2.generator(name)
 
 
 def test_basis_symbol_order():
