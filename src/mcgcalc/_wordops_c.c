@@ -1,13 +1,16 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same four functions with the same results,
+ * Twin of ``_wordops_py``: the same five functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
- * integers; a letter and its negative cancel.
+ * integers; a letter and its negative cancel. Four ops reduce, join, invert
+ * and substitute words; ``draw_letters`` turns uniform draws into the
+ * letters of a random reduced word.
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
- * one outside that range raises OverflowError. Only ints are read inside
- * the loops, so no Python code runs there and borrowed items stay valid.
+ * one outside that range raises OverflowError. Only ints and floats are
+ * read inside the loops, so no Python code runs there and borrowed items
+ * stay valid.
  *
  * ``setup.py build_ext --inplace`` builds it; by hand:
  *     cc -O2 -shared -fPIC -I<python include> _wordops_c.c \
@@ -322,6 +325,97 @@ fail:
     return NULL;
 }
 
+PyDoc_STRVAR(draw_letters_doc,
+"Chain uniform draws from [0, 1) into the letters of a reduced word.\n\n"
+"``letters`` lists each letter next to its inverse, so the inverse of\n"
+"``letters[k]`` is ``letters[k ^ 1]``. The first draw ``u`` picks index\n"
+"``int(u * n)``; every later one picks ``j = int(u * (n - 1))`` and skips\n"
+"the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``uniforms``\n"
+"holds floats; ``letters`` is read whole before the first draw.");
+
+static PyObject *
+draw_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
+             Py_ssize_t nargs)
+{
+    PyObject *uniforms, *letters, *out = NULL;
+    long *table = NULL;
+    Py_ssize_t i, j, k = 0, m, n;
+
+    if (check_nargs("draw_letters", nargs) < 0) {
+        return NULL;
+    }
+    uniforms = PySequence_Fast(args[0], "draw_letters expects a sequence of uniforms");
+    if (uniforms == NULL) {
+        return NULL;
+    }
+    letters = PySequence_Fast(args[1], "draw_letters expects a sequence of letters");
+    if (letters == NULL) {
+        Py_DECREF(uniforms);
+        return NULL;
+    }
+    m = PySequence_Fast_GET_SIZE(uniforms);
+    n = PySequence_Fast_GET_SIZE(letters);
+    table = PyMem_New(long, n > 0 ? n : 1);
+    if (table == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        if (read_letter(PySequence_Fast_GET_ITEM(letters, i), &table[i]) < 0) {
+            goto done;
+        }
+    }
+    if (m > 0 && n == 0) {
+        PyErr_SetString(PyExc_ValueError, "no letters to draw from");
+        goto done;
+    }
+    out = PyTuple_New(m);
+    if (out == NULL) {
+        goto done;
+    }
+    for (i = 0; i < m; i++) {
+        PyObject *obj = PySequence_Fast_GET_ITEM(uniforms, i), *letter;
+        double u;
+
+        if (!PyFloat_Check(obj)) {
+            PyErr_Format(PyExc_TypeError, "uniforms are floats, not %.200s",
+                         Py_TYPE(obj)->tp_name);
+            goto fail;
+        }
+        u = PyFloat_AS_DOUBLE(obj);
+        /* Checked before the cast: casting NaN or an out-of-range value is undefined. */
+        if (!(u >= 0.0 && u < 1.0)) {
+            PyErr_SetString(PyExc_ValueError, "uniforms lie in [0, 1)");
+            goto fail;
+        }
+        if (i == 0) {
+            k = (Py_ssize_t)(u * (double)n);
+        }
+        else {
+            j = (Py_ssize_t)(u * (double)(n - 1));
+            k = j + (j >= (k ^ 1));
+        }
+        /* Rounding keeps k below n for any table that fits in memory. */
+        if (k >= n) {
+            PyErr_SetString(PyExc_IndexError, "draw past the end of the letters");
+            goto fail;
+        }
+        letter = PyLong_FromLong(table[k]);
+        if (letter == NULL) {
+            goto fail;
+        }
+        PyTuple_SET_ITEM(out, i, letter);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(table);
+    Py_DECREF(uniforms);
+    Py_DECREF(letters);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"reduce_letters", reduce_letters, METH_O, reduce_letters_doc},
     {"concat_reduced", (PyCFunction)(void (*)(void))concat_reduced,
@@ -329,6 +423,8 @@ static PyMethodDef methods[] = {
     {"invert_reduced", invert_reduced, METH_O, invert_reduced_doc},
     {"substitute", (PyCFunction)(void (*)(void))substitute, METH_FASTCALL,
      substitute_doc},
+    {"draw_letters", (PyCFunction)(void (*)(void))draw_letters, METH_FASTCALL,
+     draw_letters_doc},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,15 +1,17 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same five functions,
 same results, used when the extension is not built or when
-``MCGCALC_KERNEL=py`` asks for it. Letters are nonzero signed integers;
-a letter and its negative cancel. Every letter the compiled kernel reads
+``MCGCALC_KERNEL=py`` asks for it. Four ops reduce, join, invert and
+substitute words; ``draw_letters`` turns uniform draws into the letters
+of a random reduced word. Letters are nonzero signed integers; a letter
+and its negative cancel. Every letter the compiled kernel reads
 is read here too, as a C long in [-LONG_MAX, LONG_MAX], and results hold
 plain ints; ``concat_reduced`` joins its arguments' own letters in both.
 """
 
 import struct
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import index, neg
 
 BACKEND = "py"
@@ -69,6 +71,16 @@ def _plain_images(word, images):
         _check_letters(img if s > 0 else img[::-1])
         plain[k] = tuple(map(index, img))
     return plain
+
+
+def _uniform(u):
+    """A uniform as the compiled kernel reads it: a float's value in [0, 1)."""
+    if not isinstance(u, float):
+        raise TypeError(f"uniforms are floats, not {type(u).__name__}")
+    u = float.__float__(u)  # the value itself, as C reads a float subclass
+    if not 0.0 <= u < 1.0:
+        raise ValueError("uniforms lie in [0, 1)")
+    return u
 
 
 def reduce_letters(seq):
@@ -136,4 +148,35 @@ def substitute(word, images):
                     pop()
                 else:
                     push(t)
+    return tuple(out)
+
+
+def draw_letters(uniforms, letters):
+    """Chain uniform draws from [0, 1) into the letters of a reduced word.
+
+    ``letters`` lists each letter next to its inverse, so the inverse of
+    ``letters[k]`` is ``letters[k ^ 1]``. The first draw ``u`` picks index
+    ``int(u * n)``; every later one picks ``j = int(u * (n - 1))`` and skips
+    the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``uniforms``
+    holds floats; ``letters`` is read whole before the first draw.
+    """
+    uniforms = tuple(uniforms)
+    letters = _plain_letters(letters)
+    n = len(letters)
+    if not uniforms:
+        return ()
+    if not n:
+        raise ValueError("no letters to draw from")
+    u = uniforms[0]
+    if type(u) is not float or not 0.0 <= u < 1.0:
+        u = _uniform(u)
+    k = int(u * n)
+    out = [letters[k]]
+    push = out.append
+    for u in islice(uniforms, 1, None):
+        if type(u) is not float or not 0.0 <= u < 1.0:
+            u = _uniform(u)
+        j = int(u * (n - 1))
+        k = j + (j >= k ^ 1)
+        push(letters[k])
     return tuple(out)

@@ -53,6 +53,8 @@ class BraidWord:
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
         for k in self.letters:
+            if type(k) is not int:  # bools and other int subclasses too
+                raise TypeError(f"braid letters are ints, not {type(k).__name__}")
             if k == 0 or abs(k) > self.strands - 1:
                 raise ValueError(
                     f"braid letter {k} out of range for {self.strands} strands "

@@ -384,7 +384,10 @@ def verify_yz_roundtrip(
     The generator-level case is the whole free-basis claim: two
     homomorphisms that compose to the identity on every generator (in
     both directions) are mutually inverse. The random-word case rechecks
-    the same thing on ``samples`` seeded words per direction.
+    the same thing on ``samples`` seeded words per direction, comparing
+    every round trip exactly; it runs on the letter codes through the two
+    cached basis-change tables (the same substitutions ``to_yz`` and
+    ``from_yz`` apply) and builds ``Word`` values only for a mismatch.
 
     Unlike the other verifiers it takes no ``budget``: the basis change is
     a fixed substitution whose images grow linearly with word length.
@@ -404,17 +407,23 @@ def verify_yz_roundtrip(
         back = to_yz(from_yz(u))
         if back != u:
             cert_mm.append(Mismatch(sym.name, back, u))
+    to_yz_table = _xy_to_yz_table(genus)
+    from_yz_table = _yz_to_xy_table(genus)
     rng = Random(seed)
     random_mm = []
     for k in range(samples):
-        w = random_word(xy, rng.randrange(max_length + 1), rng)
-        back = from_yz(to_yz(w))
+        w = random_word(xy, rng.randrange(max_length + 1), rng).data
+        back = _wordops.substitute(_wordops.substitute(w, to_yz_table), from_yz_table)
         if back != w:
-            random_mm.append(Mismatch(f"xy sample {k}", back, w))
-        v = random_word(yz, rng.randrange(max_length + 1), rng)
-        back = to_yz(from_yz(v))
+            random_mm.append(
+                Mismatch(f"xy sample {k}", Word._reduced(xy, back), Word._reduced(xy, w))
+            )
+        v = random_word(yz, rng.randrange(max_length + 1), rng).data
+        back = _wordops.substitute(_wordops.substitute(v, from_yz_table), to_yz_table)
         if back != v:
-            random_mm.append(Mismatch(f"yz sample {k}", back, v))
+            random_mm.append(
+                Mismatch(f"yz sample {k}", Word._reduced(yz, back), Word._reduced(yz, v))
+            )
     return VerificationReport(
         genus,
         (

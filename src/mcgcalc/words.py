@@ -321,21 +321,12 @@ def _signed_letters(basis: Basis) -> tuple[int, ...]:
 def random_word(basis: Basis, length: int, rng: Random) -> Word:
     """A uniformly random reduced word of exactly ``length`` letters.
 
-    Each letter costs one ``rng.random()`` and one table lookup: the first
-    is uniform over the 2r letters, every later one uniform over the 2r - 1
+    Each letter costs one ``rng.random()``, all drawn up front in order;
+    the kernel's ``draw_letters`` turns them into letters. The first is
+    uniform over the 2r letters, every later one uniform over the 2r - 1
     letters that do not cancel the previous one (the draw skips the
     previous letter's inverse by shifting the indices above it).
     """
-    if length <= 0:
-        return Word.identity(basis)
-    letters = _signed_letters(basis)
-    n = len(letters)
     draw = rng.random
-    k = int(draw() * n)
-    codes = [letters[k]]
-    push = codes.append
-    for _ in range(length - 1):
-        j = int(draw() * (n - 1))
-        k = j + (j >= k ^ 1)
-        push(letters[k])
-    return Word._reduced(basis, tuple(codes))
+    uniforms = [draw() for _ in range(length)]
+    return Word._reduced(basis, _wordops.draw_letters(uniforms, _signed_letters(basis)))

@@ -19,6 +19,7 @@ from mcgcalc import (
     verify_yz_roundtrip,
     word_with_z,
 )
+from mcgcalc import pillars
 from mcgcalc.pillars import _xy_to_yz_table, _yz_to_xy_table
 
 
@@ -89,6 +90,34 @@ def test_verify_yz_roundtrip_report():
         "cor-2.1-free-basis-certificate",
         "cor-2.1-roundtrip-random",
     ]
+
+
+def test_roundtrip_mismatch_is_reported_as_words(monkeypatch):
+    genus = 3
+    xy, yz = Basis.xy(genus), Basis.yz(genus)
+    table = list(_yz_to_xy_table(genus))
+    y1 = yz.generator("y1").data[0]
+    table[y1] = table[y1] * 2  # y1 -> y1 y1: no longer the inverse basis change
+    broken = tuple(table)
+    monkeypatch.setattr(
+        pillars, "_yz_to_xy_table", lambda g: broken if g == genus else _yz_to_xy_table(g)
+    )
+    report = verify_yz_roundtrip(genus, samples=40, seed=3)
+    case = report.case("cor-2.1-roundtrip-random")
+    assert not case.holds
+    names = [m.generator for m in case.mismatches]
+    assert any(name.startswith("xy sample ") for name in names)
+    assert any(name.startswith("yz sample ") for name in names)
+    for m in case.mismatches:
+        side, _, index = m.generator.partition(" sample ")
+        basis = {"xy": xy, "yz": yz}[side]
+        assert 0 <= int(index) < 40
+        for w in (m.lhs, m.rhs):
+            assert type(w) is Word and w.basis == basis
+            assert Word(basis, w.data) == w  # admitted and reduced
+        assert m.lhs != m.rhs
+    # Every other genus still holds.
+    assert verify_yz_roundtrip(2, samples=40, seed=3).all_hold
 
 
 def test_conjugation_reproduces_printed_yz_forms():

@@ -229,6 +229,15 @@ def test_parse_rejects_out_of_range_indices():
         BraidWord(2, (2,))
 
 
+@pytest.mark.parametrize("letter", [1.0, True, False, "b1", None, 1j], ids=repr)
+def test_braid_letters_are_plain_ints(letter):
+    with pytest.raises(TypeError):
+        BraidWord(3, (1, letter))
+    parsed = parse_braid_word("b1 b2^-1 b1", 3)
+    assert [type(k) for k in parsed.letters] == [int, int, int]
+    assert parsed == BraidWord(3, (1, -2, 1))
+
+
 def test_braid_inverse_and_product():
     b = parse_braid_word("b1 b2^-1", 3)
     assert b.inverse().letters == (2, -1)

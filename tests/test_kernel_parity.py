@@ -84,6 +84,51 @@ def test_kernels_agree_on_faulty_input(compiled_kernel, u, v, table):
         ), name
 
 
+uniforms = st.floats(0.0, 1.0, exclude_max=True)
+letter_tables = st.lists(letters, max_size=2 * RANK).map(tuple)
+
+
+@given(draws=st.lists(uniforms, max_size=40), table=letter_tables)
+def test_kernels_agree_on_draws(compiled_kernel, draws, table):
+    assert outcome(compiled_kernel.draw_letters, draws, table) == outcome(
+        py.draw_letters, draws, table
+    )
+
+
+faulty_uniforms = st.one_of(
+    uniforms,
+    st.sampled_from(
+        [1.0, -0.0, -1e-300, 1.5, float("nan"), float("inf"), 0, 1, True, "0.5", None]
+    ),
+)
+
+
+@given(draws=st.lists(faulty_uniforms, max_size=12), table=faulty_words)
+def test_kernels_agree_on_faulty_draws(compiled_kernel, draws, table):
+    assert outcome(compiled_kernel.draw_letters, draws, table) == outcome(
+        py.draw_letters, draws, table
+    )
+
+
+def public_ops(module):
+    """The functions a kernel module defines itself, by name."""
+    return {
+        name
+        for name, obj in vars(module).items()
+        if callable(obj) and not name.startswith("_")
+        and getattr(obj, "__module__", None) == module.__name__
+    }
+
+
+def test_kernels_expose_the_same_ops(compiled_kernel):
+    ops = public_ops(py)
+    assert ops == public_ops(compiled_kernel)
+    assert ops >= {"reduce_letters", "concat_reduced", "invert_reduced", "substitute", "draw_letters"}
+    from mcgcalc import _wordops
+
+    assert all(getattr(_wordops, op) is getattr(_wordops._impl, op) for op in ops)
+
+
 BAD = object()
 
 # (function, arguments, result or exception type), the same for both kernels.
@@ -152,6 +197,38 @@ CONTRACT += [
     ("invert_reduced", (["x1", 1 << 80],), OverflowError),
     ("substitute", ((-1,), [(), ("x1", 1 << 80)]), OverflowError),
     ("substitute", ((1,), [(), ("x1", 1 << 80)]), TypeError),
+]
+
+
+# draw_letters: the uniforms are floats in [0, 1), checked before any cast,
+# and a draw needs at least one letter; the table is read whole first.
+NAN = float("nan")
+PAIRS = (1, -1, 2, -2)
+CONTRACT += [
+    ("draw_letters", ([0.5, 0.25], PAIRS), (2, 1)),
+    ("draw_letters", ([0.99, 0.99], (1, -1, 2)), (2, -1)),
+    ("draw_letters", ((0.0, 0.0, 0.0), [1, -1]), (1, 1, 1)),
+    ("draw_letters", ([], ()), ()),
+    ("draw_letters", ([0.0], (True, -1)), (1,)),
+    ("draw_letters", ([0.5], ()), ValueError),
+    ("draw_letters", ([0.5, "x1"], ()), ValueError),
+    ("draw_letters", ([0], PAIRS), TypeError),
+    ("draw_letters", ([True], PAIRS), TypeError),
+    ("draw_letters", ([0.5, "0.5"], PAIRS), TypeError),
+    ("draw_letters", ([0.5, None], PAIRS), TypeError),
+    ("draw_letters", ([1.0], PAIRS), ValueError),
+    ("draw_letters", ([0.5, NAN], PAIRS), ValueError),
+    ("draw_letters", ([-0.25], PAIRS), ValueError),
+    ("draw_letters", ([float("inf")], PAIRS), ValueError),
+    ("draw_letters", ([float("-inf")], PAIRS), ValueError),
+    ("draw_letters", ([1.5, "x1"], PAIRS), ValueError),
+    ("draw_letters", (["x1", 1.5], PAIRS), TypeError),
+    ("draw_letters", ([0.5], (1, "x1")), TypeError),
+    ("draw_letters", ([], (1, 2.0)), TypeError),
+    ("draw_letters", ([NAN], (1, LONG_MIN)), OverflowError),
+    ("draw_letters", ([0.5], 5), TypeError),
+    ("draw_letters", (5, PAIRS), TypeError),
+    ("draw_letters", ([0.5],), TypeError),
 ]
 
 

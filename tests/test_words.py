@@ -1,8 +1,12 @@
+import hashlib
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mcgcalc import _wordops, pillars
+from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
     BasisMismatchError,
@@ -16,6 +20,7 @@ from mcgcalc import (
     parse_twist_word,
     parse_word,
     random_word,
+    verify_yz_roundtrip,
     word_with_z,
 )
 
@@ -341,3 +346,65 @@ def test_random_word_reaches_every_letter_and_successor():
     assert set(draws) == {
         (a, b) for a in letters for b in letters if b != -a
     }
+
+
+def reference_random_word(basis, length, rng):
+    """The seeded stream as one Python loop per letter, kept as the reference:
+    one ``rng.random()`` per letter, the first uniform over the 2r letters,
+    every later one skipping the inverse of the one before."""
+    if length <= 0:
+        return ()
+    letters = [c for sym in basis.symbols for c in (sym.code, -sym.code)]
+    n = len(letters)
+    draw = rng.random
+    k = int(draw() * n)
+    codes = [letters[k]]
+    for _ in range(length - 1):
+        j = int(draw() * (n - 1))
+        k = j + (j >= k ^ 1)
+        codes.append(letters[k])
+    return tuple(codes)
+
+
+STREAM_BASES = [XY2, YZ2, Basis.xy(12), Basis.yz(7), Basis.abstract(1), Basis.abstract(5)]
+
+
+@given(
+    basis=st.sampled_from(STREAM_BASES),
+    length=st.integers(-2, 90),
+    seed=st.integers(0, 2**64),
+)
+def test_random_word_follows_the_reference_stream(compiled_kernel, basis, length, seed):
+    expected = Random(seed)
+    codes = reference_random_word(basis, length, expected)
+    for kernel in (py, compiled_kernel):
+        rng = Random(seed)
+        with mock.patch.object(_wordops, "draw_letters", kernel.draw_letters):
+            w = random_word(basis, length, rng)
+        assert w.basis == basis and w.data == codes, kernel.BACKEND
+        assert rng.getstate() == expected.getstate(), kernel.BACKEND
+
+
+# sha256 of repr(list of the letter-code tuples of every word drawn), in draw
+# order, by verify_yz_roundtrip at genus 2..12 with the default 1000 samples.
+YZ_ROUNDTRIP_DRAWS = {
+    0: "fc36acd08991b020a26dfd75b0f7ed031f0f8ecbd2b077fbb3ca8a70c269f332",
+    7: "c01f32c32d5dfde786bf3462828e19fd09ac24c18ff44d47eab80508f9990fb6",
+}
+
+
+@pytest.mark.parametrize("seed", YZ_ROUNDTRIP_DRAWS)
+def test_verify_yz_roundtrip_draws_the_pinned_words(monkeypatch, seed):
+    drawn = []
+
+    def recording(basis, length, rng):
+        w = random_word(basis, length, rng)
+        drawn.append(w.data)
+        return w
+
+    monkeypatch.setattr(pillars, "random_word", recording)
+    for genus in range(2, 13):
+        assert verify_yz_roundtrip(genus, seed=seed).all_hold
+    assert len(drawn) == 22_000
+    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()
+    assert digest == YZ_ROUNDTRIP_DRAWS[seed]
