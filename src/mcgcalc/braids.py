@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Optional
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
@@ -39,7 +38,7 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
-from .words import Basis, BasisKind, Family, Symbol, Word, _join_tokens, _tokenize
+from .words import Basis, BasisKind, Word, _join_tokens, _read_index, _tokenize
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         tm = _BRAID_TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad braid token {token!r}", pos)
-        index = int(tm.group(1))
+        index = _read_index(tm.group(1), pos)
         if not 1 <= index <= strands - 1:
             raise WordSyntaxError(
                 f"braid index {index} out of range for {strands} strands", pos
@@ -133,20 +132,13 @@ def is_trivial_braid(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> boo
     return artin_action(b, budget=budget).is_identity()
 
 
-def psi_action(
-    b: BraidWord, genus: Optional[int] = None, *, budget: int = DEFAULT_IMAGE_BUDGET
-) -> FreeEndomorphism:
+def psi_action(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> FreeEndomorphism:
     """Image of a braid word under beta_i -> sigma_i, over the xy basis.
 
-    Requires genus equal to the strand count (no implicit stabilization)
-    and at least 2. Inverse letters use the certified switching inverses.
+    The genus is the strand count (no implicit stabilization) and must be
+    at least 2. Inverse letters use the certified switching inverses.
     """
-    g = b.strands if genus is None else genus
-    if g != b.strands:
-        raise ValueError(
-            f"psi needs genus equal to the strand count: got genus {g} "
-            f"for {b.strands} strands"
-        )
+    g = b.strands
     if g < 2:
         raise ValueError(f"psi needs genus >= 2, got {g}")
     factors = [
@@ -167,18 +159,18 @@ def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
             f"restrict_to_z expects a yz endomorphism, got one over {f.basis}"
         )
     g = f.basis.genus_or_rank
+    z_symbols = f.basis.symbols[g:]  # a yz basis lists y_1..y_g, then z_1..z_g
     abstract = Basis.abstract(g)
+    al_of = {}
+    for z, al in zip(z_symbols, abstract.symbols):
+        al_of[z.code], al_of[-z.code] = al.code, -al.code
     images = []
-    for i in range(1, g + 1):
-        image = f.table[Symbol(Family.Z, i).code]
-        codes = []
-        for code in image:
-            sym = Symbol.from_code(abs(code))
-            if sym.family is not Family.Z:
-                raise NotZStableError(f"z{i}", Word._reduced(f.basis, image))
-            target = Symbol(Family.ALPHA, sym.index).code
-            codes.append(target if code > 0 else -target)
-        images.append(tuple(codes))
+    for z in z_symbols:
+        image = f.table[z.code]
+        try:
+            images.append(tuple([al_of[code] for code in image]))
+        except KeyError:
+            raise NotZStableError(z.name, Word._reduced(f.basis, image)) from None
     return FreeEndomorphism(abstract, _code_table(abstract, images))
 
 

@@ -129,7 +129,7 @@ def _make_endo(args: argparse.Namespace) -> FreeEndomorphism:
         return evaluate_twist_word(
             parse_twist_word(args.spec, g), budget=args.budget
         )
-    return psi_action(parse_braid_word(args.spec, g), g, budget=args.budget)
+    return psi_action(parse_braid_word(args.spec, g), budget=args.budget)
 
 
 def _cmd_act(args: argparse.Namespace) -> int:
@@ -193,16 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_act = sub.add_parser("act", help="apply a mapping class to a word")
-    p_act.add_argument("object", choices=("twist-word", "sigma", "braid-psi"))
-    p_act.add_argument("spec", help="twist word, sigma index, or braid word")
-    p_act.add_argument("--genus", type=int, required=True)
+    p_export = sub.add_parser("export", help="print a mapping class's images")
+    for p in (p_act, p_export):
+        p.add_argument("object", choices=("twist-word", "sigma", "braid-psi"))
+        p.add_argument("spec", help="twist word, sigma index, or braid word")
+        p.add_argument("--genus", type=int, required=True)
     p_act.add_argument("--on", required=True, metavar="WORD")
     p_act.set_defaults(func=_cmd_act)
-
-    p_export = sub.add_parser("export", help="print a mapping class's images")
-    p_export.add_argument("object", choices=("twist-word", "sigma", "braid-psi"))
-    p_export.add_argument("spec")
-    p_export.add_argument("--genus", type=int, required=True)
     p_export.add_argument("--json", action="store_true")
     p_export.set_defaults(func=_cmd_export)
 

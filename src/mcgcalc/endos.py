@@ -117,10 +117,7 @@ class FreeEndomorphism:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
-        needed = _unreduced_size(w.data, self.table)
-        if needed > budget:
-            raise ImageBudgetError(needed, budget)
-        return Word._reduced(self.basis, _wordops.substitute(w.data, self.table))
+        return Word._reduced(self.basis, _image(w.data, self.table, budget))
 
     def compose(
         self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET
@@ -175,9 +172,14 @@ class FreeEndomorphism:
         return f"FreeEndomorphism({self.basis}: {parts})"
 
 
-def _unreduced_size(word: tuple[int, ...], table: Sequence[tuple[int, ...]]) -> int:
-    """Letters in the image of ``word`` under ``table`` before reduction."""
-    return sum([len(table[code if code > 0 else -code]) for code in word])
+def _image(
+    word: tuple[int, ...], table: Sequence[tuple[int, ...]], budget: int
+) -> tuple[int, ...]:
+    """``word`` through ``table``, or ImageBudgetError past ``budget`` letters."""
+    needed = sum([len(table[code if code > 0 else -code]) for code in word])
+    if needed > budget:
+        raise ImageBudgetError(needed, budget)
+    return _wordops.substitute(word, table)
 
 
 def product(
@@ -216,10 +218,7 @@ def product(
             img = f.table[code]
             if img == letter:  # f fixes this generator
                 continue
-            needed = _unreduced_size(img, table)
-            if needed > budget:
-                raise ImageBudgetError(needed, budget)
-            step[code] = _wordops.substitute(img, table)
+            step[code] = _image(img, table, budget)
         table = tuple(step)
         check_total(table)
     return FreeEndomorphism(basis, table)

@@ -45,7 +45,7 @@ from functools import lru_cache
 from random import Random
 
 from . import _wordops, chains
-from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, _image
 from .errors import BasisMismatchError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
@@ -58,7 +58,7 @@ from .twists import (
     word_with_z,
     z_loop,
 )
-from .words import Basis, BasisKind, Word, random_word
+from .words import Basis, BasisKind, Word, parse_word, random_word
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -173,51 +173,54 @@ def _yz_to_xy_table(genus: int) -> tuple[tuple[int, ...], ...]:
 def _xy_to_yz_table(genus: int) -> tuple[tuple[int, ...], ...]:
     """The code table of the xy generators' images in the yz free group.
 
-    x_g = z_g^-1 and, descending, x_i = y_{i+1} x_{i+1} y_{i+1}^-1 z_i^-1.
+    x_g = z_g^-1 and, descending, x_i = y_{i+1} x_{i+1} y_{i+1}^-1 z_i^-1;
+    every y_i is itself.
     """
-    yz = Basis.yz(genus)
-    images = {f"y{i}": yz.generator(f"y{i}") for i in range(1, genus + 1)}
-    x_image = yz.generator(f"z{genus}").inverse()
-    images[f"x{genus}"] = x_image
+    x = f"z{genus}^-1"
+    images = {f"x{genus}": x}
     for i in range(genus - 1, 0, -1):
-        ynext = images[f"y{i + 1}"]
-        x_image = ynext * x_image * ynext.inverse() * yz.generator(f"z{i}").inverse()
-        images[f"x{i}"] = x_image
-    xy = Basis.xy(genus)
-    return _code_table(xy, (images[sym.name].data for sym in xy.symbols))
+        x = images[f"x{i}"] = f"y{i + 1} {x} y{i + 1}^-1 z{i}^-1"
+    xy, yz = Basis.xy(genus), Basis.yz(genus)
+    return _code_table(
+        xy, (parse_word(images.get(sym.name, sym.name), yz).data for sym in xy.symbols)
+    )
 
 
 def to_yz(w: Word) -> Word:
     """Rewrite an xy word over the free basis y_1..y_g, z_1..z_g."""
     if w.basis.kind is not BasisKind.XY:
         raise BasisMismatchError(f"to_yz expects an xy word, got one over {w.basis}")
-    genus = w.basis.genus_or_rank
-    return Word._reduced(
-        Basis.yz(genus), _wordops.substitute(w.data, _xy_to_yz_table(genus))
-    )
+    g = w.basis.genus_or_rank
+    return Word._reduced(Basis.yz(g), _wordops.substitute(w.data, _xy_to_yz_table(g)))
 
 
 def from_yz(w: Word) -> Word:
     """Rewrite a yz word over the surface basis x_1, y_1, ..., x_g, y_g."""
     if w.basis.kind is not BasisKind.YZ:
         raise BasisMismatchError(f"from_yz expects a yz word, got one over {w.basis}")
-    genus = w.basis.genus_or_rank
-    return Word._reduced(
-        Basis.xy(genus), _wordops.substitute(w.data, _yz_to_xy_table(genus))
-    )
+    g = w.basis.genus_or_rank
+    return Word._reduced(Basis.xy(g), _wordops.substitute(w.data, _yz_to_xy_table(g)))
 
 
 def conjugate_to_yz(
     f: FreeEndomorphism, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> FreeEndomorphism:
-    """Carry an xy endomorphism through the basis change to the yz side."""
+    """Carry an xy endomorphism through the basis change to the yz side.
+
+    Each yz generator's xy row goes through ``f`` (within ``budget``, as
+    in ``apply``) and back through the other table.
+    """
     if f.basis.kind is not BasisKind.XY:
         raise BasisMismatchError(
             f"conjugate_to_yz expects an xy endomorphism, got one over {f.basis}"
         )
-    yz = Basis.yz(f.basis.genus_or_rank)
+    genus = f.basis.genus_or_rank
+    yz = Basis.yz(genus)
+    to_yz_table, from_yz_table = _xy_to_yz_table(genus), _yz_to_xy_table(genus)
     images = (
-        to_yz(f.apply(from_yz(yz.generator(sym)), budget=budget)).data
+        _wordops.substitute(
+            _image(from_yz_table[sym.code], f.table, budget), to_yz_table
+        )
         for sym in yz.symbols
     )
     return FreeEndomorphism(yz, _code_table(yz, images))
@@ -372,58 +375,56 @@ def verify_relator_invariance(
     )
 
 
+_ROUNDTRIP_MAX_LENGTH = 60  # seeded words have 0..60 letters
+
+
 def verify_yz_roundtrip(
-    genus: int,
-    *,
-    samples: int = 1000,
-    max_length: int = 60,
-    seed: int = 0,
+    genus: int, *, samples: int = 1000, seed: int = 0
 ) -> VerificationReport:
     """Certify that to_yz and from_yz are mutually inverse isomorphisms.
 
     The generator-level case is the whole free-basis claim: two
     homomorphisms that compose to the identity on every generator (in
     both directions) are mutually inverse. The random-word case rechecks
-    the same thing on ``samples`` seeded words per direction, comparing
-    every round trip exactly; it runs on the letter codes through the two
-    cached basis-change tables (the same substitutions ``to_yz`` and
-    ``from_yz`` apply) and builds ``Word`` values only for a mismatch.
+    the same thing on ``samples`` seeded words per direction, each of
+    0..60 letters, comparing every round trip exactly. Both cases run one
+    round trip on letter codes through the two cached basis-change tables
+    (the substitutions ``to_yz`` and ``from_yz`` apply) and build ``Word``
+    values only for a mismatch.
 
     Unlike the other verifiers it takes no ``budget``: the basis change is
     a fixed substitution whose images grow linearly with word length.
     """
     if genus < 2:
         raise ValueError(f"the yz basis change needs genus >= 2, got {genus}")
-    xy = Basis.xy(genus)
-    yz = Basis.yz(genus)
+    to_yz_table, from_yz_table = _xy_to_yz_table(genus), _yz_to_xy_table(genus)
+    sides = (
+        (Basis.xy(genus), to_yz_table, from_yz_table),
+        (Basis.yz(genus), from_yz_table, to_yz_table),
+    )
+
+    def missed(side, w):
+        """(got, w) as Words if the round trip of codes ``w`` misses, else None."""
+        basis, there, back = side
+        got = _wordops.substitute(_wordops.substitute(w, there), back)
+        if got != w:
+            return Word._reduced(basis, got), Word._reduced(basis, w)
+
     cert_mm = []
-    for sym in xy.symbols:
-        u = xy.generator(sym)
-        back = from_yz(to_yz(u))
-        if back != u:
-            cert_mm.append(Mismatch(sym.name, back, u))
-    for sym in yz.symbols:
-        u = yz.generator(sym)
-        back = to_yz(from_yz(u))
-        if back != u:
-            cert_mm.append(Mismatch(sym.name, back, u))
-    to_yz_table = _xy_to_yz_table(genus)
-    from_yz_table = _yz_to_xy_table(genus)
+    for side in sides:
+        for sym in side[0].symbols:
+            pair = missed(side, (sym.code,))
+            if pair:
+                cert_mm.append(Mismatch(sym.name, *pair))
     rng = Random(seed)
     random_mm = []
     for k in range(samples):
-        w = random_word(xy, rng.randrange(max_length + 1), rng).data
-        back = _wordops.substitute(_wordops.substitute(w, to_yz_table), from_yz_table)
-        if back != w:
-            random_mm.append(
-                Mismatch(f"xy sample {k}", Word._reduced(xy, back), Word._reduced(xy, w))
-            )
-        v = random_word(yz, rng.randrange(max_length + 1), rng).data
-        back = _wordops.substitute(_wordops.substitute(v, from_yz_table), to_yz_table)
-        if back != v:
-            random_mm.append(
-                Mismatch(f"yz sample {k}", Word._reduced(yz, back), Word._reduced(yz, v))
-            )
+        for side in sides:
+            basis = side[0]
+            w = random_word(basis, rng.randrange(_ROUNDTRIP_MAX_LENGTH + 1), rng).data
+            pair = missed(side, w)
+            if pair:
+                random_mm.append(Mismatch(f"{basis.kind.value} sample {k}", *pair))
     return VerificationReport(
         genus,
         (

@@ -30,7 +30,9 @@ from functools import lru_cache
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import WordSyntaxError
-from .words import Basis, Word, _join_tokens, _letter_decoder, _tokenize, parse_word
+from .words import (
+    Basis, Word, _join_tokens, _letter_decoder, _read_index, _tokenize, parse_word
+)
 
 
 class TwistKind(Enum):
@@ -110,7 +112,7 @@ def parse_twist_word(text: str, genus: int) -> TwistWord:
         tm = _TWIST_TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad twist token {token!r}", pos)
-        index = int(tm.group(2))
+        index = _read_index(tm.group(2), pos)
         if index < 1:
             raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
         sym = TwistSymbol(TwistKind(tm.group(1)), index, -1 if tm.group(3) else 1)
@@ -160,7 +162,7 @@ def word_with_z(text: str, genus: int) -> Word:
             raise WordSyntaxError(f"bad token {token!r}", pos)
         if tm.group(1) != "z":
             return (letter(token, pos),)
-        index = int(tm.group(2))
+        index = _read_index(tm.group(2), pos)
         if not 1 <= index <= genus:
             raise WordSyntaxError(
                 f"z index {index} out of range for genus {genus}", pos

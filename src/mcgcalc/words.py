@@ -239,6 +239,20 @@ def _tokenize(text: str, what: str, decode: Callable[[str, int], Any]) -> list:
     return values
 
 
+def _read_index(digits: str, pos: int) -> int:
+    """The index a token's decimal ``digits`` spell; leading zeros are allowed.
+
+    This is the one reader of token indices. An index with more digits
+    than ``int`` converts is a ``WordSyntaxError`` at ``pos``.
+    """
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        message = f"index of {len(digits)} digits is too long"
+        raise WordSyntaxError(message, pos) from None
+
+
 def _join_tokens(tokens: Iterable[str]) -> str:
     """Tokens written as text: one space apart, and ``1`` for none."""
     return " ".join(tokens) or "1"
@@ -283,7 +297,7 @@ def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
         tm = _TOKEN_RE.fullmatch(token)
         if tm is None:
             raise WordSyntaxError(f"bad token {token!r}", pos)
-        index = int(tm.group(2))
+        index = _read_index(tm.group(2), pos)
         if index < 1:
             raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
         name = f"{tm.group(1)}{index}"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -83,6 +84,16 @@ def test_basis_change_tables_are_tuples(build):
     assert all(type(row) is tuple for row in table)
 
 
+# sha256 of repr([(_xy_to_yz_table(g), _yz_to_xy_table(g)) for g in 2..12]): the
+# two tables every conversion, conjugation and round-trip check reads.
+BASIS_CHANGE_TABLES = "b451a97e7627b2a12e8e53b3b80085068c8b05851da6aa33d2dd56ec10f65455"
+
+
+def test_basis_change_tables_are_pinned():
+    tables = [(_xy_to_yz_table(g), _yz_to_xy_table(g)) for g in range(2, 13)]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest() == BASIS_CHANGE_TABLES
+
+
 def test_verify_yz_roundtrip_report():
     report = verify_yz_roundtrip(3, samples=50, seed=1)
     assert report.all_hold
@@ -103,6 +114,16 @@ def test_roundtrip_mismatch_is_reported_as_words(monkeypatch):
         pillars, "_yz_to_xy_table", lambda g: broken if g == genus else _yz_to_xy_table(g)
     )
     report = verify_yz_roundtrip(genus, samples=40, seed=3)
+    # The generator certificate reads the same table: y1 -> y1 y1 both ways.
+    cert = report.case("cor-2.1-free-basis-certificate")
+    assert [(m.generator, m.lhs.basis) for m in cert.mismatches] == [
+        ("y1", xy),
+        ("y1", yz),
+    ]
+    for m in cert.mismatches:
+        assert type(m.lhs) is Word and type(m.rhs) is Word
+        assert m.lhs == parse_word("y1 y1", m.lhs.basis)
+        assert m.rhs == m.rhs.basis.generator("y1")
     case = report.case("cor-2.1-roundtrip-random")
     assert not case.holds
     names = [m.generator for m in case.mismatches]
@@ -133,6 +154,9 @@ def test_sigma0_conjugate_is_not_z_stable():
     with pytest.raises(NotZStableError) as excinfo:
         restrict_to_z(conjugated)
     assert excinfo.value.generator == "z1"
+    assert excinfo.value.image == parse_word(
+        "z1^-1 y1 y2 y3 z3^-1 y3^-1 z2^-1 y2^-1 z1^-1 y1^-1 z1", Basis.yz(3)
+    )
     # its z1 image must still be consistent with the x/y action
     assert conjugated.image_of("z1") == to_yz(word_with_z("z1^-1 y1 x1 y1^-1 z1", 3))
 

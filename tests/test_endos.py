@@ -13,6 +13,7 @@ from mcgcalc import (
     TwistSymbol,
     Word,
     artin_action,
+    conjugate_to_yz,
     dehn_twist_action,
     format_word,
     evaluate_twist_word,
@@ -239,30 +240,46 @@ def test_compose_respects_budget():
     assert excinfo.value.needed > 3
 
 
-# Each budget admits the first factor and is exceeded at a later step.
+# Each budget admits the first factor (or, for conjugate_to_yz, the images of
+# y1 and y2) and is exceeded at a later step, needing exactly ``needed`` letters.
 @pytest.mark.parametrize(
-    "evaluate, budget",
+    "evaluate, budget, needed",
     [
         (
             lambda budget: evaluate_twist_word(
                 parse_twist_word("w1 a1 b1 w1 a1 b1", 2), budget=budget
             ),
             20,
+            25,
         ),
-        (lambda budget: artin_action(BraidWord(3, (1, 2, 1, 2)), budget=budget), 8),
+        (lambda budget: artin_action(BraidWord(3, (1, 2, 1, 2)), budget=budget), 8, 9),
         (
             lambda budget: is_trivial_braid(BraidWord(3, (1, 2, 1, 2)), budget=budget),
             8,
+            9,
         ),
-        (lambda budget: W1.power(3, budget=budget), 40),
+        (lambda budget: W1.power(3, budget=budget), 40, 53),
+        (
+            lambda budget: conjugate_to_yz(
+                pillar_switching_action(1, 2), budget=budget
+            ),
+            10,
+            15,
+        ),
     ],
-    ids=["evaluate_twist_word", "artin_action", "is_trivial_braid", "power"],
+    ids=[
+        "evaluate_twist_word",
+        "artin_action",
+        "is_trivial_braid",
+        "power",
+        "conjugate_to_yz",
+    ],
 )
-def test_products_respect_budget_argument(evaluate, budget):
+def test_products_respect_budget_argument(evaluate, budget, needed):
     with pytest.raises(ImageBudgetError) as excinfo:
         evaluate(budget)
     assert excinfo.value.budget == budget
-    assert excinfo.value.needed > budget
+    assert excinfo.value.needed == needed
 
 
 # --- construction and JSON --------------------------------------------------------

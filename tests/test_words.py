@@ -207,6 +207,8 @@ def test_parse_format_roundtrip(w):
 def test_parse_accepts_leading_zeros():
     expected = parse_word("x1 y2^-1", XY2)
     assert parse_word("x01 y002^-1", XY2) == word_with_z("x01 y002^-1", 2) == expected
+    # more leading zeros than int() reads in one string
+    assert parse_word("x" + "0" * 5000 + "1 y2^-1", XY2) == expected
 
 
 EMPTY = '(use "1" for the identity)'
@@ -242,6 +244,24 @@ def test_parse_error_contract(parse, text, arg, message, position):
         parse(text, arg)
     assert str(excinfo.value) == f"{message} (at position {position})"
     assert excinfo.value.position == position
+
+
+# An index with more digits than int() converts is a syntax error at its token.
+@pytest.mark.parametrize(
+    "parse, text, arg",
+    [
+        (parse_word, "y1 x" + "1" * 5000, XY2),
+        (parse_twist_word, "a1 a" + "1" * 5000, 2),
+        (parse_braid_word, "b1 b" + "1" * 5000, 3),
+        (word_with_z, "y1 z" + "1" * 5000 + "^-1", 2),
+    ],
+    ids=["word", "twist", "braid", "z-word"],
+)
+def test_parse_rejects_overlong_index(parse, text, arg):
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse(text, arg)
+    assert str(excinfo.value) == "index of 5000 digits is too long (at position 3)"
+    assert excinfo.value.position == 3
 
 
 def test_format_parse_canonicalizes():
