@@ -24,7 +24,6 @@ else:
 BACKEND = _impl.BACKEND
 reduce_letters = _impl.reduce_letters
 concat_reduced = _impl.concat_reduced
-invert_reduced = _impl.invert_reduced
 substitute = _impl.substitute
 draw_letters = _impl.draw_letters
 

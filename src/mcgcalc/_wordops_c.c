@@ -1,10 +1,10 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same five functions with the same results,
+ * Twin of ``_wordops_py``: the same four functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
- * integers; a letter and its negative cancel. Four ops reduce, join, invert
- * and substitute words; ``draw_letters`` turns uniform draws into the
- * letters of a random reduced word.
+ * integers; a letter and its negative cancel. Three ops reduce, join and
+ * substitute words; ``draw_letters`` turns uniform draws into the letters
+ * of a random reduced word.
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
@@ -210,38 +210,6 @@ done:
     return out;
 }
 
-PyDoc_STRVAR(invert_reduced_doc,
-"Inverse of a reduced word: reverse the sequence, negate each letter.");
-
-static PyObject *
-invert_reduced(PyObject *Py_UNUSED(module), PyObject *u)
-{
-    PyObject *fast = PySequence_Fast(u, "invert_reduced expects a sequence");
-    PyObject *out;
-    Py_ssize_t i, n;
-    long s;
-
-    if (fast == NULL) {
-        return NULL;
-    }
-    n = PySequence_Fast_GET_SIZE(fast);
-    out = PyTuple_New(n);
-    for (i = 0; out != NULL && i < n; i++) {
-        PyObject *letter = NULL;
-        if (read_letter(PySequence_Fast_GET_ITEM(fast, n - 1 - i), &s) == 0) {
-            letter = PyLong_FromLong(-s);
-        }
-        if (letter == NULL) {
-            Py_CLEAR(out);
-        }
-        else {
-            PyTuple_SET_ITEM(out, i, letter);
-        }
-    }
-    Py_DECREF(fast);
-    return out;
-}
-
 PyDoc_STRVAR(substitute_doc,
 "Replace every letter by its image and reduce.\n\n"
 "``images[k]`` is the (reduced) image of the positive letter ``k``; a\n"
@@ -420,7 +388,6 @@ static PyMethodDef methods[] = {
     {"reduce_letters", reduce_letters, METH_O, reduce_letters_doc},
     {"concat_reduced", (PyCFunction)(void (*)(void))concat_reduced,
      METH_FASTCALL, concat_reduced_doc},
-    {"invert_reduced", invert_reduced, METH_O, invert_reduced_doc},
     {"substitute", (PyCFunction)(void (*)(void))substitute, METH_FASTCALL,
      substitute_doc},
     {"draw_letters", (PyCFunction)(void (*)(void))draw_letters, METH_FASTCALL,

@@ -1,18 +1,18 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same five functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
 same results, used when the extension is not built or when
-``MCGCALC_KERNEL=py`` asks for it. Four ops reduce, join, invert and
-substitute words; ``draw_letters`` turns uniform draws into the letters
-of a random reduced word. Letters are nonzero signed integers; a letter
-and its negative cancel. Every letter the compiled kernel reads
-is read here too, as a C long in [-LONG_MAX, LONG_MAX], and results hold
-plain ints; ``concat_reduced`` joins its arguments' own letters in both.
+``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
+words; ``draw_letters`` turns uniform draws into the letters of a random
+reduced word. Letters are nonzero signed integers; a letter and its
+negative cancel. Every letter the compiled kernel reads is read here
+too, as a C long in [-LONG_MAX, LONG_MAX], and results hold plain ints;
+``concat_reduced`` joins its arguments' own letters in both.
 """
 
 import struct
 from itertools import chain, islice, repeat
-from operator import index, neg
+from operator import index
 
 BACKEND = "py"
 LONG_MAX = (1 << (8 * struct.calcsize("l") - 1)) - 1
@@ -112,11 +112,6 @@ def concat_reduced(u, v):
     if i == 0:
         return v[j:]
     return u[:i] + v[j:]
-
-
-def invert_reduced(u):
-    """Inverse of a reduced word: reverse the sequence, negate each letter."""
-    return tuple(map(neg, _plain_letters(tuple(u)[::-1])))
 
 
 def substitute(word, images):

@@ -23,7 +23,6 @@ regions of beta_i and beta_j are disjoint.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -38,7 +37,7 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
-from .words import Basis, BasisKind, Word, _join_tokens, _read_index, _tokenize
+from .words import Basis, BasisKind, Word, _join_tokens, _split_token, _tokenize
 
 
 @dataclass(frozen=True)
@@ -81,22 +80,16 @@ class BraidWord:
         return format_braid_word(self)
 
 
-_BRAID_TOKEN_RE = re.compile(r"b([0-9]+)(\^-1)?")
-
-
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid text; ``1`` denotes the empty braid."""
 
     def decode(token: str, pos: int) -> int:
-        tm = _BRAID_TOKEN_RE.fullmatch(token)
-        if tm is None:
-            raise WordSyntaxError(f"bad braid token {token!r}", pos)
-        index = _read_index(tm.group(1), pos)
+        _, index, sign = _split_token(token, pos, ("b",), "braid ")
         if not 1 <= index <= strands - 1:
             raise WordSyntaxError(
                 f"braid index {index} out of range for {strands} strands", pos
             )
-        return -index if tm.group(2) else index
+        return sign * index
 
     return BraidWord(strands, tuple(_tokenize(text, "braid text", decode)))
 

@@ -23,7 +23,9 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, ImageBudgetError
-from .words import Basis, BasisKind, Symbol, Word, format_word, parse_word
+from .words import (
+    Basis, BasisKind, Symbol, Word, _letter_table, format_word, parse_word
+)
 
 DEFAULT_IMAGE_BUDGET = 10**7
 
@@ -39,7 +41,8 @@ def _code_table(
 
 
 def _row_count(basis: Basis) -> int:
-    return max(sym.code for sym in basis.symbols) + 1
+    # the cached names run from the largest code's inverse to the largest code
+    return len(_letter_table(basis)[1]) // 2 + 1
 
 
 @dataclass(frozen=True, repr=False)

@@ -23,7 +23,6 @@ tokens ``a<k>``, ``b<k>``, ``w<k>``, optional ``^-1`` suffix.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -31,7 +30,7 @@ from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import WordSyntaxError
 from .words import (
-    Basis, Word, _join_tokens, _letter_decoder, _read_index, _tokenize, parse_word
+    Basis, Word, _join_tokens, _letter_decoder, _split_token, _tokenize, parse_word
 )
 
 
@@ -102,20 +101,14 @@ class TwistWord:
         return format_twist_word(self)
 
 
-_TWIST_TOKEN_RE = re.compile(r"([abw])([0-9]+)(\^-1)?")
-
-
 def parse_twist_word(text: str, genus: int) -> TwistWord:
     """Parse twist-word text; ``1`` denotes the empty product."""
 
     def decode(token: str, pos: int) -> TwistSymbol:
-        tm = _TWIST_TOKEN_RE.fullmatch(token)
-        if tm is None:
-            raise WordSyntaxError(f"bad twist token {token!r}", pos)
-        index = _read_index(tm.group(2), pos)
+        name, index, sign = _split_token(token, pos, ("a", "b", "w"), "twist ")
         if index < 1:
             raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
-        sym = TwistSymbol(TwistKind(tm.group(1)), index, -1 if tm.group(3) else 1)
+        sym = TwistSymbol(TwistKind(name), index, sign)
         try:
             sym.validate_for_genus(genus)
         except ValueError as exc:
@@ -145,9 +138,6 @@ def z_loop(i: int, genus: int) -> Word:
     return parse_word(f"x{i}^-1 y{i + 1} x{i + 1} y{i + 1}^-1", basis)
 
 
-_Z_TOKEN_RE = re.compile(r"(x|y|z)([0-9]+)(\^-1)?")
-
-
 def word_with_z(text: str, genus: int) -> Word:
     """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
 
@@ -157,18 +147,15 @@ def word_with_z(text: str, genus: int) -> Word:
     letter = _letter_decoder(basis)
 
     def decode(token: str, pos: int) -> tuple[int, ...]:
-        tm = _Z_TOKEN_RE.fullmatch(token)
-        if tm is None:
-            raise WordSyntaxError(f"bad token {token!r}", pos)
-        if tm.group(1) != "z":
+        name, index, sign = _split_token(token, pos, ("x", "y", "z"))
+        if name != "z":
             return (letter(token, pos),)
-        index = _read_index(tm.group(2), pos)
         if not 1 <= index <= genus:
             raise WordSyntaxError(
                 f"z index {index} out of range for genus {genus}", pos
             )
         z = z_loop(index, genus)
-        return (z.inverse() if tm.group(3) else z).data
+        return (z if sign > 0 else z.inverse()).data
 
     pieces = _tokenize(text, "word text", decode)
     codes = [code for piece in pieces for code in piece]

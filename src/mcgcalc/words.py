@@ -21,6 +21,8 @@ Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
 ``1`` denotes the identity. ``_tokenize`` reads this text and the twist,
 braid and z-word text alike; each grammar supplies only a token decoder.
+Every token of every grammar has one shape, a name, a decimal index and
+an optional ``^-1``, and ``_split_token`` is its one reader.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
+from operator import neg
 from random import Random
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Union
@@ -47,6 +50,7 @@ class Family(IntEnum):
 
 
 _FAMILY_PREFIX = {Family.X: "x", Family.Y: "y", Family.Z: "z", Family.ALPHA: "al"}
+_LETTER_PREFIXES = frozenset(_FAMILY_PREFIX.values())
 
 
 @dataclass(frozen=True, order=True)
@@ -205,7 +209,7 @@ class Word:
         return Word._reduced(self.basis, _wordops.concat_reduced(self.data, other.data))
 
     def inverse(self) -> "Word":
-        return Word._reduced(self.basis, _wordops.invert_reduced(self.data))
+        return Word._reduced(self.basis, tuple(map(neg, reversed(self.data))))
 
     def __len__(self) -> int:
         return len(self.data)
@@ -220,7 +224,7 @@ class Word:
         return f"Word({format_word(self)!r}, basis={self.basis})"
 
 
-_TOKEN_RE = re.compile(r"(al|x|y|z)([0-9]+)(\^-1)?")
+_TOKEN_RE = re.compile(r"([a-z]+)([0-9]+)(\^-1)?")
 
 
 def _tokenize(text: str, what: str, decode: Callable[[str, int], Any]) -> list:
@@ -239,18 +243,27 @@ def _tokenize(text: str, what: str, decode: Callable[[str, int], Any]) -> list:
     return values
 
 
-def _read_index(digits: str, pos: int) -> int:
-    """The index a token's decimal ``digits`` spell; leading zeros are allowed.
+def _split_token(
+    token: str, pos: int, names: frozenset[str] | tuple[str, ...], label: str = ""
+) -> tuple[str, int, int]:
+    """The ``(name, index, sign)`` of a token whose name is one of ``names``.
 
-    This is the one reader of token indices. An index with more digits
-    than ``int`` converts is a ``WordSyntaxError`` at ``pos``.
+    This is the one reader of the token shape. The name is checked before
+    the index is read, so a token with a foreign name is a ``bad {label}token``
+    however long its index. Leading zeros are allowed; an index with more
+    digits than ``int`` converts is a ``WordSyntaxError`` at ``pos``.
     """
+    tm = _TOKEN_RE.fullmatch(token)
+    name, digits, inverse = tm.groups() if tm else (None, None, None)
+    if name not in names:
+        raise WordSyntaxError(f"bad {label}token {token!r}", pos)
     digits = digits.lstrip("0") or "0"
     try:
-        return int(digits)
+        index = int(digits)
     except ValueError:  # beyond sys.get_int_max_str_digits()
         message = f"index of {len(digits)} digits is too long"
         raise WordSyntaxError(message, pos) from None
+    return name, index, -1 if inverse else 1
 
 
 def _join_tokens(tokens: Iterable[str]) -> str:
@@ -279,6 +292,8 @@ def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
 
 def _admitted(basis: Basis, code: int) -> int:
     """``code`` itself if it is a letter of ``basis``, else BasisMismatchError."""
+    if type(code) is not int:  # bools and other int subclasses too
+        raise TypeError(f"letter codes are ints, not {type(code).__name__}")
     names = _letter_table(basis)[1]
     if 2 * abs(code) < len(names) and names[code]:
         return code
@@ -294,16 +309,13 @@ def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
         if code is not None:
             return code
         # Another spelling of a letter (``x01``), or the reason for rejecting it.
-        tm = _TOKEN_RE.fullmatch(token)
-        if tm is None:
-            raise WordSyntaxError(f"bad token {token!r}", pos)
-        index = _read_index(tm.group(2), pos)
+        prefix, index, sign = _split_token(token, pos, _LETTER_PREFIXES)
         if index < 1:
             raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
-        name = f"{tm.group(1)}{index}"
+        name = f"{prefix}{index}"
         if name not in codes:
             raise WordSyntaxError(f"symbol {name} is out of range for {basis}", pos)
-        return -codes[name] if tm.group(3) else codes[name]
+        return sign * codes[name]
 
     return decode
 

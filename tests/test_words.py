@@ -237,6 +237,11 @@ W2 = "twist w2 is out of range for genus 2 (w indices run 1..1)"
         (word_with_z, "z3", 2, "z index 3 out of range for genus 2", 0),
         (word_with_z, "y1 z3^-1", 2, "z index 3 out of range for genus 2", 3),
         (word_with_z, "al1", 2, "bad token 'al1'", 0),
+        # a name outside the grammar is a bad token, however it begins
+        (parse_twist_word, "ab1", 2, "bad twist token 'ab1'", 0),
+        (parse_braid_word, "bb1", 3, "bad braid token 'bb1'", 0),
+        (word_with_z, "xy1", 2, "bad token 'xy1'", 0),
+        (parse_word, "y1 alx1", XY2, "bad token 'alx1'", 3),
     ],
 )
 def test_parse_error_contract(parse, text, arg, message, position):
@@ -264,6 +269,23 @@ def test_parse_rejects_overlong_index(parse, text, arg):
     assert excinfo.value.position == 3
 
 
+# The name is read before the index: a foreign name is a bad token at any length.
+@pytest.mark.parametrize(
+    "parse, text, arg, message",
+    [
+        (parse_twist_word, "c" + "1" * 5000, 2, "bad twist token"),
+        (parse_braid_word, "a" + "1" * 5000, 3, "bad braid token"),
+        (parse_word, "q" + "1" * 5000, XY2, "bad token"),
+    ],
+    ids=["twist", "braid", "word"],
+)
+def test_parse_reads_the_name_before_the_index(parse, text, arg, message):
+    with pytest.raises(WordSyntaxError) as excinfo:
+        parse(text, arg)
+    assert str(excinfo.value) == f"{message} {text!r} (at position 0)"
+    assert excinfo.value.position == 0
+
+
 def test_format_parse_canonicalizes():
     # unreduced text parses to the reduced word, which formats canonically
     assert format_word(parse_word("x1 x1^-1 y1", XY2)) == "y1"
@@ -288,6 +310,13 @@ def test_word_constructor_enforces_invariants():
         Word(XY2, (x1, -x1))
     with pytest.raises(BasisMismatchError):
         Word(XY2, (Symbol(Family.Z, 1).code,))
+
+
+@pytest.mark.parametrize("code", [True, 1.0, "x1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("build", [Word, Word.from_letters], ids=["Word", "from_letters"])
+def test_words_refuse_non_int_letters(build, code):
+    with pytest.raises(TypeError, match=f"letter codes are ints, not {type(code).__name__}"):
+        build(XY2, (code,))
 
 
 def test_basis_admits():
