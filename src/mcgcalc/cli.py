@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional, Sequence
 
 from ._wordops import kernel_backend
@@ -164,6 +164,10 @@ class _UsageError(Exception):
     pass
 
 
+# Built on the first request and shared by the later ones: parse_args fills a
+# fresh Namespace each call, the one append action (--which) has no mutable
+# default, and errors and help read stderr and the terminal width when printed.
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcgcalc",
@@ -210,20 +214,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (p_verify, p_act, p_export, p_braid):
         p.add_argument("--budget", type=int, default=DEFAULT_IMAGE_BUDGET, metavar="N")
+        # Usage errors found after parsing print this subcommand's usage.
+        p.set_defaults(subparser=p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one CLI request; returns its exit status.
+
+    It can be called many times in one process, as the tests and the
+    benchmark do. The parser is built on the first call and reused; nothing
+    else is kept between calls, and ``--budget`` applies to its own call
+    only. Usage errors raise ``SystemExit(2)``.
+    """
+    args = _build_parser().parse_args(argv)
+    subparser = args.subparser
     if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
+        subparser.error("--jobs must be >= 1")
     if args.budget < 1:
-        parser.error("--budget must be >= 1")
+        subparser.error("--budget must be >= 1")
     try:
         return args.func(args)
     except _UsageError as exc:
-        parser.error(str(exc))  # exits 2
+        subparser.error(str(exc))  # exits 2
         raise AssertionError("unreachable")
     except (ValueError, ImageBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the compiled word kernel and a CLI run under either kernel.
+"""Shared fixtures: the compiled word kernel and CLI runs under either kernel.
 
 When ``mcgcalc._wordops_c`` is not built in place, the kernel source is
 compiled into a temporary directory in a subprocess (so no build warning
@@ -6,6 +6,7 @@ reaches the suite), and tests that need it skip only without a C compiler.
 """
 
 import importlib.util
+import json
 import os
 import shlex
 import shutil
@@ -61,16 +62,48 @@ def compiled_kernel(tmp_path_factory):
 
 
 # Loads the compiled kernel from the path in argv[1] under its package name,
-# so that ``mcgcalc._wordops`` finds it, then runs the CLI on argv[2:].
-_LAUNCH = """\
+# so that ``mcgcalc._wordops`` finds it, then imports the CLI.
+_LOAD = """\
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("mcgcalc._wordops_c", sys.argv[1])
 module = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(module)
 sys.modules[spec.name] = module
 from mcgcalc.cli import main
-sys.exit(main(sys.argv[2:]))
 """
+
+# Runs the CLI once, on argv[2:].
+_LAUNCH = _LOAD + "sys.exit(main(sys.argv[2:]))\n"
+
+# Runs each argv of the JSON list on stdin through the one ``main`` of this
+# process and prints [exit code, stdout, stderr] for each as a JSON list.
+_LAUNCH_MANY = _LOAD + """\
+import contextlib, io, json
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _python(compiled_kernel, kernel, script, args, stdin=None):
+    """``script`` in a fresh interpreter with ``MCGCALC_KERNEL=kernel``."""
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, MCGCALC_KERNEL=kernel, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-c", script, compiled_kernel.__file__, *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -79,14 +112,20 @@ def run_cli(compiled_kernel):
     ``MCGCALC_KERNEL=kernel``; returns the completed process (text output)."""
 
     def run(kernel, argv):
-        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = dict(os.environ, MCGCALC_KERNEL=kernel, PYTHONPATH=os.pathsep.join(path))
-        return subprocess.run(
-            [sys.executable, "-c", _LAUNCH, compiled_kernel.__file__, *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=600,
-        )
+        return _python(compiled_kernel, kernel, _LAUNCH, argv)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def run_cli_many(compiled_kernel):
+    """``run_cli_many(kernel, argvs)``: every argv through one in-process
+    ``main`` of a fresh interpreter with ``MCGCALC_KERNEL=kernel``; returns
+    (exit code, stdout, stderr) for each."""
+
+    def run(kernel, argvs):
+        proc = _python(compiled_kernel, kernel, _LAUNCH_MANY, [], json.dumps(argvs))
+        assert proc.returncode == 0, proc.stderr
+        return [tuple(result) for result in json.loads(proc.stdout)]
 
     return run

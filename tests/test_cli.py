@@ -3,7 +3,7 @@ import json
 import pytest
 
 from mcgcalc import Basis, kernel_backend, parse_word
-from mcgcalc.cli import main
+from mcgcalc.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -208,3 +208,99 @@ def test_budget_zero_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["braid-trivial", "b1", "--strands", "3", "--budget", "0"])
     assert excinfo.value.code == 2
+
+
+# --- usage errors found after parsing ---------------------------------------------
+
+VERIFY_USAGE = (
+    "usage: mcgcalc verify [-h] --genus G[..H] [--which CHECKS] [--all] [--json]"
+    " [--jobs N] [--seed N] [--budget N]"
+)
+ACT_USAGE = (
+    "usage: mcgcalc act [-h] --genus GENUS --on WORD [--budget N]"
+    " {twist-word,sigma,braid-psi} spec"
+)
+BRAID_USAGE = "usage: mcgcalc braid-trivial [-h] --strands STRANDS [--budget N] word"
+
+
+@pytest.mark.parametrize(
+    "argv, usage, message",
+    [
+        (
+            ["braid-trivial", "b1", "--strands", "3", "--budget", "0"],
+            BRAID_USAGE,
+            "mcgcalc braid-trivial: error: --budget must be >= 1",
+        ),
+        (
+            ["verify", "--genus", "2", "--which", "thm22", "--jobs", "0"],
+            VERIFY_USAGE,
+            "mcgcalc verify: error: --jobs must be >= 1",
+        ),
+        (
+            ["verify", "--genus", "1", "--which", "thm22"],
+            VERIFY_USAGE,
+            "mcgcalc verify: error: verification checks need genus >= 2",
+        ),
+        (
+            ["verify", "--genus", "2", "--which", "thm22,nope"],
+            VERIFY_USAGE,
+            "mcgcalc verify: error: unknown check 'nope' (choose from thm22, chains,"
+            " relations, relator, artin-restriction, yz-roundtrip)",
+        ),
+        (
+            ["act", "sigma", "x", "--genus", "2", "--on", "x1"],
+            ACT_USAGE,
+            "mcgcalc act: error: sigma expects an integer index, got 'x'",
+        ),
+    ],
+    ids=["budget", "jobs", "genus", "which", "sigma"],
+)
+def test_usage_error_prints_the_subcommand_usage(capsys, monkeypatch, argv, usage, message):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{usage}\n{message}\n"
+
+
+# --- many requests in one process ---------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(capsys):
+    for argv in (
+        ["braid-trivial", "b1", "--strands", "3"],
+        ["act", "sigma", "0", "--genus", "2", "--on", "y1"],
+        ["export", "sigma", "1", "--genus", "2"],
+    ):
+        main(argv)
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_repeated_requests_are_independent(capsys):
+    argv = ("verify", "--genus", "2", "--which", "thm22", "--json")
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first == second
+    assert {entry["which"] for entry in json.loads(first[1])["results"]} == {"thm22"}
+
+
+def test_usage_error_leaves_the_next_request_intact(capsys):
+    expected = run(capsys, "act", "sigma", "0", "--genus", "2", "--on", "y1")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--genus", "2", "--which", "thm22", "--jobs", "0"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "act", "sigma", "0", "--genus", "2", "--on", "y1") == expected
+    assert expected[0] == 0 and expected[2] == ""
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert texts[0].startswith("usage: mcgcalc verify [-h]")

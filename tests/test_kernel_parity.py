@@ -130,73 +130,129 @@ def test_kernels_expose_the_same_ops(compiled_kernel):
 BAD = object()
 
 # (function, arguments, result or exception type), the same for both kernels.
-# A row's index is part of its test id, so rows are appended, never moved;
-# the rows of a retired op are replaced in place.
+# Every row carries an explicit test id, so adding, moving or deleting a row
+# renames no other. The rows below keep the ids they had when pytest derived
+# them from the row's position (``<op>-args<N>-<expected>``); a new row gets
+# a content-based id instead, ``<op>-<what it pins>``, unique in the table.
 CONTRACT = [
-    ("substitute", ((3,), [(), (1,), (2,)]), IndexError),
-    ("substitute", ((-3,), [(), (1,), (2,)]), IndexError),
-    ("substitute", ((LONG_MIN,), [(), (1,)]), IndexError),
-    ("substitute", ((1 << 80,), [(), (1,)]), IndexError),
-    ("substitute", ((0,), [(1, 2), (3,)]), (-2, -1)),
-    ("substitute", ([2, -1], [(), [1, 2], [3]]), (3, -2, -1)),
-    ("substitute", ((1, -1), ((), (2,))), ()),
-    ("substitute", (("x1",), [(), (1,)]), TypeError),
-    ("substitute", ((1.0,), [(), (1,)]), TypeError),
-    ("substitute", ((1,), [(), (1, "x1")]), TypeError),
-    ("substitute", ((1,),), TypeError),
-    ("substitute", (5, [(), (1,)]), TypeError),
-    ("reduce_letters", ([1, 2, -2],), (1,)),
-    ("reduce_letters", ([1, "x1"],), TypeError),
-    ("reduce_letters", ([1, BAD],), TypeError),
-    ("reduce_letters", (5,), TypeError),
-    ("concat_reduced", ([1, 2], [-2, 3]), [1, 3]),
-    ("concat_reduced", ([1, 2], [-2, -1]), []),
-    ("concat_reduced", ((1,), ("x1",)), TypeError),
-    ("concat_reduced", ((1,), [2]), TypeError),
-    ("concat_reduced", ((1,),), TypeError),
-    ("concat_reduced", ((1, 2), (3,)), (1, 2, 3)),
-    ("concat_reduced", (None, (1,)), TypeError),
-    ("substitute", ((), [()]), ()),
+    pytest.param("substitute", ((3,), [(), (1,), (2,)]), IndexError,
+                 id="substitute-args0-IndexError"),
+    pytest.param("substitute", ((-3,), [(), (1,), (2,)]), IndexError,
+                 id="substitute-args1-IndexError"),
+    pytest.param("substitute", ((LONG_MIN,), [(), (1,)]), IndexError,
+                 id="substitute-args2-IndexError"),
+    pytest.param("substitute", ((1 << 80,), [(), (1,)]), IndexError,
+                 id="substitute-args3-IndexError"),
+    pytest.param("substitute", ((0,), [(1, 2), (3,)]), (-2, -1),
+                 id="substitute-args4-expected4"),
+    pytest.param("substitute", ([2, -1], [(), [1, 2], [3]]), (3, -2, -1),
+                 id="substitute-args5-expected5"),
+    pytest.param("substitute", ((1, -1), ((), (2,))), (),
+                 id="substitute-args6-expected6"),
+    pytest.param("substitute", (("x1",), [(), (1,)]), TypeError,
+                 id="substitute-args7-TypeError"),
+    pytest.param("substitute", ((1.0,), [(), (1,)]), TypeError,
+                 id="substitute-args8-TypeError"),
+    pytest.param("substitute", ((1,), [(), (1, "x1")]), TypeError,
+                 id="substitute-args9-TypeError"),
+    pytest.param("substitute", ((1,),), TypeError,
+                 id="substitute-args10-TypeError"),
+    pytest.param("substitute", (5, [(), (1,)]), TypeError,
+                 id="substitute-args11-TypeError"),
+    pytest.param("reduce_letters", ([1, 2, -2],), (1,),
+                 id="reduce_letters-args12-expected12"),
+    pytest.param("reduce_letters", ([1, "x1"],), TypeError,
+                 id="reduce_letters-args13-TypeError"),
+    pytest.param("reduce_letters", ([1, BAD],), TypeError,
+                 id="reduce_letters-args14-TypeError"),
+    pytest.param("reduce_letters", (5,), TypeError,
+                 id="reduce_letters-args15-TypeError"),
+    pytest.param("concat_reduced", ([1, 2], [-2, 3]), [1, 3],
+                 id="concat_reduced-args16-expected16"),
+    pytest.param("concat_reduced", ([1, 2], [-2, -1]), [],
+                 id="concat_reduced-args17-expected17"),
+    pytest.param("concat_reduced", ((1,), ("x1",)), TypeError,
+                 id="concat_reduced-args18-TypeError"),
+    pytest.param("concat_reduced", ((1,), [2]), TypeError,
+                 id="concat_reduced-args19-TypeError"),
+    pytest.param("concat_reduced", ((1,),), TypeError,
+                 id="concat_reduced-args20-TypeError"),
+    pytest.param("concat_reduced", ((1, 2), (3,)), (1, 2, 3),
+                 id="concat_reduced-args21-expected21"),
+    pytest.param("concat_reduced", (None, (1,)), TypeError,
+                 id="concat_reduced-args22-TypeError"),
+    pytest.param("substitute", ((), [()]), (),
+                 id="substitute-args23-expected23"),
 ]
 
 # Non-int letters and non-sequence image tables, which the pure kernel refuses
-# as the compiled one does. Appended so the cases above keep their test ids.
+# as the compiled one does.
 CONTRACT += [
-    ("substitute", ((1,), {1: (2,)}), TypeError),
-    ("substitute", ((1,), [(), ("x1",)]), TypeError),
-    ("substitute", ((1,), [(), (1.0, -1.0)]), TypeError),
-    ("substitute", ((1,), [(), "ab"]), TypeError),
-    ("substitute", ((3, "x1"), [(), (1,)]), IndexError),
-    ("substitute", (("x1", 3), [(), (1,)]), TypeError),
-    ("substitute", ([True, -1], [(), (2,)]), ()),
-    ("reduce_letters", (["a"],), TypeError),
-    ("reduce_letters", ([1.0, -1.0],), TypeError),
-    ("reduce_letters", ([True, -1],), ()),
-    ("concat_reduced", ((1,), (2.0,)), TypeError),
-    ("concat_reduced", (("x1",), (2,)), TypeError),
-    ("substitute", ((1,), None), TypeError),
+    pytest.param("substitute", ((1,), {1: (2,)}), TypeError,
+                 id="substitute-args24-TypeError"),
+    pytest.param("substitute", ((1,), [(), ("x1",)]), TypeError,
+                 id="substitute-args25-TypeError"),
+    pytest.param("substitute", ((1,), [(), (1.0, -1.0)]), TypeError,
+                 id="substitute-args26-TypeError"),
+    pytest.param("substitute", ((1,), [(), "ab"]), TypeError,
+                 id="substitute-args27-TypeError"),
+    pytest.param("substitute", ((3, "x1"), [(), (1,)]), IndexError,
+                 id="substitute-args28-IndexError"),
+    pytest.param("substitute", (("x1", 3), [(), (1,)]), TypeError,
+                 id="substitute-args29-TypeError"),
+    pytest.param("substitute", ([True, -1], [(), (2,)]), (),
+                 id="substitute-args30-expected30"),
+    pytest.param("reduce_letters", (["a"],), TypeError,
+                 id="reduce_letters-args31-TypeError"),
+    pytest.param("reduce_letters", ([1.0, -1.0],), TypeError,
+                 id="reduce_letters-args32-TypeError"),
+    pytest.param("reduce_letters", ([True, -1],), (),
+                 id="reduce_letters-args33-expected33"),
+    pytest.param("concat_reduced", ((1,), (2.0,)), TypeError,
+                 id="concat_reduced-args34-TypeError"),
+    pytest.param("concat_reduced", (("x1",), (2,)), TypeError,
+                 id="concat_reduced-args35-TypeError"),
+    pytest.param("substitute", ((1,), None), TypeError,
+                 id="substitute-args36-TypeError"),
 ]
 
 # Results hold plain ints, also where the input held bools, and letters
 # beyond a C long raise OverflowError wherever either kernel reads one.
 CONTRACT += [
-    ("reduce_letters", ([True],), (1,)),
-    ("reduce_letters", ([2, True, -True],), (2,)),
-    ("substitute", ((1,), [(), (True,)]), (1,)),
-    ("substitute", ((-1, 2), [(), (True, 3), (False,)]), (-3, -1, 0)),
-    ("concat_reduced", ((2, True), (-1, 3)), (2, 3)),
-    ("reduce_letters", ([LONG_MAX, -LONG_MAX, -LONG_MAX],), (-LONG_MAX,)),
-    ("substitute", ((-1,), [(), (LONG_MAX,)]), (-LONG_MAX,)),
-    ("reduce_letters", ([LONG_MIN],), OverflowError),
-    ("reduce_letters", ([1, 1 << 80],), OverflowError),
-    ("concat_reduced", ((1,), (LONG_MIN,)), OverflowError),
-    ("concat_reduced", ((LONG_MIN,), (1,)), OverflowError),
-    ("substitute", ((-1,), [(), (LONG_MIN,)]), OverflowError),
-    ("substitute", ((1,), [(), (1 << 80,)]), OverflowError),
-    ("reduce_letters", ([1 << 80, "x1"],), OverflowError),
-    ("concat_reduced", ((1 << 80,), ("x1",)), OverflowError),
-    ("substitute", ((-1,), [(), ("x1", 1 << 80)]), OverflowError),
-    ("substitute", ((1,), [(), ("x1", 1 << 80)]), TypeError),
+    pytest.param("reduce_letters", ([True],), (1,),
+                 id="reduce_letters-args37-expected37"),
+    pytest.param("reduce_letters", ([2, True, -True],), (2,),
+                 id="reduce_letters-args38-expected38"),
+    pytest.param("substitute", ((1,), [(), (True,)]), (1,),
+                 id="substitute-args39-expected39"),
+    pytest.param("substitute", ((-1, 2), [(), (True, 3), (False,)]), (-3, -1, 0),
+                 id="substitute-args40-expected40"),
+    pytest.param("concat_reduced", ((2, True), (-1, 3)), (2, 3),
+                 id="concat_reduced-args41-expected41"),
+    pytest.param("reduce_letters", ([LONG_MAX, -LONG_MAX, -LONG_MAX],), (-LONG_MAX,),
+                 id="reduce_letters-args42-expected42"),
+    pytest.param("substitute", ((-1,), [(), (LONG_MAX,)]), (-LONG_MAX,),
+                 id="substitute-args43-expected43"),
+    pytest.param("reduce_letters", ([LONG_MIN],), OverflowError,
+                 id="reduce_letters-args44-OverflowError"),
+    pytest.param("reduce_letters", ([1, 1 << 80],), OverflowError,
+                 id="reduce_letters-args45-OverflowError"),
+    pytest.param("concat_reduced", ((1,), (LONG_MIN,)), OverflowError,
+                 id="concat_reduced-args46-OverflowError"),
+    pytest.param("concat_reduced", ((LONG_MIN,), (1,)), OverflowError,
+                 id="concat_reduced-args47-OverflowError"),
+    pytest.param("substitute", ((-1,), [(), (LONG_MIN,)]), OverflowError,
+                 id="substitute-args48-OverflowError"),
+    pytest.param("substitute", ((1,), [(), (1 << 80,)]), OverflowError,
+                 id="substitute-args49-OverflowError"),
+    pytest.param("reduce_letters", ([1 << 80, "x1"],), OverflowError,
+                 id="reduce_letters-args50-OverflowError"),
+    pytest.param("concat_reduced", ((1 << 80,), ("x1",)), OverflowError,
+                 id="concat_reduced-args51-OverflowError"),
+    pytest.param("substitute", ((-1,), [(), ("x1", 1 << 80)]), OverflowError,
+                 id="substitute-args52-OverflowError"),
+    pytest.param("substitute", ((1,), [(), ("x1", 1 << 80)]), TypeError,
+                 id="substitute-args53-TypeError"),
 ]
 
 
@@ -205,31 +261,60 @@ CONTRACT += [
 NAN = float("nan")
 PAIRS = (1, -1, 2, -2)
 CONTRACT += [
-    ("draw_letters", ([0.5, 0.25], PAIRS), (2, 1)),
-    ("draw_letters", ([0.99, 0.99], (1, -1, 2)), (2, -1)),
-    ("draw_letters", ((0.0, 0.0, 0.0), [1, -1]), (1, 1, 1)),
-    ("draw_letters", ([], ()), ()),
-    ("draw_letters", ([0.0], (True, -1)), (1,)),
-    ("draw_letters", ([0.5], ()), ValueError),
-    ("draw_letters", ([0.5, "x1"], ()), ValueError),
-    ("draw_letters", ([0], PAIRS), TypeError),
-    ("draw_letters", ([True], PAIRS), TypeError),
-    ("draw_letters", ([0.5, "0.5"], PAIRS), TypeError),
-    ("draw_letters", ([0.5, None], PAIRS), TypeError),
-    ("draw_letters", ([1.0], PAIRS), ValueError),
-    ("draw_letters", ([0.5, NAN], PAIRS), ValueError),
-    ("draw_letters", ([-0.25], PAIRS), ValueError),
-    ("draw_letters", ([float("inf")], PAIRS), ValueError),
-    ("draw_letters", ([float("-inf")], PAIRS), ValueError),
-    ("draw_letters", ([1.5, "x1"], PAIRS), ValueError),
-    ("draw_letters", (["x1", 1.5], PAIRS), TypeError),
-    ("draw_letters", ([0.5], (1, "x1")), TypeError),
-    ("draw_letters", ([], (1, 2.0)), TypeError),
-    ("draw_letters", ([NAN], (1, LONG_MIN)), OverflowError),
-    ("draw_letters", ([0.5], 5), TypeError),
-    ("draw_letters", (5, PAIRS), TypeError),
-    ("draw_letters", ([0.5],), TypeError),
+    pytest.param("draw_letters", ([0.5, 0.25], PAIRS), (2, 1),
+                 id="draw_letters-args54-expected54"),
+    pytest.param("draw_letters", ([0.99, 0.99], (1, -1, 2)), (2, -1),
+                 id="draw_letters-args55-expected55"),
+    pytest.param("draw_letters", ((0.0, 0.0, 0.0), [1, -1]), (1, 1, 1),
+                 id="draw_letters-args56-expected56"),
+    pytest.param("draw_letters", ([], ()), (),
+                 id="draw_letters-args57-expected57"),
+    pytest.param("draw_letters", ([0.0], (True, -1)), (1,),
+                 id="draw_letters-args58-expected58"),
+    pytest.param("draw_letters", ([0.5], ()), ValueError,
+                 id="draw_letters-args59-ValueError"),
+    pytest.param("draw_letters", ([0.5, "x1"], ()), ValueError,
+                 id="draw_letters-args60-ValueError"),
+    pytest.param("draw_letters", ([0], PAIRS), TypeError,
+                 id="draw_letters-args61-TypeError"),
+    pytest.param("draw_letters", ([True], PAIRS), TypeError,
+                 id="draw_letters-args62-TypeError"),
+    pytest.param("draw_letters", ([0.5, "0.5"], PAIRS), TypeError,
+                 id="draw_letters-args63-TypeError"),
+    pytest.param("draw_letters", ([0.5, None], PAIRS), TypeError,
+                 id="draw_letters-args64-TypeError"),
+    pytest.param("draw_letters", ([1.0], PAIRS), ValueError,
+                 id="draw_letters-args65-ValueError"),
+    pytest.param("draw_letters", ([0.5, NAN], PAIRS), ValueError,
+                 id="draw_letters-args66-ValueError"),
+    pytest.param("draw_letters", ([-0.25], PAIRS), ValueError,
+                 id="draw_letters-args67-ValueError"),
+    pytest.param("draw_letters", ([float("inf")], PAIRS), ValueError,
+                 id="draw_letters-args68-ValueError"),
+    pytest.param("draw_letters", ([float("-inf")], PAIRS), ValueError,
+                 id="draw_letters-args69-ValueError"),
+    pytest.param("draw_letters", ([1.5, "x1"], PAIRS), ValueError,
+                 id="draw_letters-args70-ValueError"),
+    pytest.param("draw_letters", (["x1", 1.5], PAIRS), TypeError,
+                 id="draw_letters-args71-TypeError"),
+    pytest.param("draw_letters", ([0.5], (1, "x1")), TypeError,
+                 id="draw_letters-args72-TypeError"),
+    pytest.param("draw_letters", ([], (1, 2.0)), TypeError,
+                 id="draw_letters-args73-TypeError"),
+    pytest.param("draw_letters", ([NAN], (1, LONG_MIN)), OverflowError,
+                 id="draw_letters-args74-OverflowError"),
+    pytest.param("draw_letters", ([0.5], 5), TypeError,
+                 id="draw_letters-args75-TypeError"),
+    pytest.param("draw_letters", (5, PAIRS), TypeError,
+                 id="draw_letters-args76-TypeError"),
+    pytest.param("draw_letters", ([0.5],), TypeError,
+                 id="draw_letters-args77-TypeError"),
 ]
+
+
+def test_contract_ids_are_unique():
+    ids = [row.id for row in CONTRACT]
+    assert len(set(ids)) == len(ids)
 
 
 @pytest.mark.parametrize("name, args, expected", CONTRACT)
@@ -276,6 +361,29 @@ def test_cli_output_is_kernel_independent(run_cli, argv):
     assert compiled.returncode == pure.returncode
     # verify --json names the kernel that ran; everything else is byte-identical.
     assert compiled.stdout == pure.stdout.replace('"kernel": "py"', '"kernel": "c"')
+
+
+# Requests of every kind, a parse error and a usage error among them, sent
+# through one process the way the benchmark and the tests send them.
+MIXED_REQUESTS = [
+    CLI_RUNS["act"],
+    ["export", "sigma", "1", "--genus", "2", "--json"],
+    ["braid-trivial", "--strands", "3", "b1 b2 b1 b2^-1 b1^-1 b2^-1"],
+    CLI_RUNS["braid-trivial"],
+    ["verify", "--genus", "2..3", "--which", "thm22", "--json"],
+    ["verify", "--genus", "5..2", "--which", "thm22"],
+    ["verify", "--genus", "2", "--which", "thm22", "--jobs", "0"],
+    ["export", "sigma", "1", "--genus", "2", "--json"],
+]
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_one_process_matches_fresh_processes(run_cli, run_cli_many, backend):
+    results = run_cli_many(backend, MIXED_REQUESTS)
+    assert [code for code, _, _ in results] == [0, 0, 0, 1, 0, 2, 2, 0]
+    for argv, (code, out, err) in zip(MIXED_REQUESTS, results):
+        fresh = run_cli(backend, argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 @pytest.mark.parametrize("backend", ["py", "c"])
