@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
+from types import MappingProxyType
+from typing import Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
@@ -80,6 +82,16 @@ class BraidWord:
         return format_braid_word(self)
 
 
+@lru_cache(maxsize=None)
+def _braid_letter_table(strands: int) -> Mapping[str, int]:
+    """The braid letters on ``strands`` strands by canonical token (``b2^-1`` -> -2)."""
+    letters = {}
+    for k in range(1, strands):
+        letters[f"b{k}"] = k
+        letters[f"b{k}^-1"] = -k
+    return MappingProxyType(letters)
+
+
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid text; ``1`` denotes the empty braid."""
 
@@ -91,7 +103,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
             )
         return sign * index
 
-    return BraidWord(strands, tuple(_tokenize(text, "braid text", decode)))
+    letters = _braid_letter_table(strands)
+    return BraidWord(strands, tuple(_tokenize(text, "braid text", decode, letters)))
 
 
 def format_braid_word(b: BraidWord) -> str:

@@ -179,7 +179,9 @@ def _image(
     word: tuple[int, ...], table: Sequence[tuple[int, ...]], budget: int
 ) -> tuple[int, ...]:
     """``word`` through ``table``, or ImageBudgetError past ``budget`` letters."""
-    needed = sum([len(table[code if code > 0 else -code]) for code in word])
+    needed = 0
+    for code in word:
+        needed += len(table[code if code > 0 else -code])
     if needed > budget:
         raise ImageBudgetError(needed, budget)
     return _wordops.substitute(word, table)
@@ -194,8 +196,8 @@ def product(
     """The product f_1 f_2 ... f_n of ``factors``, rightmost acting first.
 
     ``product(basis, ())`` is the identity. The factors' code tables are
-    composed directly; a generator a factor fixes keeps its accumulated
-    image without a substitution.
+    composed directly: each step substitutes only the generators its
+    factor moves, and a generator it fixes keeps its accumulated image.
     Raises ``ImageBudgetError`` before materializing an image whose
     unreduced size exceeds ``budget``, and after any step whose images
     total more than ``budget`` letters.
@@ -206,24 +208,27 @@ def product(
     if not factors:
         return FreeEndomorphism.identity(basis)
     codes = [sym.code for sym in basis.symbols]
-    letters = [(code, (code,)) for code in codes]
-
-    def check_total(table):
-        total = sum([len(table[code]) for code in codes])
+    # id of a factor's table -> the (code, image) rows it moves, in basis order;
+    # ``factors`` keeps every table alive, so no id is reused within the call
+    moved: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    table = factors[0].table
+    total = sum([len(table[code]) for code in codes])
+    if total > budget:
+        raise ImageBudgetError(total, budget)
+    for f in factors[1:]:
+        rows = moved.get(id(f.table))
+        if rows is None:
+            rows = moved[id(f.table)] = [
+                (code, f.table[code]) for code in codes if f.table[code] != (code,)
+            ]
+        step = list(table)
+        for code, img in rows:
+            new = _image(img, table, budget)
+            total += len(new) - len(table[code])
+            step[code] = new
+        table = tuple(step)
         if total > budget:
             raise ImageBudgetError(total, budget)
-
-    table = factors[0].table
-    check_total(table)
-    for f in factors[1:]:
-        step = list(table)
-        for code, letter in letters:
-            img = f.table[code]
-            if img == letter:  # f fixes this generator
-                continue
-            step[code] = _image(img, table, budget)
-        table = tuple(step)
-        check_total(table)
     return FreeEndomorphism(basis, table)
 
 

@@ -115,7 +115,7 @@ def parse_twist_word(text: str, genus: int) -> TwistWord:
             raise WordSyntaxError(str(exc), pos) from None
         return sym
 
-    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode)))
+    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode, {})))
 
 
 def format_twist_word(tw: TwistWord) -> str:
@@ -157,7 +157,7 @@ def word_with_z(text: str, genus: int) -> Word:
         z = z_loop(index, genus)
         return (z if sign > 0 else z.inverse()).data
 
-    pieces = _tokenize(text, "word text", decode)
+    pieces = _tokenize(text, "word text", decode, {})
     codes = [code for piece in pieces for code in piece]
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 

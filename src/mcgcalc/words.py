@@ -20,7 +20,8 @@ a basis admits and what they are called.
 Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
 ``1`` denotes the identity. ``_tokenize`` reads this text and the twist,
-braid and z-word text alike; each grammar supplies only a token decoder.
+braid and z-word text alike; each grammar supplies only a token decoder
+and a table of its canonical tokens, which may be empty.
 Every token of every grammar has one shape, a name, a decimal index and
 an optional ``^-1``, and ``_split_token`` is its one reader.
 """
@@ -227,14 +228,25 @@ class Word:
 _TOKEN_RE = re.compile(r"([a-z]+)([0-9]+)(\^-1)?")
 
 
-def _tokenize(text: str, what: str, decode: Callable[[str, int], Any]) -> list:
+def _tokenize(
+    text: str, what: str, decode: Callable[[str, int], Any], table: Mapping[str, Any]
+) -> list:
     """Decode every whitespace-separated token of ``text``, left to right.
 
     This is the one reader of word, twist, braid and z-word text.
-    ``decode(token, offset)`` returns the token's value or raises
-    ``WordSyntaxError`` at that offset. The text ``1`` alone gives no
-    values (the identity); text without tokens is an error naming ``what``.
+    ``table`` maps canonical token spellings to their values; when every
+    token is in it, the values come straight from it. Otherwise each
+    token goes through ``decode(token, offset)``, which returns its value
+    or raises ``WordSyntaxError`` at that offset. The text ``1`` alone
+    gives no values (the identity); text without tokens is an error
+    naming ``what``.
     """
+    tokens = text.split()
+    if tokens:
+        try:
+            return list(map(table.__getitem__, tokens))
+        except KeyError:
+            pass
     if text.strip() == "1":
         return []
     values = [decode(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
@@ -326,7 +338,8 @@ def parse_word(text: str, basis: Basis) -> Word:
     Raises ``WordSyntaxError`` (with the character offset) for malformed
     tokens or indices the basis does not admit.
     """
-    codes = _tokenize(text, "word text", _letter_decoder(basis))
+    letters = _letter_table(basis)[0]
+    codes = _tokenize(text, "word text", _letter_decoder(basis), letters)
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 
 

@@ -3,8 +3,11 @@
 When ``mcgcalc._wordops_c`` is not built in place, the kernel source is
 compiled into a temporary directory in a subprocess (so no build warning
 reaches the suite), and tests that need it skip only without a C compiler.
+An importable build older than the kernel source stops the run before any
+test: every test would otherwise run a kernel built from other code.
 """
 
+import importlib.machinery
 import importlib.util
 import json
 import os
@@ -19,6 +22,20 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 KERNEL_SOURCE = SRC / "mcgcalc" / "_wordops_c.c"
+
+
+def pytest_sessionstart(session):
+    # find the importable build without importing mcgcalc, which loads it
+    package = importlib.util.find_spec("mcgcalc")
+    spec = package and importlib.machinery.PathFinder.find_spec(
+        "mcgcalc._wordops_c", package.submodule_search_locations
+    )
+    if spec and os.path.getmtime(spec.origin) < os.path.getmtime(KERNEL_SOURCE):
+        pytest.exit(
+            f"the compiled kernel {spec.origin} is older than {KERNEL_SOURCE}; "
+            "rebuild it with `python setup.py build_ext --inplace --force`",
+            returncode=pytest.ExitCode.USAGE_ERROR,
+        )
 
 
 def c_compiler():

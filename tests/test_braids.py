@@ -1,8 +1,10 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mcgcalc import _wordops
 from mcgcalc import (
     Basis,
     BasisMismatchError,
@@ -82,6 +84,26 @@ def test_equivalent_words_have_equal_actions():
             v = insert_relations(u, 12, rng)
             assert artin_action(u) == artin_action(v)
             assert is_trivial_braid(u * v.inverse())
+
+
+# perfbench takes its wordops.*.c_over_py kernel comparison only from the
+# substitute calls it traces, so products of braid generators must go through
+# _wordops.substitute, one call per row a factor moves: a product that bypasses
+# it leaves the braid-pairs results without those metrics.
+@given(strands=st.integers(2, 6), length=st.integers(1, 14), seed=st.integers(0, 2**32))
+def test_word_problem_substitutes_two_rows_per_later_letter(strands, length, seed):
+    b = random_braid_word(strands, length, random.Random(seed))
+    substitute = _wordops.substitute
+    calls = []
+
+    def counting(word, table):
+        calls.append(word)
+        return substitute(word, table)
+
+    with mock.patch.object(_wordops, "substitute", counting):
+        is_trivial_braid(b)
+    # the first factor's table is taken as it is; each later one moves two rows
+    assert len(calls) == 2 * (len(b) - 1)
 
 
 def test_free_reduce():

@@ -1,12 +1,16 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from mcgcalc import _wordops
+from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
     BasisMismatchError,
     BraidWord,
+    DEFAULT_IMAGE_BUDGET,
     FreeEndomorphism,
     ImageBudgetError,
     TwistKind,
@@ -122,6 +126,80 @@ def test_product_matches_applying_factors_right_to_left(factors, w):
     for f in reversed(factors):
         expected = f.apply(expected)
     assert product(XY2, factors).apply(w) == expected
+
+
+def reference_product(basis, factors, budget, sizes):
+    """``product``'s step loop as it was before it stepped only the moved rows,
+    kept as the reference: every step copies the table, compares every row
+    with its generator and sums every image for the budget. Each size checked
+    against the budget is appended to ``sizes``."""
+    codes = [sym.code for sym in basis.symbols]
+    letters = [(code, (code,)) for code in codes]
+
+    def check(size):
+        sizes.append(size)
+        if size > budget:
+            raise ImageBudgetError(size, budget)
+
+    def check_total(table):
+        check(sum([len(table[code]) for code in codes]))
+
+    def image(word, table):
+        check(sum([len(table[code if code > 0 else -code]) for code in word]))
+        return _wordops.substitute(word, table)
+
+    table = factors[0].table
+    check_total(table)
+    for f in factors[1:]:
+        step = list(table)
+        for code, letter in letters:
+            img = f.table[code]
+            if img == letter:  # f fixes this generator
+                continue
+            step[code] = image(img, table)
+        table = tuple(step)
+        check_total(table)
+    return FreeEndomorphism(basis, table)
+
+
+def budget_outcome(evaluate, *args, **kwargs):
+    try:
+        return evaluate(*args, **kwargs)
+    except ImageBudgetError as exc:
+        return ("budget", exc.needed, exc.budget)
+
+
+# A row is either fixed (None) or a short image, so factors fix some rows,
+# move others, and now and then move every row.
+AB3 = Basis.abstract(3)
+ENDOS_AB3 = st.lists(
+    st.one_of(st.none(), words(AB3, max_size=5)), min_size=3, max_size=3
+).map(
+    lambda rows: FreeEndomorphism.from_images(
+        AB3,
+        {sym.name: w for sym, w in zip(AB3.symbols, rows) if w is not None},
+        fix_unlisted=True,
+    )
+)
+
+
+@given(
+    pool=st.lists(ENDOS_AB3, min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_product_matches_the_full_step_loop(compiled_kernel, pool, picks, data):
+    # factors repeat, as the generators of a braid or twist word do
+    factors = [pool[k % len(pool)] for k in picks]
+    sizes = []
+    reference_product(AB3, factors, DEFAULT_IMAGE_BUDGET, sizes)
+    # a budget at or just below one of the sizes the steps check
+    budget = max(0, data.draw(st.sampled_from(sizes)) - data.draw(st.integers(0, 1)))
+    for kernel in (py, compiled_kernel):
+        with mock.patch.object(_wordops, "substitute", kernel.substitute):
+            expected = budget_outcome(reference_product, AB3, factors, budget, [])
+            got = budget_outcome(product, AB3, factors, budget=budget)
+        assert got == expected, kernel.BACKEND
 
 
 def test_product_rejects_basis_mismatch():
@@ -266,6 +344,23 @@ def test_compose_respects_budget():
             10,
             15,
         ),
+        # the second factor's moved rows both exceed; the first in basis order reports
+        (
+            lambda budget: product(
+                AB3,
+                [
+                    FreeEndomorphism.from_images(
+                        AB3, {"al1": "al1 al2 al3"}, fix_unlisted=True
+                    ),
+                    FreeEndomorphism.from_images(
+                        AB3, {"al1": "al1 al1", "al2": "al1 al2 al1"}, fix_unlisted=True
+                    ),
+                ],
+                budget=budget,
+            ),
+            5,
+            6,
+        ),
     ],
     ids=[
         "evaluate_twist_word",
@@ -273,6 +368,7 @@ def test_compose_respects_budget():
         "is_trivial_braid",
         "power",
         "conjugate_to_yz",
+        "product",
     ],
 )
 def test_products_respect_budget_argument(evaluate, budget, needed):

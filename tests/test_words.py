@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgcalc import _wordops, pillars
+from mcgcalc import _wordops, braids, pillars, words as words_module
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
@@ -23,6 +23,7 @@ from mcgcalc import (
     verify_yz_roundtrip,
     word_with_z,
 )
+from mcgcalc.words import _tokenize
 
 XY2 = Basis.xy(2)
 YZ2 = Basis.yz(2)
@@ -284,6 +285,66 @@ def test_parse_reads_the_name_before_the_index(parse, text, arg, message):
         parse(text, arg)
     assert str(excinfo.value) == f"{message} {text!r} (at position 0)"
     assert excinfo.value.position == 0
+
+
+# Unicode whitespace that str.split() and the offset path's \S+ both split on
+SPACES = [" ", "\t", "\n", "\xa0", "\x1c", "\x85", "\u3000"]
+
+# (parser, its argument, the module whose _tokenize it calls, the canonical
+# tokens, other tokens): other spellings, "1", foreign and out-of-range tokens
+TABLE_GRAMMARS = {
+    "word": (
+        parse_word,
+        XY2,
+        words_module,
+        ["x1", "x1^-1", "y1", "y1^-1", "x2", "x2^-1", "y2", "y2^-1"],
+        ["x01", "y002^-1", "x007", "1", "x0", "x3", "z1^-1", "q7", "al1", "b1",
+         "x1^-2", "x", "^-1"],
+    ),
+    "braid": (
+        parse_braid_word,
+        4,
+        braids,
+        ["b1", "b1^-1", "b2", "b2^-1", "b3", "b3^-1"],
+        ["b01", "b003^-1", "1", "b0", "b4", "b9^-1", "a1", "bb1", "x1", "b1^1", "b"],
+    ),
+}
+
+
+@st.composite
+def token_texts(draw, canonical, other):
+    """Canonical tokens, alone or mixed with ``other`` ones, between runs of
+    SPACES; the ends may be bare."""
+    tokens = st.sampled_from(canonical)
+    if draw(st.booleans()):
+        tokens |= st.sampled_from(other)
+    picked = draw(st.lists(tokens, max_size=8))
+    gaps = st.text(st.sampled_from(SPACES), max_size=3)
+    text = draw(gaps)
+    for k, token in enumerate(picked):
+        text += token + (draw(gaps) or " " if k < len(picked) - 1 else "")
+    return text + draw(gaps)
+
+
+def parse_outcome(parse, text, arg):
+    try:
+        return parse(text, arg)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@pytest.mark.parametrize("grammar", TABLE_GRAMMARS)
+@given(data=st.data())
+def test_tokenizer_table_matches_the_offset_path(grammar, data):
+    parse, arg, module, canonical, other = TABLE_GRAMMARS[grammar]
+    text = data.draw(token_texts(canonical, other))
+
+    def offset_path(text, what, decode, table):
+        return _tokenize(text, what, decode, {})
+
+    expected = parse_outcome(parse, text, arg)
+    with mock.patch.object(module, "_tokenize", offset_path):
+        assert parse_outcome(parse, text, arg) == expected
 
 
 def test_format_parse_canonicalizes():
