@@ -12,7 +12,20 @@
  * read inside the loops, so no Python code runs there and borrowed items
  * stay valid.
  *
- * ``setup.py build_ext --inplace`` builds it; by hand:
+ * Boxing is the per-letter cost, so both ends of it skip the C API where
+ * they can. ``fast_letter`` reads an exact int of at most one digit
+ * straight from the object: ``ob_digit`` and the sign of ``ob_size`` up to
+ * 3.11, ``PyUnstable_Long_IsCompact``/``CompactValue`` from 3.12, where
+ * that layout changed (the guard is on PY_VERSION_HEX; the 3.11 read does
+ * not compile against the later headers). Bools, int subclasses, larger
+ * ints and non-ints take ``read_letter``'s checked path with its
+ * exceptions. Results take their letters from a table of boxed ints for
+ * [-SHARED_EDGE, SHARED_EDGE], filled when the module is executed and
+ * released with it (module state); a letter outside it is boxed anew.
+ *
+ * ``setup.py build_ext --inplace`` builds it and defines SOURCE_SHA256,
+ * the sha256 of this file, which the test suite compares with the source
+ * to find a stale build; by hand:
  *     cc -O2 -shared -fPIC -I<python include> _wordops_c.c \
  *        -o _wordops_c$(python3-config --extension-suffix)
  */
@@ -21,13 +34,56 @@
 #include <Python.h>
 #include <limits.h>
 
+/* A build by hand does not know its source's hash. */
+#ifndef SOURCE_SHA256
+#define SOURCE_SHA256 "unknown"
+#endif
+
+/* Results share the boxed letters in [-SHARED_EDGE, SHARED_EDGE]. */
+#define SHARED_EDGE 1024
+
+typedef struct {
+    PyObject *letters[2 * SHARED_EDGE + 1];  /* letters[v + SHARED_EDGE] is v */
+} KernelState;
+
+/* Reads an exact int of at most one digit into *out without a call and
+ * returns 1; returns 0 for any other object, which then takes the checked
+ * path. Such a value is below 2**30 in size, so it is never LONG_MIN. */
+static inline int
+fast_letter(PyObject *obj, long *out)
+{
+    if (!PyLong_CheckExact(obj)) {
+        return 0;
+    }
+#if PY_VERSION_HEX >= 0x030C0000
+    if (!PyUnstable_Long_IsCompact((PyLongObject *)obj)) {
+        return 0;
+    }
+    *out = (long)PyUnstable_Long_CompactValue((PyLongObject *)obj);
+#else
+    {
+        Py_ssize_t size = Py_SIZE(obj);
+
+        if (size < -1 || size > 1) {
+            return 0;
+        }
+        /* Zero may have no digit allocated at all. */
+        *out = size == 0 ? 0 : (long)size * (long)((PyLongObject *)obj)->ob_digit[0];
+    }
+#endif
+    return 1;
+}
+
 /* Reads one letter into *out; returns -1 with an exception set on failure. */
-static int
+static inline int
 read_letter(PyObject *obj, long *out)
 {
     int overflow;
     long value;
 
+    if (fast_letter(obj, out)) {
+        return 0;
+    }
     if (!PyLong_Check(obj)) {
         PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
                      Py_TYPE(obj)->tp_name);
@@ -93,15 +149,29 @@ stack_push(Stack *st, long t)
     }
 }
 
+/* A new reference to the int v: the shared one when it has one. */
+static inline PyObject *
+box_letter(KernelState *state, long v)
+{
+    /* Unsigned, so that no v overflows: true iff |v| <= SHARED_EDGE. */
+    if ((unsigned long)v + SHARED_EDGE <= 2 * SHARED_EDGE) {
+        PyObject *letter = state->letters[v + SHARED_EDGE];
+
+        Py_INCREF(letter);
+        return letter;
+    }
+    return PyLong_FromLong(v);
+}
+
 /* The stack as a tuple of ints; frees the stack either way. */
 static PyObject *
-stack_finish(Stack *st)
+stack_finish(KernelState *state, Stack *st)
 {
     PyObject *out = PyTuple_New(st->top);
     Py_ssize_t i;
 
     for (i = 0; out != NULL && i < st->top; i++) {
-        PyObject *letter = PyLong_FromLong(st->items[i]);
+        PyObject *letter = box_letter(state, st->items[i]);
         if (letter == NULL) {
             Py_CLEAR(out);
         }
@@ -128,7 +198,7 @@ PyDoc_STRVAR(reduce_letters_doc,
 "Freely reduce a letter sequence (single left-to-right stack scan).");
 
 static PyObject *
-reduce_letters(PyObject *Py_UNUSED(module), PyObject *seq)
+reduce_letters(PyObject *module, PyObject *seq)
 {
     Stack st = {NULL, 0, 0};
     PyObject *fast = PySequence_Fast(seq, "reduce_letters expects an iterable");
@@ -148,7 +218,7 @@ reduce_letters(PyObject *Py_UNUSED(module), PyObject *seq)
         stack_push(&st, s);
     }
     Py_DECREF(fast);
-    return stack_finish(&st);
+    return stack_finish(PyModule_GetState(module), &st);
 fail:
     Py_DECREF(fast);
     PyMem_Free(st.items);
@@ -218,7 +288,7 @@ PyDoc_STRVAR(substitute_doc,
 "result does. ``images`` and each image are tuples or lists.");
 
 static PyObject *
-substitute(PyObject *Py_UNUSED(module), PyObject *const *args,
+substitute(PyObject *module, PyObject *const *args,
            Py_ssize_t nargs)
 {
     Stack st = {NULL, 0, 0};
@@ -243,14 +313,17 @@ substitute(PyObject *Py_UNUSED(module), PyObject *const *args,
         PyObject *img, **items;
         int overflow;
 
-        if (!PyLong_Check(code)) {
-            PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
-                         Py_TYPE(code)->tp_name);
-            goto fail;
-        }
-        s = PyLong_AsLongAndOverflow(code, &overflow);
-        if (s == -1 && PyErr_Occurred()) {
-            goto fail;
+        overflow = 0;
+        if (!fast_letter(code, &s)) {
+            if (!PyLong_Check(code)) {
+                PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
+                             Py_TYPE(code)->tp_name);
+                goto fail;
+            }
+            s = PyLong_AsLongAndOverflow(code, &overflow);
+            if (s == -1 && PyErr_Occurred()) {
+                goto fail;
+            }
         }
         /* Code 0 reads images[0], as ``images[-s]`` does in the pure kernel. */
         if (overflow || s == LONG_MIN
@@ -286,7 +359,7 @@ substitute(PyObject *Py_UNUSED(module), PyObject *const *args,
         }
     }
     Py_DECREF(word);
-    return stack_finish(&st);
+    return stack_finish(PyModule_GetState(module), &st);
 fail:
     Py_DECREF(word);
     PyMem_Free(st.items);
@@ -302,9 +375,10 @@ PyDoc_STRVAR(draw_letters_doc,
 "holds floats; ``letters`` is read whole before the first draw.");
 
 static PyObject *
-draw_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
+draw_letters(PyObject *module, PyObject *const *args,
              Py_ssize_t nargs)
 {
+    KernelState *state = PyModule_GetState(module);
     PyObject *uniforms, *letters, *out = NULL;
     long *table = NULL;
     Py_ssize_t i, j, k = 0, m, n;
@@ -368,7 +442,7 @@ draw_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
             PyErr_SetString(PyExc_IndexError, "draw past the end of the letters");
             goto fail;
         }
-        letter = PyLong_FromLong(table[k]);
+        letter = box_letter(state, table[k]);
         if (letter == NULL) {
             goto fail;
         }
@@ -398,7 +472,33 @@ static PyMethodDef methods[] = {
 static int
 exec_module(PyObject *module)
 {
+    KernelState *state = PyModule_GetState(module);
+    long v;
+
+    for (v = -SHARED_EDGE; v <= SHARED_EDGE; v++) {
+        state->letters[v + SHARED_EDGE] = PyLong_FromLong(v);
+        if (state->letters[v + SHARED_EDGE] == NULL) {
+            return -1;
+        }
+    }
+    if (PyModule_AddStringConstant(module, "_SOURCE",
+                                   "_wordops_c.c sha256=" SOURCE_SHA256) < 0) {
+        return -1;
+    }
     return PyModule_AddStringConstant(module, "BACKEND", "c");
+}
+
+/* Drops the shared letters; a failed exec_module may have filled only some
+ * (the state starts zeroed, and m_free only runs once it is allocated). */
+static void
+free_module(void *module)
+{
+    KernelState *state = PyModule_GetState((PyObject *)module);
+    int i;
+
+    for (i = 0; i < 2 * SHARED_EDGE + 1; i++) {
+        Py_CLEAR(state->letters[i]);
+    }
 }
 
 static PyModuleDef_Slot slots[] = {
@@ -408,8 +508,8 @@ static PyModuleDef_Slot slots[] = {
 
 static struct PyModuleDef moduledef = {
     PyModuleDef_HEAD_INIT, "_wordops_c",
-    "Compiled word kernel; twin of _wordops_py.", 0, methods, slots,
-    NULL, NULL, NULL,
+    "Compiled word kernel; twin of _wordops_py.", sizeof(KernelState),
+    methods, slots, NULL, NULL, free_module,
 };
 
 PyMODINIT_FUNC

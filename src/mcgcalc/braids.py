@@ -126,10 +126,11 @@ def artin_action(
     b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> FreeEndomorphism:
     """The Artin automorphism of the rank-n free group, rightmost letter first."""
+    generators = {
+        k: _artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in set(b.letters)
+    }
     return product(
-        Basis.abstract(b.strands),
-        [_artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in b.letters],
-        budget=budget,
+        Basis.abstract(b.strands), [generators[k] for k in b.letters], budget=budget
     )
 
 

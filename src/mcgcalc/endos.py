@@ -202,8 +202,9 @@ def product(
     unreduced size exceeds ``budget``, and after any step whose images
     total more than ``budget`` letters.
     """
-    for f in factors:
-        if f.basis != basis:
+    # a product repeats a few generators: compare each distinct factor once
+    for f in {id(f): f for f in factors}.values():
+        if f.basis is not basis and f.basis != basis:
             raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
     if not factors:
         return FreeEndomorphism.identity(basis)

@@ -3,14 +3,18 @@
 When ``mcgcalc._wordops_c`` is not built in place, the kernel source is
 compiled into a temporary directory in a subprocess (so no build warning
 reaches the suite), and tests that need it skip only without a C compiler.
-An importable build older than the kernel source stops the run before any
-test: every test would otherwise run a kernel built from other code.
+An importable build from other source stops the run before any test: every
+test would otherwise run a kernel built from other code. ``setup.py``
+records the sha256 of the source in the build, and that hash must match;
+a build by hand records none and must not be older than the source.
 """
 
+import hashlib
 import importlib.machinery
 import importlib.util
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -24,16 +28,32 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 KERNEL_SOURCE = SRC / "mcgcalc" / "_wordops_c.c"
 
 
+# The source tag the kernel keeps in its binary (its ``_SOURCE`` attribute).
+SOURCE_TAG = re.compile(rb"_wordops_c\.c sha256=([0-9a-f]{64}|unknown)")
+
+
+def stale_kernel_reason(build, source=KERNEL_SOURCE):
+    """Why the compiled kernel at ``build`` was not built from ``source``, or None."""
+    tag = SOURCE_TAG.search(Path(build).read_bytes())
+    if tag is None or tag[1] == b"unknown":
+        if os.path.getmtime(build) < os.path.getmtime(source):
+            return f"the compiled kernel {build} is older than {source}"
+        return None
+    if tag[1].decode() != hashlib.sha256(Path(source).read_bytes()).hexdigest():
+        return f"the compiled kernel {build} was built from other source than {source}"
+    return None
+
+
 def pytest_sessionstart(session):
     # find the importable build without importing mcgcalc, which loads it
     package = importlib.util.find_spec("mcgcalc")
     spec = package and importlib.machinery.PathFinder.find_spec(
         "mcgcalc._wordops_c", package.submodule_search_locations
     )
-    if spec and os.path.getmtime(spec.origin) < os.path.getmtime(KERNEL_SOURCE):
+    reason = spec and stale_kernel_reason(spec.origin)
+    if reason:
         pytest.exit(
-            f"the compiled kernel {spec.origin} is older than {KERNEL_SOURCE}; "
-            "rebuild it with `python setup.py build_ext --inplace --force`",
+            f"{reason}; rebuild it with `python setup.py build_ext --inplace --force`",
             returncode=pytest.ExitCode.USAGE_ERROR,
         )
 

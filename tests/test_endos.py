@@ -207,6 +207,19 @@ def test_product_rejects_basis_mismatch():
         product(Basis.xy(3), [A1])
 
 
+def test_product_rejects_a_late_basis_mismatch_before_any_step():
+    late = dehn_twist_action(TwistSymbol(TwistKind.A, 1), 3)
+    # budget 1 fails the first step, so the mismatch must be found before it
+    with pytest.raises(BasisMismatchError, match=r"xy\(3\)"):
+        product(XY2, [A1, B1, W1] * 20 + [late], budget=1)
+
+
+def test_product_accepts_an_equal_basis_object():
+    twin = FreeEndomorphism(Basis.xy(2), A1.table)
+    assert twin.basis is not XY2
+    assert product(XY2, [twin, A1]) == A1.compose(A1)
+
+
 # --- equality ------------------------------------------------------------------
 
 

@@ -8,16 +8,25 @@ place.
 """
 
 import ctypes
+import enum
+import hashlib
+import os
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import c_compiler, compile_kernel
+from conftest import KERNEL_SOURCE, c_compiler, compile_kernel, stale_kernel_reason
 from mcgcalc import _wordops_py as py
 
 RANK = 6
 LONG_MIN = -(1 << (8 * ctypes.sizeof(ctypes.c_long) - 1))
 LONG_MAX = -LONG_MIN - 1
+# The compiled kernel's results share the boxed letters in [-EDGE, EDGE]
+# (SHARED_EDGE in _wordops_c.c), and it reads an int of one 30-bit digit,
+# below ONE_DIGIT in size, without a call.
+EDGE = 1024
+ONE_DIGIT = 1 << 30
 
 letters = st.integers(-RANK, RANK).filter(bool)
 unreduced = st.lists(letters, max_size=40)
@@ -80,6 +89,56 @@ def test_kernels_agree_on_faulty_input(compiled_kernel, u, v, table):
         assert outcome(getattr(compiled_kernel, name), *args) == outcome(
             getattr(py, name), *args
         ), name
+
+
+# Letters on both sides of the shared table's edge and of the one-digit
+# read, where the compiled kernel changes path, and any letter between.
+EDGES = [
+    s * m
+    for m in (EDGE - 1, EDGE, EDGE + 1, ONE_DIGIT - 1, ONE_DIGIT, LONG_MAX)
+    for s in (1, -1)
+]
+wide_letters = st.one_of(
+    st.integers(-4 * EDGE, 4 * EDGE).filter(bool), st.sampled_from(EDGES)
+)
+wide_words = st.lists(wide_letters, max_size=40)
+
+
+@given(
+    u=wide_words,
+    v=wide_words,
+    word=unreduced,
+    table=st.lists(wide_words, min_size=RANK, max_size=RANK),
+    draws=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+)
+def test_kernels_agree_past_the_shared_letters(compiled_kernel, u, v, word, table, draws):
+    images = [(), *map(tuple, table)]
+    calls = [
+        ("reduce_letters", (u,)),
+        ("reduce_letters", (u + [-s for s in reversed(v)] + v,)),
+        ("concat_reduced", (py.reduce_letters(u), py.reduce_letters(v))),
+        ("substitute", (word, images)),
+        ("draw_letters", (draws, tuple(u))),
+    ]
+    for name, args in calls:
+        assert outcome(getattr(compiled_kernel, name), *args) == outcome(
+            getattr(py, name), *args
+        ), name
+
+
+def test_shared_letters_keep_their_reference_count(compiled_kernel):
+    # -7 is outside CPython's own small ints, so only the kernel shares it.
+    letter = compiled_kernel.reduce_letters([-7])[0]
+    baseline = sys.getrefcount(letter)
+    results = [
+        *(compiled_kernel.substitute((1, 2), [(), (-7, 3), (-3,)]) for _ in range(10**4)),
+        *(compiled_kernel.draw_letters([0.0], (-7, 7)) for _ in range(10**4)),
+        *(compiled_kernel.reduce_letters([-7]) for _ in range(10**4)),
+    ]
+    assert set(results) == {(-7,)}
+    assert sys.getrefcount(letter) >= baseline + 3 * 10**4  # the results share it
+    del results
+    assert sys.getrefcount(letter) == baseline
 
 
 uniforms = st.floats(0.0, 1.0, exclude_max=True)
@@ -312,6 +371,53 @@ CONTRACT += [
 ]
 
 
+# Both sides of the shared letters' edge and of the one-digit read, and
+# letters of an int subclass, which the compiled kernel reads on its
+# checked path; results hold plain ints either way.
+class Gen(enum.IntEnum):
+    A = 1
+    B = 2
+
+
+N, D = EDGE, ONE_DIGIT
+EDGE_IMAGES = [(), (N, -(N + 1)), *[(k,) for k in range(2, N + 2)]]
+CONTRACT += [
+    pytest.param("reduce_letters", ([N, N + 1, -(N + 1), -N, -N, N + 1],), (-N, N + 1),
+                 id="reduce_letters-shared-edge"),
+    pytest.param("concat_reduced", ((-N, -(N + 1)), (N + 1, -N)), (-N, -N),
+                 id="concat_reduced-shared-edge"),
+    pytest.param("substitute", ((1, N + 1, -N, -1), EDGE_IMAGES), (N + 1, -N),
+                 id="substitute-shared-edge"),
+    pytest.param("substitute", ((N + 1, -(N + 1)), EDGE_IMAGES[:-1]), IndexError,
+                 id="substitute-word-letter-past-shared-edge"),
+    pytest.param("draw_letters", ([0.0, 0.5, 0.99, 0.0], (-N, N, -(N + 1), N + 1)),
+                 (-N, -(N + 1), -(N + 1), -N),
+                 id="draw_letters-shared-edge"),
+    pytest.param("reduce_letters", ([D - 1, -D, D, D, -(D - 1), -D],),
+                 (D - 1, D, -(D - 1), -D),
+                 id="reduce_letters-one-digit-edge"),
+    pytest.param("concat_reduced", ((-(D - 1), -D), (D, -(D - 1))), (-(D - 1), -(D - 1)),
+                 id="concat_reduced-one-digit-edge"),
+    pytest.param("substitute", ((1, 2, -1), [(), (D - 1, -D), (D, D)]),
+                 (D - 1, D, D, -(D - 1)),
+                 id="substitute-one-digit-edge"),
+    pytest.param("substitute", ((D - 1,), [(), (1,)]), IndexError,
+                 id="substitute-word-letter-of-one-digit"),
+    pytest.param("substitute", ((-D,), [(), (1,)]), IndexError,
+                 id="substitute-word-letter-of-two-digits"),
+    pytest.param("draw_letters", ([0.0, 0.75], (D - 1, -(D - 1), D, -D)), (D - 1, -D),
+                 id="draw_letters-one-digit-edge"),
+    pytest.param("reduce_letters", ([Gen.B, Gen.A, -1],), (2,),
+                 id="reduce_letters-int-enum"),
+    pytest.param("concat_reduced", ((1, Gen.B), (-2, 3)), (1, 3),
+                 id="concat_reduced-int-enum"),
+    pytest.param("substitute", ((Gen.B, -1), [(), (Gen.A, 3), (Gen.B,)]), (2, -3, -1),
+                 id="substitute-int-enum"),
+    pytest.param("draw_letters", ([0.0, 0.5], (Gen.A, -1, Gen.B, -2)), (1, 2),
+                 id="draw_letters-int-enum"),
+]
+
+
 def test_contract_ids_are_unique():
     ids = [row.id for row in CONTRACT]
     assert len(set(ids)) == len(ids)
@@ -342,6 +448,34 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     _, proc = compile_kernel(compiler, tmp_path, ["-Wall", "-Wextra"])
     assert proc.returncode == 0, proc.stderr
     assert "_wordops_c.c" not in proc.stderr, proc.stderr
+
+
+def test_stale_build_is_found_by_source_hash(tmp_path):
+    compiler = c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    source = tmp_path / KERNEL_SOURCE.name
+    source.write_bytes(KERNEL_SOURCE.read_bytes())
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()
+    hashed, proc = compile_kernel(compiler, tmp_path, ["-O0", f'-DSOURCE_SHA256="{digest}"'])
+    assert proc.returncode == 0, proc.stderr
+    assert stale_kernel_reason(hashed, source) is None
+    # later source that the build does not come from, whatever the mtimes say
+    source.write_bytes(source.read_bytes() + b"\n")
+    os.utime(source, (0, 0))
+    assert "other source" in stale_kernel_reason(hashed, source)
+
+
+def test_stale_build_by_hand_is_found_by_mtime(tmp_path):
+    compiler = c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    by_hand, proc = compile_kernel(compiler, tmp_path, ["-O0"])
+    assert proc.returncode == 0, proc.stderr
+    assert stale_kernel_reason(by_hand, KERNEL_SOURCE) is None
+    built = os.path.getmtime(KERNEL_SOURCE) - 10
+    os.utime(by_hand, (built, built))
+    assert "older than" in stale_kernel_reason(by_hand, KERNEL_SOURCE)
 
 
 # --- both kernels end to end ----------------------------------------------------
