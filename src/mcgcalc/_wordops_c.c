@@ -3,14 +3,20 @@
  * Twin of ``_wordops_py``: the same four functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel. Three ops reduce, join and
- * substitute words; ``draw_letters`` turns uniform draws into the letters
- * of a random reduced word.
+ * substitute words; ``draw_letters`` calls a uniform source, such as a
+ * bound ``Random.random``, and turns its draws into the letters of a
+ * random reduced word.
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
- * one outside that range raises OverflowError. Only ints and floats are
- * read inside the loops, so no Python code runs there and borrowed items
- * stay valid.
+ * one outside that range raises OverflowError. Only ints are read inside
+ * the three word loops, so no Python code runs there and borrowed items
+ * stay valid. ``draw_letters`` runs Python code once per letter: its loop
+ * calls ``random`` with ``PyObject_CallNoArgs``. It copies the letters
+ * into a C array before the first call and keeps the drawn letters in a
+ * C array until the last, so that call sees none of its state. Each draw
+ * is an owned reference: it must be a float in [0, 1), its value is read,
+ * and it is released before the next call, on failure too.
  *
  * Boxing is the per-letter cost, so both ends of it skip the C API where
  * they can. ``fast_letter`` reads an exact int of at most one digit
@@ -184,11 +190,11 @@ stack_finish(KernelState *state, Stack *st)
 }
 
 static int
-check_nargs(const char *name, Py_ssize_t nargs)
+check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t expected)
 {
-    if (nargs != 2) {
-        PyErr_Format(PyExc_TypeError, "%s() takes 2 arguments (%zd given)",
-                     name, nargs);
+    if (nargs != expected) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, expected, nargs);
         return -1;
     }
     return 0;
@@ -236,7 +242,7 @@ concat_reduced(PyObject *Py_UNUSED(module), PyObject *const *args,
     Py_ssize_t i, j = 0;
     long a, b;
 
-    if (check_nargs("concat_reduced", nargs) < 0) {
+    if (check_nargs("concat_reduced", nargs, 2) < 0) {
         return NULL;
     }
     fu = PySequence_Fast(args[0], "concat_reduced expects sequences");
@@ -296,7 +302,7 @@ substitute(PyObject *module, PyObject *const *args,
     Py_ssize_t i, k, m;
     long s, t;
 
-    if (check_nargs("substitute", nargs) < 0) {
+    if (check_nargs("substitute", nargs, 2) < 0) {
         return NULL;
     }
     images = args[1];
@@ -367,64 +373,71 @@ fail:
 }
 
 PyDoc_STRVAR(draw_letters_doc,
-"Chain uniform draws from [0, 1) into the letters of a reduced word.\n\n"
+"Chain ``length`` calls of ``random()`` into the letters of a reduced word.\n\n"
 "``letters`` lists each letter next to its inverse, so the inverse of\n"
-"``letters[k]`` is ``letters[k ^ 1]``. The first draw ``u`` picks index\n"
+"``letters[k]`` is ``letters[k ^ 1]``. ``random`` takes no arguments and\n"
+"returns a float in [0, 1); it is called once per letter, in order, and\n"
+"not at all when ``length`` is 0 or less. The first draw ``u`` picks index\n"
 "``int(u * n)``; every later one picks ``j = int(u * (n - 1))`` and skips\n"
-"the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``uniforms``\n"
-"holds floats; ``letters`` is read whole before the first draw.");
+"the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``length`` and\n"
+"``letters`` are read whole before the first call.");
 
 static PyObject *
 draw_letters(PyObject *module, PyObject *const *args,
              Py_ssize_t nargs)
 {
-    KernelState *state = PyModule_GetState(module);
-    PyObject *uniforms, *letters, *out = NULL;
+    Stack st = {NULL, 0, 0};
+    PyObject *next_uniform, *letters;
     long *table = NULL;
     Py_ssize_t i, j, k = 0, m, n;
 
-    if (check_nargs("draw_letters", nargs) < 0) {
+    if (check_nargs("draw_letters", nargs, 3) < 0) {
         return NULL;
     }
-    uniforms = PySequence_Fast(args[0], "draw_letters expects a sequence of uniforms");
-    if (uniforms == NULL) {
+    next_uniform = args[0];
+    m = PyNumber_AsSsize_t(args[1], PyExc_OverflowError);
+    if (m == -1 && PyErr_Occurred()) {
         return NULL;
     }
-    letters = PySequence_Fast(args[1], "draw_letters expects a sequence of letters");
+    letters = PySequence_Fast(args[2], "draw_letters expects a sequence of letters");
     if (letters == NULL) {
-        Py_DECREF(uniforms);
         return NULL;
     }
-    m = PySequence_Fast_GET_SIZE(uniforms);
     n = PySequence_Fast_GET_SIZE(letters);
     table = PyMem_New(long, n > 0 ? n : 1);
     if (table == NULL) {
         PyErr_NoMemory();
-        goto done;
+        goto fail;
     }
     for (i = 0; i < n; i++) {
         if (read_letter(PySequence_Fast_GET_ITEM(letters, i), &table[i]) < 0) {
-            goto done;
-        }
-    }
-    if (m > 0 && n == 0) {
-        PyErr_SetString(PyExc_ValueError, "no letters to draw from");
-        goto done;
-    }
-    out = PyTuple_New(m);
-    if (out == NULL) {
-        goto done;
-    }
-    for (i = 0; i < m; i++) {
-        PyObject *obj = PySequence_Fast_GET_ITEM(uniforms, i), *letter;
-        double u;
-
-        if (!PyFloat_Check(obj)) {
-            PyErr_Format(PyExc_TypeError, "uniforms are floats, not %.200s",
-                         Py_TYPE(obj)->tp_name);
             goto fail;
         }
-        u = PyFloat_AS_DOUBLE(obj);
+    }
+    /* A length below 0 draws nothing, as ``range(length)`` does. */
+    if (m > 0 && n == 0) {
+        PyErr_SetString(PyExc_ValueError, "no letters to draw from");
+        goto fail;
+    }
+    if (m > 0 && stack_reserve(&st, m) < 0) {
+        goto fail;
+    }
+    for (i = 0; i < m; i++) {
+        /* The one call into Python code; it sees nothing of this call's state. */
+        PyObject *draw = PyObject_CallNoArgs(next_uniform);
+        double u;
+
+        if (draw == NULL) {
+            goto fail;
+        }
+        if (!PyFloat_Check(draw)) {
+            PyErr_Format(PyExc_TypeError, "uniforms are floats, not %.200s",
+                         Py_TYPE(draw)->tp_name);
+            Py_DECREF(draw);
+            goto fail;
+        }
+        u = PyFloat_AS_DOUBLE(draw);
+        Py_DECREF(draw);
         /* Checked before the cast: casting NaN or an out-of-range value is undefined. */
         if (!(u >= 0.0 && u < 1.0)) {
             PyErr_SetString(PyExc_ValueError, "uniforms lie in [0, 1)");
@@ -442,20 +455,16 @@ draw_letters(PyObject *module, PyObject *const *args,
             PyErr_SetString(PyExc_IndexError, "draw past the end of the letters");
             goto fail;
         }
-        letter = box_letter(state, table[k]);
-        if (letter == NULL) {
-            goto fail;
-        }
-        PyTuple_SET_ITEM(out, i, letter);
+        st.items[st.top++] = table[k];
     }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
     PyMem_Free(table);
-    Py_DECREF(uniforms);
     Py_DECREF(letters);
-    return out;
+    return stack_finish(PyModule_GetState(module), &st);
+fail:
+    PyMem_Free(table);
+    PyMem_Free(st.items);
+    Py_DECREF(letters);
+    return NULL;
 }
 
 static PyMethodDef methods[] = {

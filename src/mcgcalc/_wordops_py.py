@@ -3,15 +3,18 @@
 Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
-words; ``draw_letters`` turns uniform draws into the letters of a random
-reduced word. Letters are nonzero signed integers; a letter and its
-negative cancel. Every letter the compiled kernel reads is read here
-too, as a C long in [-LONG_MAX, LONG_MAX], and results hold plain ints;
-``concat_reduced`` joins its arguments' own letters in both.
+words; ``draw_letters`` calls a uniform source, such as a bound
+``Random.random``, once per letter, in the compiled kernel's order, and
+turns its draws into the letters of a random reduced word. Letters are
+nonzero signed integers; a letter and its negative cancel. Every letter
+the compiled kernel reads is read here too, as a C long in
+[-LONG_MAX, LONG_MAX], and results hold plain ints; ``concat_reduced``
+joins its arguments' own letters in both.
 """
 
 import struct
-from itertools import chain, islice, repeat
+import sys
+from itertools import chain, repeat
 from operator import index
 
 BACKEND = "py"
@@ -146,29 +149,35 @@ def substitute(word, images):
     return tuple(out)
 
 
-def draw_letters(uniforms, letters):
-    """Chain uniform draws from [0, 1) into the letters of a reduced word.
+def draw_letters(random, length, letters):
+    """Chain ``length`` calls of ``random()`` into the letters of a reduced word.
 
     ``letters`` lists each letter next to its inverse, so the inverse of
-    ``letters[k]`` is ``letters[k ^ 1]``. The first draw ``u`` picks index
+    ``letters[k]`` is ``letters[k ^ 1]``. ``random`` takes no arguments and
+    returns a float in [0, 1); it is called once per letter, in order, and
+    not at all when ``length`` is 0 or less. The first draw ``u`` picks index
     ``int(u * n)``; every later one picks ``j = int(u * (n - 1))`` and skips
-    the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``uniforms``
-    holds floats; ``letters`` is read whole before the first draw.
+    the previous letter's inverse, ``k = j + (j >= k ^ 1)``. ``length`` and
+    ``letters`` are read whole before the first call.
     """
-    uniforms = tuple(uniforms)
+    length = index(length)
+    if not -sys.maxsize - 1 <= length <= sys.maxsize:
+        raise OverflowError("length does not fit the compiled kernel")
     letters = _plain_letters(letters)
     n = len(letters)
-    if not uniforms:
+    if length <= 0:
         return ()
     if not n:
         raise ValueError("no letters to draw from")
-    u = uniforms[0]
+    u = random()
     if type(u) is not float or not 0.0 <= u < 1.0:
         u = _uniform(u)
     k = int(u * n)
     out = [letters[k]]
     push = out.append
-    for u in islice(uniforms, 1, None):
+    # A loop, not a generator: StopIteration from ``random`` must propagate.
+    for _ in range(length - 1):
+        u = random()
         if type(u) is not float or not 0.0 <= u < 1.0:
             u = _uniform(u)
         j = int(u * (n - 1))

@@ -58,7 +58,7 @@ from .twists import (
     word_with_z,
     z_loop,
 )
-from .words import Basis, BasisKind, Word, parse_word, random_word
+from .words import Basis, BasisKind, Word, _random_codes, parse_word
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -417,14 +417,13 @@ def verify_yz_roundtrip(
             if pair:
                 cert_mm.append(Mismatch(sym.name, *pair))
     rng = Random(seed)
+    draws = [(side, _random_codes(side[0], rng, _ROUNDTRIP_MAX_LENGTH)) for side in sides]
     random_mm = []
     for k in range(samples):
-        for side in sides:
-            basis = side[0]
-            w = random_word(basis, rng.randrange(_ROUNDTRIP_MAX_LENGTH + 1), rng).data
-            pair = missed(side, w)
+        for side, draw in draws:
+            pair = missed(side, draw())
             if pair:
-                random_mm.append(Mismatch(f"{basis.kind.value} sample {k}", *pair))
+                random_mm.append(Mismatch(f"{side[0].kind.value} sample {k}", *pair))
     return VerificationReport(
         genus,
         (

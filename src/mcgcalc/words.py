@@ -360,12 +360,24 @@ def _signed_letters(basis: Basis) -> tuple[int, ...]:
 def random_word(basis: Basis, length: int, rng: Random) -> Word:
     """A uniformly random reduced word of exactly ``length`` letters.
 
-    Each letter costs one ``rng.random()``, all drawn up front in order;
-    the kernel's ``draw_letters`` turns them into letters. The first is
-    uniform over the 2r letters, every later one uniform over the 2r - 1
-    letters that do not cancel the previous one (the draw skips the
-    previous letter's inverse by shifting the indices above it).
+    Each letter costs one ``rng.random()``, drawn in order by the kernel's
+    ``draw_letters``, which turns the draws into letters; a length of 0 or
+    less gives the identity and draws nothing. The first letter is uniform
+    over the 2r letters, every later one uniform over the 2r - 1 letters
+    that do not cancel the previous one (the draw skips the previous
+    letter's inverse by shifting the indices above it).
     """
-    draw = rng.random
-    uniforms = [draw() for _ in range(length)]
-    return Word._reduced(basis, _wordops.draw_letters(uniforms, _signed_letters(basis)))
+    return Word._reduced(basis, _wordops.draw_letters(rng.random, length, _signed_letters(basis)))
+
+
+def _random_codes(basis: Basis, rng: Random, max_length: int) -> Callable[[], tuple[int, ...]]:
+    """A function whose every call draws the letter codes of one random reduced
+    word over ``basis``: ``rng.randrange(max_length + 1)`` letters, then the
+    letters as ``random_word`` draws them, from the same stream.
+
+    Everything it needs is looked up here, once, so a long run of draws
+    pays for no ``Word`` and no lookup per word.
+    """
+    draw, random, randrange = _wordops.draw_letters, rng.random, rng.randrange
+    letters, stop = _signed_letters(basis), max_length + 1
+    return lambda: draw(random, randrange(stop), letters)

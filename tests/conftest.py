@@ -64,17 +64,69 @@ def c_compiler():
     return command if command and shutil.which(command[0]) else None
 
 
-def compile_kernel(compiler, out_dir, flags=()):
-    """Compile the kernel source into ``out_dir``; returns (target, process)."""
+def compile_kernel(compiler, out_dir, flags=(), includes=None):
+    """Compile the kernel source into ``out_dir`` against the headers that the
+    ``-I`` flags ``includes`` name (by default this interpreter's); returns
+    (target, process)."""
+    if includes is None:
+        includes = ["-I", sysconfig.get_paths()["include"]]
     target = Path(out_dir) / ("_wordops_c" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
         [*compiler, "-O2", "-shared", "-fPIC", *flags,
-         "-I", sysconfig.get_paths()["include"], str(KERNEL_SOURCE), "-o", str(target)],
+         *includes, str(KERNEL_SOURCE), "-o", str(target)],
         capture_output=True,
         text=True,
         timeout=300,
     )
     return target, proc
+
+
+CONFIG_SCRIPT = re.compile(r"python3\.(\d+)-config")
+
+
+def python_configs():
+    """The ``python3.X-config`` scripts on PATH for every CPython 3.10 or
+    later, in PATH order, by version ("3.X").
+
+    A pyenv shim answers only for the versions pyenv has selected, so the
+    scripts of that name under pyenv's ``versions`` directory, which the
+    shim dispatches to, follow it as candidates.
+    """
+    found = {}
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        try:
+            names = sorted(os.listdir(directory or "."))
+        except OSError:
+            continue
+        for name in names:
+            match = CONFIG_SCRIPT.fullmatch(name)
+            if match is None or int(match[1]) < 10:
+                continue
+            candidates = found.setdefault(f"3.{match[1]}", [])
+            candidates.append(os.path.join(directory, name))
+            if os.path.basename(os.path.normpath(directory)) == "shims":
+                versions = Path(directory).resolve().parent / "versions"
+                candidates.extend(map(str, sorted(versions.glob(f"*/bin/{name}"))))
+    return found
+
+
+def python_includes(candidates):
+    """(the ``-I`` flags of the first candidate whose ``--includes`` answers,
+    None), or (None, why none did)."""
+    reasons = []
+    for script in dict.fromkeys(candidates):
+        try:
+            proc = subprocess.run(
+                [script, "--includes"], capture_output=True, text=True, timeout=60
+            )
+        except OSError as exc:
+            reasons.append(f"{script}: {exc}")
+            continue
+        if proc.returncode == 0 and proc.stdout.split():
+            return shlex.split(proc.stdout), None
+        first = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[0]
+        reasons.append(f"{script}: {first}")
+    return None, "; ".join(reasons)
 
 
 @pytest.fixture(scope="session")

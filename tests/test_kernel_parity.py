@@ -12,11 +12,19 @@ import enum
 import hashlib
 import os
 import sys
+from itertools import cycle, repeat
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import KERNEL_SOURCE, c_compiler, compile_kernel, stale_kernel_reason
+from conftest import (
+    KERNEL_SOURCE,
+    c_compiler,
+    compile_kernel,
+    python_configs,
+    python_includes,
+    stale_kernel_reason,
+)
 from mcgcalc import _wordops_py as py
 
 RANK = 6
@@ -104,6 +112,21 @@ wide_letters = st.one_of(
 wide_words = st.lists(wide_letters, max_size=40)
 
 
+def drawn(kernel, uniforms, length, letters):
+    """The outcome of ``kernel.draw_letters`` with a ``random`` that returns
+    ``uniforms`` in order (StopIteration past the end), and how often it was
+    called."""
+    stream = iter(uniforms)
+    calls = 0
+
+    def random():
+        nonlocal calls
+        calls += 1
+        return next(stream)
+
+    return outcome(kernel.draw_letters, random, length, letters), calls
+
+
 @given(
     u=wide_words,
     v=wide_words,
@@ -118,12 +141,14 @@ def test_kernels_agree_past_the_shared_letters(compiled_kernel, u, v, word, tabl
         ("reduce_letters", (u + [-s for s in reversed(v)] + v,)),
         ("concat_reduced", (py.reduce_letters(u), py.reduce_letters(v))),
         ("substitute", (word, images)),
-        ("draw_letters", (draws, tuple(u))),
     ]
     for name, args in calls:
         assert outcome(getattr(compiled_kernel, name), *args) == outcome(
             getattr(py, name), *args
         ), name
+    assert drawn(compiled_kernel, draws, len(draws), tuple(u)) == drawn(
+        py, draws, len(draws), tuple(u)
+    )
 
 
 def test_shared_letters_keep_their_reference_count(compiled_kernel):
@@ -132,7 +157,7 @@ def test_shared_letters_keep_their_reference_count(compiled_kernel):
     baseline = sys.getrefcount(letter)
     results = [
         *(compiled_kernel.substitute((1, 2), [(), (-7, 3), (-3,)]) for _ in range(10**4)),
-        *(compiled_kernel.draw_letters([0.0], (-7, 7)) for _ in range(10**4)),
+        *(compiled_kernel.draw_letters(iter([0.0]).__next__, 1, (-7, 7)) for _ in range(10**4)),
         *(compiled_kernel.reduce_letters([-7]) for _ in range(10**4)),
     ]
     assert set(results) == {(-7,)}
@@ -141,15 +166,37 @@ def test_shared_letters_keep_their_reference_count(compiled_kernel):
     assert sys.getrefcount(letter) == baseline
 
 
+def test_draws_keep_their_reference_count(compiled_kernel):
+    # Every call of ``random`` returns a new reference to the one float u,
+    # which the kernel must release after reading it, on failure too.
+    u, text = float("0.25"), "".join(["not ", "a float"])
+    letter = compiled_kernel.reduce_letters([-7])[0]
+    random = repeat(u).__next__
+
+    def counts():
+        return sys.getrefcount(u), sys.getrefcount(text), sys.getrefcount(letter)
+
+    baseline = counts()
+    word = compiled_kernel.draw_letters(random, 10**4, (-7, 7))
+    assert word == (-7,) * 10**4
+    assert counts() == (baseline[0], baseline[1], baseline[2] + 10**4)
+    del word
+    for last, fault in ((1.0, ValueError), (text, TypeError)):
+        draws = cycle([u, last]).__next__  # the second draw of each call fails
+        for _ in range(10**4):
+            with pytest.raises(fault):
+                compiled_kernel.draw_letters(draws, 2, (-7, 7))
+    del draws, last
+    assert counts() == baseline
+
+
 uniforms = st.floats(0.0, 1.0, exclude_max=True)
 letter_tables = st.lists(letters, max_size=2 * RANK).map(tuple)
 
 
-@given(draws=st.lists(uniforms, max_size=40), table=letter_tables)
-def test_kernels_agree_on_draws(compiled_kernel, draws, table):
-    assert outcome(compiled_kernel.draw_letters, draws, table) == outcome(
-        py.draw_letters, draws, table
-    )
+@given(draws=st.lists(uniforms, max_size=40), length=st.integers(-2, 42), table=letter_tables)
+def test_kernels_agree_on_draws(compiled_kernel, draws, length, table):
+    assert drawn(compiled_kernel, draws, length, table) == drawn(py, draws, length, table)
 
 
 faulty_uniforms = st.one_of(
@@ -158,13 +205,14 @@ faulty_uniforms = st.one_of(
         [1.0, -0.0, -1e-300, 1.5, float("nan"), float("inf"), 0, 1, True, "0.5", None]
     ),
 )
+faulty_lengths = st.one_of(
+    st.integers(-2, 14), st.sampled_from([True, 1.0, "2", None, 1 << 80, -(1 << 80)])
+)
 
 
-@given(draws=st.lists(faulty_uniforms, max_size=12), table=faulty_words)
-def test_kernels_agree_on_faulty_draws(compiled_kernel, draws, table):
-    assert outcome(compiled_kernel.draw_letters, draws, table) == outcome(
-        py.draw_letters, draws, table
-    )
+@given(draws=st.lists(faulty_uniforms, max_size=12), length=faulty_lengths, table=faulty_words)
+def test_kernels_agree_on_faulty_draws(compiled_kernel, draws, length, table):
+    assert drawn(compiled_kernel, draws, length, table) == drawn(py, draws, length, table)
 
 
 def public_ops(module):
@@ -315,59 +363,126 @@ CONTRACT += [
 ]
 
 
-# draw_letters: the uniforms are floats in [0, 1), checked before any cast,
-# and a draw needs at least one letter; the table is read whole first.
+# draw_letters: ``random`` returns floats in [0, 1), each checked before any
+# cast; ``length`` and the letters are read whole before the first call, and
+# a draw needs at least one letter. In a row, ``Uniforms(...)`` stands for
+# ``random``: each kernel gets its own ``iter(uniforms).__next__``.
+class Uniforms(tuple):
+    pass
+
+
+class Skewed(float):
+    """A float subclass whose ``__float__`` lies; the kernels read its value."""
+
+    def __float__(self):
+        return 0.0
+
+
+def faulty_random():
+    raise ZeroDivisionError("no draws")
+
+
 NAN = float("nan")
 PAIRS = (1, -1, 2, -2)
 CONTRACT += [
-    pytest.param("draw_letters", ([0.5, 0.25], PAIRS), (2, 1),
+    pytest.param("draw_letters", (Uniforms([0.5, 0.25]), 2, PAIRS), (2, 1),
                  id="draw_letters-args54-expected54"),
-    pytest.param("draw_letters", ([0.99, 0.99], (1, -1, 2)), (2, -1),
+    pytest.param("draw_letters", (Uniforms([0.99, 0.99]), 2, (1, -1, 2)), (2, -1),
                  id="draw_letters-args55-expected55"),
-    pytest.param("draw_letters", ((0.0, 0.0, 0.0), [1, -1]), (1, 1, 1),
+    pytest.param("draw_letters", (Uniforms((0.0, 0.0, 0.0)), 3, [1, -1]), (1, 1, 1),
                  id="draw_letters-args56-expected56"),
-    pytest.param("draw_letters", ([], ()), (),
+    pytest.param("draw_letters", (Uniforms([]), 0, ()), (),
                  id="draw_letters-args57-expected57"),
-    pytest.param("draw_letters", ([0.0], (True, -1)), (1,),
+    pytest.param("draw_letters", (Uniforms([0.0]), 1, (True, -1)), (1,),
                  id="draw_letters-args58-expected58"),
-    pytest.param("draw_letters", ([0.5], ()), ValueError,
+    pytest.param("draw_letters", (Uniforms([0.5]), 1, ()), ValueError,
                  id="draw_letters-args59-ValueError"),
-    pytest.param("draw_letters", ([0.5, "x1"], ()), ValueError,
+    pytest.param("draw_letters", (Uniforms([0.5, "x1"]), 2, ()), ValueError,
                  id="draw_letters-args60-ValueError"),
-    pytest.param("draw_letters", ([0], PAIRS), TypeError,
+    pytest.param("draw_letters", (Uniforms([0]), 1, PAIRS), TypeError,
                  id="draw_letters-args61-TypeError"),
-    pytest.param("draw_letters", ([True], PAIRS), TypeError,
+    pytest.param("draw_letters", (Uniforms([True]), 1, PAIRS), TypeError,
                  id="draw_letters-args62-TypeError"),
-    pytest.param("draw_letters", ([0.5, "0.5"], PAIRS), TypeError,
+    pytest.param("draw_letters", (Uniforms([0.5, "0.5"]), 2, PAIRS), TypeError,
                  id="draw_letters-args63-TypeError"),
-    pytest.param("draw_letters", ([0.5, None], PAIRS), TypeError,
+    pytest.param("draw_letters", (Uniforms([0.5, None]), 2, PAIRS), TypeError,
                  id="draw_letters-args64-TypeError"),
-    pytest.param("draw_letters", ([1.0], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([1.0]), 1, PAIRS), ValueError,
                  id="draw_letters-args65-ValueError"),
-    pytest.param("draw_letters", ([0.5, NAN], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([0.5, NAN]), 2, PAIRS), ValueError,
                  id="draw_letters-args66-ValueError"),
-    pytest.param("draw_letters", ([-0.25], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([-0.25]), 1, PAIRS), ValueError,
                  id="draw_letters-args67-ValueError"),
-    pytest.param("draw_letters", ([float("inf")], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([float("inf")]), 1, PAIRS), ValueError,
                  id="draw_letters-args68-ValueError"),
-    pytest.param("draw_letters", ([float("-inf")], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([float("-inf")]), 1, PAIRS), ValueError,
                  id="draw_letters-args69-ValueError"),
-    pytest.param("draw_letters", ([1.5, "x1"], PAIRS), ValueError,
+    pytest.param("draw_letters", (Uniforms([1.5, "x1"]), 2, PAIRS), ValueError,
                  id="draw_letters-args70-ValueError"),
-    pytest.param("draw_letters", (["x1", 1.5], PAIRS), TypeError,
+    pytest.param("draw_letters", (Uniforms(["x1", 1.5]), 2, PAIRS), TypeError,
                  id="draw_letters-args71-TypeError"),
-    pytest.param("draw_letters", ([0.5], (1, "x1")), TypeError,
+    pytest.param("draw_letters", (Uniforms([0.5]), 1, (1, "x1")), TypeError,
                  id="draw_letters-args72-TypeError"),
-    pytest.param("draw_letters", ([], (1, 2.0)), TypeError,
+    pytest.param("draw_letters", (Uniforms([]), 0, (1, 2.0)), TypeError,
                  id="draw_letters-args73-TypeError"),
-    pytest.param("draw_letters", ([NAN], (1, LONG_MIN)), OverflowError,
+    pytest.param("draw_letters", (Uniforms([NAN]), 1, (1, LONG_MIN)), OverflowError,
                  id="draw_letters-args74-OverflowError"),
-    pytest.param("draw_letters", ([0.5], 5), TypeError,
+    pytest.param("draw_letters", (Uniforms([0.5]), 1, 5), TypeError,
                  id="draw_letters-args75-TypeError"),
-    pytest.param("draw_letters", (5, PAIRS), TypeError,
+    pytest.param("draw_letters", (5, 1, PAIRS), TypeError,
                  id="draw_letters-args76-TypeError"),
-    pytest.param("draw_letters", ([0.5],), TypeError,
+    pytest.param("draw_letters", (Uniforms([0.5]), 1), TypeError,
                  id="draw_letters-args77-TypeError"),
+    # ``random`` itself: what it raises passes through, at the draw it fails.
+    pytest.param("draw_letters", (faulty_random, 1, PAIRS), ZeroDivisionError,
+                 id="draw_letters-random-raises"),
+    pytest.param("draw_letters", (Uniforms([0.5]), 2, PAIRS), StopIteration,
+                 id="draw_letters-random-runs-out"),
+    pytest.param("draw_letters", (Uniforms([0.5, 0.25, 0.75]), 2, PAIRS), (2, 1),
+                 id="draw_letters-stops-after-length"),
+    pytest.param("draw_letters", (Uniforms([0.5, 7]), 2, PAIRS), TypeError,
+                 id="draw_letters-random-returns-int"),
+    pytest.param("draw_letters", (Uniforms(["0.5"]), 1, PAIRS), TypeError,
+                 id="draw_letters-random-returns-str"),
+    pytest.param("draw_letters", (Uniforms([None]), 1, PAIRS), TypeError,
+                 id="draw_letters-random-returns-none"),
+    pytest.param("draw_letters", (Uniforms([Skewed(0.5), Skewed(0.25)]), 2, PAIRS), (2, 1),
+                 id="draw_letters-random-returns-float-subclass"),
+    pytest.param("draw_letters", (Uniforms([0.5, Skewed(1.5)]), 2, PAIRS), ValueError,
+                 id="draw_letters-random-returns-float-subclass-past-one"),
+    pytest.param("draw_letters", (Uniforms([0.5, 1.0]), 2, PAIRS), ValueError,
+                 id="draw_letters-random-returns-one"),
+    pytest.param("draw_letters", (Uniforms([NAN]), 1, PAIRS), ValueError,
+                 id="draw_letters-random-returns-nan"),
+    pytest.param("draw_letters", (Uniforms([-0.0, -0.0]), 2, PAIRS), (1, 1),
+                 id="draw_letters-random-returns-negative-zero"),
+    # ``length``: an int read as an index; 0 or less draws nothing.
+    pytest.param("draw_letters", (Uniforms([0.5]), 0, PAIRS), (),
+                 id="draw_letters-length-zero-calls-nothing"),
+    pytest.param("draw_letters", (faulty_random, 0, PAIRS), (),
+                 id="draw_letters-length-zero-calls-no-faulty-random"),
+    pytest.param("draw_letters", (None, 0, ()), (),
+                 id="draw_letters-length-zero-needs-no-random"),
+    pytest.param("draw_letters", (Uniforms([0.5]), -1, PAIRS), (),
+                 id="draw_letters-negative-length"),
+    pytest.param("draw_letters", (Uniforms([0.5]), True, PAIRS), (2,),
+                 id="draw_letters-bool-length"),
+    pytest.param("draw_letters", (Uniforms([0.5]), 1.0, PAIRS), TypeError,
+                 id="draw_letters-float-length"),
+    pytest.param("draw_letters", (Uniforms([0.5]), "1", PAIRS), TypeError,
+                 id="draw_letters-str-length"),
+    pytest.param("draw_letters", (Uniforms([0.5]), None, PAIRS), TypeError,
+                 id="draw_letters-none-length"),
+    pytest.param("draw_letters", (Uniforms([0.5]), 1 << 80, PAIRS), OverflowError,
+                 id="draw_letters-length-past-ssize"),
+    pytest.param("draw_letters", (Uniforms([0.5]), -(1 << 80), PAIRS), OverflowError,
+                 id="draw_letters-negative-length-past-ssize"),
+    pytest.param("draw_letters", (faulty_random, 1, ()), ValueError,
+                 id="draw_letters-no-letters-raises-before-any-call"),
+    pytest.param("draw_letters", (faulty_random, 1, (1, "x1")), TypeError,
+                 id="draw_letters-bad-letter-raises-before-any-call"),
+    pytest.param("draw_letters", (faulty_random, 1.0, PAIRS), TypeError,
+                 id="draw_letters-bad-length-raises-before-any-call"),
 ]
 
 
@@ -390,7 +505,7 @@ CONTRACT += [
                  id="substitute-shared-edge"),
     pytest.param("substitute", ((N + 1, -(N + 1)), EDGE_IMAGES[:-1]), IndexError,
                  id="substitute-word-letter-past-shared-edge"),
-    pytest.param("draw_letters", ([0.0, 0.5, 0.99, 0.0], (-N, N, -(N + 1), N + 1)),
+    pytest.param("draw_letters", (Uniforms([0.0, 0.5, 0.99, 0.0]), 4, (-N, N, -(N + 1), N + 1)),
                  (-N, -(N + 1), -(N + 1), -N),
                  id="draw_letters-shared-edge"),
     pytest.param("reduce_letters", ([D - 1, -D, D, D, -(D - 1), -D],),
@@ -405,7 +520,7 @@ CONTRACT += [
                  id="substitute-word-letter-of-one-digit"),
     pytest.param("substitute", ((-D,), [(), (1,)]), IndexError,
                  id="substitute-word-letter-of-two-digits"),
-    pytest.param("draw_letters", ([0.0, 0.75], (D - 1, -(D - 1), D, -D)), (D - 1, -D),
+    pytest.param("draw_letters", (Uniforms([0.0, 0.75]), 2, (D - 1, -(D - 1), D, -D)), (D - 1, -D),
                  id="draw_letters-one-digit-edge"),
     pytest.param("reduce_letters", ([Gen.B, Gen.A, -1],), (2,),
                  id="reduce_letters-int-enum"),
@@ -413,7 +528,7 @@ CONTRACT += [
                  id="concat_reduced-int-enum"),
     pytest.param("substitute", ((Gen.B, -1), [(), (Gen.A, 3), (Gen.B,)]), (2, -3, -1),
                  id="substitute-int-enum"),
-    pytest.param("draw_letters", ([0.0, 0.5], (Gen.A, -1, Gen.B, -2)), (1, 2),
+    pytest.param("draw_letters", (Uniforms([0.0, 0.5]), 2, (Gen.A, -1, Gen.B, -2)), (1, 2),
                  id="draw_letters-int-enum"),
 ]
 
@@ -425,15 +540,20 @@ def test_contract_ids_are_unique():
 
 @pytest.mark.parametrize("name, args, expected", CONTRACT)
 def test_kernel_contract(compiled_kernel, name, args, expected):
+    unused = []  # the draws each kernel left, so both must call random as often
     for kernel in (py, compiled_kernel):
         fn = getattr(kernel, name)
+        streams = [iter(a) if isinstance(a, Uniforms) else None for a in args]
+        call = [a if it is None else it.__next__ for a, it in zip(args, streams)]
         if isinstance(expected, type):
             with pytest.raises(expected):
-                fn(*args)
+                fn(*call)
         else:
-            result = fn(*args)
+            result = fn(*call)
             assert result == expected and type(result) is type(expected)
             assert [type(s) for s in result] == [type(s) for s in expected]
+        unused.append([len(list(it)) for it in streams if it is not None])
+    assert unused[0] == unused[1]
 
 
 def test_backend_name(compiled_kernel):
@@ -441,13 +561,39 @@ def test_backend_name(compiled_kernel):
     assert py.BACKEND == "py"
 
 
+STRICT = ["-Wall", "-Wextra", "-Werror"]
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
     compiler = c_compiler()
     if compiler is None:
         pytest.skip("no C compiler")
-    _, proc = compile_kernel(compiler, tmp_path, ["-Wall", "-Wextra"])
+    _, proc = compile_kernel(compiler, tmp_path, STRICT)
     assert proc.returncode == 0, proc.stderr
     assert "_wordops_c.c" not in proc.stderr, proc.stderr
+
+
+# Every other CPython 3.10+ on PATH. The kernel reads ints differently from
+# 3.12 on, and ``setup.py`` builds it as optional, so a build that fails on
+# one version would quietly fall back to the pure kernel there.
+RUNNING = f"{sys.version_info[0]}.{sys.version_info[1]}"
+OTHER_PYTHONS = {v: c for v, c in python_configs().items() if v != RUNNING}
+
+
+@pytest.mark.parametrize(
+    "version", sorted(OTHER_PYTHONS, key=lambda v: int(v.split(".")[1])) or [None]
+)
+def test_kernel_source_compiles_against_other_pythons(tmp_path, version):
+    if version is None:
+        pytest.skip("no python3.X-config for another CPython 3.10+ on PATH")
+    compiler = c_compiler()
+    if compiler is None:
+        pytest.skip("no C compiler")
+    includes, reason = python_includes(OTHER_PYTHONS[version])
+    if includes is None:
+        pytest.skip(f"no headers for CPython {version}: {reason}")
+    _, proc = compile_kernel(compiler, tmp_path, STRICT, includes)
+    assert proc.returncode == 0, f"{' '.join(includes)}\n{proc.stderr}"
 
 
 def test_stale_build_is_found_by_source_hash(tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgcalc import _wordops, braids, pillars, words as words_module
+from mcgcalc import _wordops, braids, words as words_module
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
@@ -443,6 +443,16 @@ def test_random_word_length_zero_is_identity():
     assert random_word(XY2, 0, Random(0)) == Word.identity(XY2)
 
 
+@pytest.mark.parametrize("length", [-1, -2])
+def test_random_word_negative_length_is_identity_and_draws_nothing(compiled_kernel, length):
+    for kernel in (py, compiled_kernel):
+        rng = Random(0)
+        state = rng.getstate()
+        with mock.patch.object(_wordops, "draw_letters", kernel.draw_letters):
+            assert random_word(XY2, length, rng) == Word.identity(XY2), kernel.BACKEND
+        assert rng.getstate() == state, kernel.BACKEND
+
+
 def test_random_word_reaches_every_letter_and_successor():
     """20,000 two-letter draws at genus 2: every letter starts a word about
     equally often, and every letter follows every letter but its inverse."""
@@ -506,13 +516,14 @@ YZ_ROUNDTRIP_DRAWS = {
 @pytest.mark.parametrize("seed", YZ_ROUNDTRIP_DRAWS)
 def test_verify_yz_roundtrip_draws_the_pinned_words(monkeypatch, seed):
     drawn = []
+    draw_letters = _wordops.draw_letters
 
-    def recording(basis, length, rng):
-        w = random_word(basis, length, rng)
-        drawn.append(w.data)
-        return w
+    def recording(random, length, letters):
+        codes = draw_letters(random, length, letters)
+        drawn.append(codes)
+        return codes
 
-    monkeypatch.setattr(pillars, "random_word", recording)
+    monkeypatch.setattr(_wordops, "draw_letters", recording)
     for genus in range(2, 13):
         assert verify_yz_roundtrip(genus, seed=seed).all_hold
     assert len(drawn) == 22_000
