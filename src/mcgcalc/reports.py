@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .endos import FreeEndomorphism
+from .errors import BasisMismatchError
 from .words import Word, format_word
 
 
@@ -71,7 +72,14 @@ class VerificationReport:
 def case_from_endos(
     name: str, lhs: FreeEndomorphism, rhs: FreeEndomorphism
 ) -> CheckCase:
-    """Compare two maps generator by generator; record every difference."""
+    """Compare two maps generator by generator; record every difference.
+
+    Maps over different bases are not comparable: ``BasisMismatchError``.
+    """
+    if lhs.basis != rhs.basis:
+        raise BasisMismatchError(f"cannot compare maps over {lhs.basis} and {rhs.basis}")
+    if lhs.table == rhs.table:
+        return CheckCase(name)
     mismatches = tuple(
         Mismatch(sym.name, lhs.image_of(sym), rhs.image_of(sym))
         for sym in lhs.basis.symbols

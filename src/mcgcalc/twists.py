@@ -26,11 +26,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
+
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import WordSyntaxError
 from .words import (
-    Basis, Word, _join_tokens, _letter_decoder, _split_token, _tokenize, parse_word
+    Basis,
+    Word,
+    _join_tokens,
+    _letter_decoder,
+    _letter_table,
+    _split_token,
+    _tokenize,
+    parse_word,
 )
 
 
@@ -101,6 +111,19 @@ class TwistWord:
         return format_twist_word(self)
 
 
+@lru_cache(maxsize=None)
+def _twist_token_table(genus: int) -> Mapping[str, TwistSymbol]:
+    """The signed twists of ``genus`` by canonical token (``w2^-1``)."""
+    twists = {}
+    for kind in TwistKind:
+        limit = genus - 1 if kind is TwistKind.W else genus
+        for index in range(1, limit + 1):
+            for sign in (1, -1):
+                sym = TwistSymbol(kind, index, sign)
+                twists[str(sym)] = sym
+    return MappingProxyType(twists)
+
+
 def parse_twist_word(text: str, genus: int) -> TwistWord:
     """Parse twist-word text; ``1`` denotes the empty product."""
 
@@ -115,7 +138,8 @@ def parse_twist_word(text: str, genus: int) -> TwistWord:
             raise WordSyntaxError(str(exc), pos) from None
         return sym
 
-    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode, {})))
+    twists = _twist_token_table(genus)
+    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode, twists)))
 
 
 def format_twist_word(tw: TwistWord) -> str:
@@ -138,18 +162,35 @@ def z_loop(i: int, genus: int) -> Word:
     return parse_word(f"x{i}^-1 y{i + 1} x{i + 1} y{i + 1}^-1", basis)
 
 
+@lru_cache(maxsize=None)
+def _z_token_table(genus: int) -> Mapping[str, tuple[int, ...]]:
+    """The letter codes of every canonical z-word token of ``genus``.
+
+    An x/y letter maps to its one code, ``z<k>`` and ``z<k>^-1`` to the
+    codes of ``z_loop(k, genus)`` and of its inverse.
+    """
+    pieces = {name: (code,) for name, code in _letter_table(Basis.xy(genus))[0].items()}
+    for k in range(1, genus + 1):
+        z = z_loop(k, genus)
+        pieces[f"z{k}"] = z.data
+        pieces[f"z{k}^-1"] = z.inverse().data
+    return MappingProxyType(pieces)
+
+
 def word_with_z(text: str, genus: int) -> Word:
     """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
 
-    This is the notation the factorization chains are tabulated in.
+    This is the notation the factorization chains are tabulated in. Like
+    every grammar, canonical tokens are read from a cached table
+    (``_z_token_table``); other spellings (``z01``) and errors go through
+    the token decoder.
     """
     basis = Basis.xy(genus)
-    letter = _letter_decoder(basis)
 
     def decode(token: str, pos: int) -> tuple[int, ...]:
         name, index, sign = _split_token(token, pos, ("x", "y", "z"))
         if name != "z":
-            return (letter(token, pos),)
+            return (_letter_decoder(basis)(token, pos),)
         if not 1 <= index <= genus:
             raise WordSyntaxError(
                 f"z index {index} out of range for genus {genus}", pos
@@ -157,7 +198,7 @@ def word_with_z(text: str, genus: int) -> Word:
         z = z_loop(index, genus)
         return (z if sign > 0 else z.inverse()).data
 
-    pieces = _tokenize(text, "word text", decode, {})
+    pieces = _tokenize(text, "word text", decode, _z_token_table(genus))
     codes = [code for piece in pieces for code in piece]
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 

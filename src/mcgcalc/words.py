@@ -21,7 +21,8 @@ Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
 ``1`` denotes the identity. ``_tokenize`` reads this text and the twist,
 braid and z-word text alike; each grammar supplies only a token decoder
-and a table of its canonical tokens, which may be empty.
+and a cached table of its canonical tokens, from which canonical text is
+read without the decoder.
 Every token of every grammar has one shape, a name, a decimal index and
 an optional ``^-1``, and ``_split_token`` is its one reader.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import neg
 from random import Random
 from types import MappingProxyType
@@ -65,9 +66,14 @@ class Symbol:
         if self.index < 1:
             raise ValueError(f"symbol index must be >= 1, got {self.index}")
 
-    @property
+    @cached_property
     def code(self) -> int:
+        # the basis symbols are cached instances, so each computes this once
         return (self.index - 1) * 4 + int(self.family) + 1
+
+    def __getstate__(self) -> dict:
+        # the fields alone: a cached ``code`` is not part of the value
+        return {"family": self.family, "index": self.index}
 
     @property
     def name(self) -> str:
@@ -233,13 +239,14 @@ def _tokenize(
 ) -> list:
     """Decode every whitespace-separated token of ``text``, left to right.
 
-    This is the one reader of word, twist, braid and z-word text.
-    ``table`` maps canonical token spellings to their values; when every
-    token is in it, the values come straight from it. Otherwise each
-    token goes through ``decode(token, offset)``, which returns its value
-    or raises ``WordSyntaxError`` at that offset. The text ``1`` alone
-    gives no values (the identity); text without tokens is an error
-    naming ``what``.
+    This is the one reader of word, twist, braid and z-word text. Every
+    grammar passes ``table``, a cached map from its canonical token
+    spellings to their values; when every token is in it, the values come
+    straight from it. Otherwise each token goes through
+    ``decode(token, offset)``, which reads other spellings (``x01``) and
+    returns the same value, or raises ``WordSyntaxError`` at that offset.
+    The text ``1`` alone gives no values (the identity); text without
+    tokens is an error naming ``what``.
     """
     tokens = text.split()
     if tokens:

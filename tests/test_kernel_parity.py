@@ -10,6 +10,7 @@ place.
 import ctypes
 import enum
 import hashlib
+import json
 import os
 import sys
 from itertools import cycle, repeat
@@ -641,6 +642,21 @@ def test_cli_output_is_kernel_independent(run_cli, argv):
     assert compiled.returncode == pure.returncode
     # verify --json names the kernel that ran; everything else is byte-identical.
     assert compiled.stdout == pure.stdout.replace('"kernel": "py"', '"kernel": "c"')
+
+
+# sha256 of json.dumps(payload["results"], sort_keys=True) of
+# `verify --all --genus 2..8 --json --seed 0`. The results name no kernel, so
+# both kernels must give these bytes.
+VERIFY_ALL_RESULTS = "749b09a73fea53bfc8cc1b0f3f63370b5e7a8ad7c095a0d97a8110aad48959aa"
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_verify_all_results_are_pinned(run_cli, backend):
+    result = run_cli(backend, ["verify", "--all", "--genus", "2..8", "--json", "--seed", "0"])
+    assert result.returncode == 0, result.stderr
+    results = json.loads(result.stdout)["results"]
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_ALL_RESULTS
 
 
 # Requests of every kind, a parse error and a usage error among them, sent

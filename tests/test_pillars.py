@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from mcgcalc import (
@@ -23,6 +25,7 @@ from mcgcalc import (
     word_with_z,
 )
 from mcgcalc.pillars import _all_twist_symbols
+from mcgcalc.reports import CheckCase, case_from_endos
 
 
 # --- switching actions ---------------------------------------------------------
@@ -191,6 +194,30 @@ def test_mismatches_are_reported_per_generator():
     case = case_from_endos("probe", lhs, rhs)
     assert not case.holds
     assert {m.generator for m in case.mismatches} == {"x1", "y1", "y2"}
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [(Basis.xy(2), Basis.xy(3)), (Basis.xy(2), Basis.yz(2)), (Basis.abstract(3), Basis.xy(3))],
+    ids=["xy2-xy3", "xy2-yz2", "al3-xy3"],
+)
+def test_case_from_endos_refuses_maps_over_different_bases(lhs, rhs):
+    f, h = FreeEndomorphism.identity(lhs), FreeEndomorphism.identity(rhs)
+    assert f != h
+    with pytest.raises(BasisMismatchError) as excinfo:
+        case_from_endos("t", f, h)
+    assert str(excinfo.value) == f"cannot compare maps over {lhs} and {rhs}"
+
+
+def test_case_from_endos_on_equal_tables_compares_no_generator():
+    f = pillar_switching_action(1, 3)
+    # an equal basis and an equal table, neither the same object
+    twin = FreeEndomorphism(Basis.xy(3), tuple(tuple(list(row)) for row in f.table))
+    assert twin.basis is not f.basis and twin.table is not f.table
+    # the equal tables answer: no generator is listed, no image is built
+    with mock.patch.object(Basis, "symbols", mock.PropertyMock(side_effect=AssertionError)):
+        assert case_from_endos("t", f, twin) == CheckCase("t")
+        assert case_from_endos("t", f, f) == CheckCase("t")
 
 
 # --- chain replay ----------------------------------------------------------------------

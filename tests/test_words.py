@@ -1,11 +1,12 @@
 import hashlib
+import pickle
 from random import Random
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgcalc import _wordops, braids, words as words_module
+from mcgcalc import _wordops, braids, twists, words as words_module
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
@@ -308,6 +309,22 @@ TABLE_GRAMMARS = {
         ["b1", "b1^-1", "b2", "b2^-1", "b3", "b3^-1"],
         ["b01", "b003^-1", "1", "b0", "b4", "b9^-1", "a1", "bb1", "x1", "b1^1", "b"],
     ),
+    "z-word": (
+        word_with_z,
+        2,
+        twists,
+        ["x1", "x1^-1", "y1", "y1^-1", "x2", "x2^-1", "y2", "y2^-1",
+         "z1", "z1^-1", "z2", "z2^-1"],
+        ["z01", "z3", "z0", "z1^-2", "al1", "x02^-1", "y3", "1", "zz1", "z"],
+    ),
+    "twist": (
+        parse_twist_word,
+        3,
+        twists,
+        ["a1", "a1^-1", "a2", "a2^-1", "a3", "a3^-1", "b1", "b1^-1", "b2", "b2^-1",
+         "b3", "b3^-1", "w1", "w1^-1", "w2", "w2^-1"],
+        ["a01", "w002^-1", "1", "a0", "a4", "w3", "x1", "ww1", "a1^-2", "w"],
+    ),
 }
 
 
@@ -347,6 +364,19 @@ def test_tokenizer_table_matches_the_offset_path(grammar, data):
         assert parse_outcome(parse, text, arg) == expected
 
 
+@pytest.mark.parametrize("grammar", TABLE_GRAMMARS)
+def test_tokenizer_table_matches_the_offset_path_on_every_listed_token(grammar):
+    parse, arg, module, canonical, other = TABLE_GRAMMARS[grammar]
+    texts = canonical + other + [" ".join(canonical), " ".join(canonical + other)]
+    expected = [parse_outcome(parse, text, arg) for text in texts]
+
+    def offset_path(text, what, decode, table):
+        return _tokenize(text, what, decode, {})
+
+    with mock.patch.object(module, "_tokenize", offset_path):
+        assert [parse_outcome(parse, text, arg) for text in texts] == expected
+
+
 def test_format_parse_canonicalizes():
     # unreduced text parses to the reduced word, which formats canonically
     assert format_word(parse_word("x1 x1^-1 y1", XY2)) == "y1"
@@ -358,6 +388,37 @@ def test_format_parse_canonicalizes():
 def test_symbol_codes_roundtrip():
     for sym in Basis.xy(5).symbols + Basis.yz(4).symbols + Basis.abstract(3).symbols:
         assert Symbol.from_code(sym.code) == sym
+
+
+def symbol_semantics(symbols):
+    """What ``==``, ``hash``, ordering, ``repr`` and pickling make of ``symbols``."""
+    return (
+        [[a == b for b in symbols] for a in symbols],
+        [[a < b for b in symbols] for a in symbols],
+        [hash(s) for s in symbols],
+        [repr(s) for s in symbols],
+        [pickle.dumps(s) for s in symbols],
+    )
+
+
+@pytest.mark.parametrize("source", ["fresh", "basis"])
+def test_reading_a_symbol_code_leaves_its_value_unchanged(source):
+    if source == "fresh":
+        symbols = [Symbol(family, index) for family in Family for index in (1, 2, 10)]
+    else:  # the cached instances every basis hands out
+        symbols = list(Basis.xy(3).symbols + Basis.yz(3).symbols + Basis.abstract(3).symbols)
+    twins = [Symbol(s.family, s.index) for s in symbols]  # never read
+    before = symbol_semantics(twins)
+    codes = [s.code for s in symbols]
+    assert [s.code for s in symbols] == codes  # the cached value is read back
+    assert codes == [(s.index - 1) * 4 + int(s.family) + 1 for s in twins]
+    assert symbol_semantics(symbols) == before
+    assert symbol_semantics(twins) == before
+    for s, twin, code in zip(symbols, twins, codes):
+        assert s == twin and hash(s) == hash(twin) and not s < twin and not twin < s
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and back.code == code
+    assert sorted(symbols) == sorted(twins)
 
 
 def test_symbol_and_letter_validation():
