@@ -7,6 +7,11 @@
  * bound ``Random.random``, and turns its draws into the letters of a
  * random reduced word.
  *
+ * ``substitute`` also checks a letter budget, given by keyword only: a
+ * first pass sums the lengths of the images the word uses and raises
+ * ``mcgcalc.errors.ImageBudgetError``, looked up when it is raised, past
+ * the budget, before any image letter is read or the result allocated.
+ *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
  * one outside that range raises OverflowError. Only ints are read inside
@@ -287,59 +292,153 @@ done:
 }
 
 PyDoc_STRVAR(substitute_doc,
+"substitute(word, images, /, *, budget=None)\n--\n\n"
 "Replace every letter by its image and reduce.\n\n"
 "``images[k]`` is the (reduced) image of the positive letter ``k``; a\n"
 "negative letter contributes the inverted image. Only the images of the\n"
 "letters in the word are read, in place, and the one stack grows as the\n"
-"result does. ``images`` and each image are tuples or lists.");
+"result does. ``images`` and each image are tuples or lists.\n\n"
+"A ``budget`` other than None caps the letters the images write before\n"
+"they reduce. It is read as an index, and clamped to the range of a C\n"
+"ssize_t. A first pass over the word sums the lengths of the images its\n"
+"letters use, raising at the first bad word letter what the substitution\n"
+"would raise; past the budget it raises ``mcgcalc.errors.ImageBudgetError``\n"
+"before any image letter is read.");
+
+/* The image ``code`` uses, borrowed from ``images``, with the letter in *s;
+ * NULL with an exception set for a letter that is no int, has no image,
+ * or uses an image that is no tuple or list. */
+static inline PyObject *
+letter_image(PyObject *code, PyObject *images, long *s)
+{
+    PyObject *img;
+    int overflow = 0;
+
+    if (!fast_letter(code, s)) {
+        if (!PyLong_Check(code)) {
+            PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
+                         Py_TYPE(code)->tp_name);
+            return NULL;
+        }
+        *s = PyLong_AsLongAndOverflow(code, &overflow);
+        if (*s == -1 && PyErr_Occurred()) {
+            return NULL;
+        }
+    }
+    /* Code 0 reads images[0], as ``images[-s]`` does in the pure kernel. */
+    if (overflow || *s == LONG_MIN
+        || (*s > 0 ? *s : -*s) >= PySequence_Fast_GET_SIZE(images)) {
+        PyErr_SetString(PyExc_IndexError, "letter code has no image");
+        return NULL;
+    }
+    img = PySequence_Fast_GET_ITEM(images, *s > 0 ? *s : -*s);
+    if (!PyTuple_Check(img) && !PyList_Check(img)) {
+        PyErr_SetString(PyExc_TypeError, "images are tuples or lists");
+        return NULL;
+    }
+    return img;
+}
+
+/* Raises mcgcalc.errors.ImageBudgetError(needed, budget), looked up now. */
+static void
+raise_budget_error(Py_ssize_t needed, PyObject *budget)
+{
+    PyObject *errors = PyImport_ImportModule("mcgcalc.errors");
+    PyObject *cls, *exc = NULL;
+
+    if (errors == NULL) {
+        return;
+    }
+    cls = PyObject_GetAttrString(errors, "ImageBudgetError");
+    if (cls != NULL) {
+        exc = PyObject_CallFunction(cls, "nO", needed, budget);
+    }
+    if (exc != NULL) {
+        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+    }
+    Py_XDECREF(exc);
+    Py_XDECREF(cls);
+    Py_DECREF(errors);
+}
+
+/* Checks the letters ``word`` writes through ``images`` against ``budget``
+ * (an int); returns -1 with an exception set when a letter is bad or the
+ * sum exceeds the budget. The sum saturates at PY_SSIZE_T_MAX. */
+static int
+check_budget(PyObject *word, PyObject *images, PyObject *budget)
+{
+    Py_ssize_t limit = PyNumber_AsSsize_t(budget, NULL);  /* clamps */
+    Py_ssize_t i, m, needed = 0;
+    long s;
+
+    for (i = 0; i < PySequence_Fast_GET_SIZE(word); i++) {
+        PyObject *img = letter_image(PySequence_Fast_GET_ITEM(word, i), images, &s);
+
+        if (img == NULL) {
+            return -1;
+        }
+        m = PySequence_Fast_GET_SIZE(img);
+        needed = needed > PY_SSIZE_T_MAX - m ? PY_SSIZE_T_MAX : needed + m;
+    }
+    if (needed > limit) {
+        raise_budget_error(needed, budget);
+        return -1;
+    }
+    return 0;
+}
 
 static PyObject *
 substitute(PyObject *module, PyObject *const *args,
-           Py_ssize_t nargs)
+           Py_ssize_t nargs, PyObject *kwnames)
 {
     Stack st = {NULL, 0, 0};
-    PyObject *word, *images;
+    PyObject *word, *images, *budget = NULL;
     Py_ssize_t i, k, m;
     long s, t;
 
+    /* ``budget`` is keyword-only, so a third positional argument is refused. */
     if (check_nargs("substitute", nargs, 2) < 0) {
         return NULL;
+    }
+    for (i = 0; kwnames != NULL && i < PyTuple_GET_SIZE(kwnames); i++) {
+        PyObject *key = PyTuple_GET_ITEM(kwnames, i);
+
+        if (!PyUnicode_Check(key) || PyUnicode_CompareWithASCIIString(key, "budget") != 0) {
+            PyErr_Format(PyExc_TypeError,
+                         "substitute() got an unexpected keyword argument '%S'", key);
+            return NULL;
+        }
+        budget = args[nargs + i];
     }
     images = args[1];
     if (!PyTuple_Check(images) && !PyList_Check(images)) {
         PyErr_SetString(PyExc_TypeError, "substitute expects a tuple or list of images");
         return NULL;
     }
-    word = PySequence_Fast(args[0], "substitute expects an iterable word");
-    if (word == NULL) {
+    if (budget == Py_None) {
+        budget = NULL;
+    }
+    if (budget != NULL && (budget = PyNumber_Index(budget)) == NULL) {
         return NULL;
     }
-    for (i = 0; i < PySequence_Fast_GET_SIZE(word); i++) {
-        PyObject *code = PySequence_Fast_GET_ITEM(word, i);
-        PyObject *img, **items;
-        int overflow;
+    word = PySequence_Fast(args[0], "substitute expects an iterable word");
+    if (word == NULL) {
+        Py_XDECREF(budget);
+        return NULL;
+    }
+    if (budget != NULL) {
+        int over = check_budget(word, images, budget);
 
-        overflow = 0;
-        if (!fast_letter(code, &s)) {
-            if (!PyLong_Check(code)) {
-                PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
-                             Py_TYPE(code)->tp_name);
-                goto fail;
-            }
-            s = PyLong_AsLongAndOverflow(code, &overflow);
-            if (s == -1 && PyErr_Occurred()) {
-                goto fail;
-            }
-        }
-        /* Code 0 reads images[0], as ``images[-s]`` does in the pure kernel. */
-        if (overflow || s == LONG_MIN
-            || (s > 0 ? s : -s) >= PySequence_Fast_GET_SIZE(images)) {
-            PyErr_SetString(PyExc_IndexError, "letter code has no image");
+        Py_DECREF(budget);
+        if (over < 0) {
             goto fail;
         }
-        img = PySequence_Fast_GET_ITEM(images, s > 0 ? s : -s);
-        if (!PyTuple_Check(img) && !PyList_Check(img)) {
-            PyErr_SetString(PyExc_TypeError, "images are tuples or lists");
+    }
+    for (i = 0; i < PySequence_Fast_GET_SIZE(word); i++) {
+        PyObject *img = letter_image(PySequence_Fast_GET_ITEM(word, i), images, &s);
+        PyObject **items;
+
+        if (img == NULL) {
             goto fail;
         }
         m = PySequence_Fast_GET_SIZE(img);
@@ -471,8 +570,8 @@ static PyMethodDef methods[] = {
     {"reduce_letters", reduce_letters, METH_O, reduce_letters_doc},
     {"concat_reduced", (PyCFunction)(void (*)(void))concat_reduced,
      METH_FASTCALL, concat_reduced_doc},
-    {"substitute", (PyCFunction)(void (*)(void))substitute, METH_FASTCALL,
-     substitute_doc},
+    {"substitute", (PyCFunction)(void (*)(void))substitute,
+     METH_FASTCALL | METH_KEYWORDS, substitute_doc},
     {"draw_letters", (PyCFunction)(void (*)(void))draw_letters, METH_FASTCALL,
      draw_letters_doc},
     {NULL, NULL, 0, NULL},

@@ -3,7 +3,8 @@
 Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
-words; ``draw_letters`` calls a uniform source, such as a bound
+words, ``substitute`` within a letter budget given by keyword;
+``draw_letters`` calls a uniform source, such as a bound
 ``Random.random``, once per letter, in the compiled kernel's order, and
 turns its draws into the letters of a random reduced word. Letters are
 nonzero signed integers; a letter and its negative cancel. Every letter
@@ -16,6 +17,8 @@ import struct
 import sys
 from itertools import chain, repeat
 from operator import index
+
+from .errors import ImageBudgetError
 
 BACKEND = "py"
 LONG_MAX = (1 << (8 * struct.calcsize("l") - 1)) - 1
@@ -48,21 +51,47 @@ def _plain_letters(seq):
     return tuple(map(index, seq))  # int subclasses, such as bool, as plain ints
 
 
-def _plain_images(word, images):
+def _needed(word, images):
+    """The letters the images ``word`` uses hold in all; raises what the
+    compiled kernel raises at the first bad word letter."""
+    needed = 0
+    for s in word:
+        if not isinstance(s, int):
+            raise TypeError(f"letters are ints, not {type(s).__name__}")
+        img = images[-s if s < 0 else s]
+        if not isinstance(img, (tuple, list)):
+            raise TypeError("images are tuples or lists")
+        needed += len(img)
+    return needed
+
+
+def _plain_images(word, images, budget):
     """``images`` with the images ``word`` uses as plain ints.
 
-    Raises what the compiled kernel raises for ``substitute(word, images)``,
-    at the first fault in the order it reads the word and the images its
-    letters use.
+    Raises what the compiled kernel raises for
+    ``substitute(word, images, budget=budget)``, in its order. Without a
+    budget, that is the first fault in the order it reads the word and the
+    images its letters use. With one, it first reads the whole word (see
+    ``_needed``) and compares the sum with the budget, and only then reads
+    image letters. The compiled kernel clamps the budget to a C ssize_t;
+    a sum of lengths lies in [0, sys.maxsize], so comparing it with the
+    budget itself gives the same answer.
     """
     if all(map(isinstance, word, repeat(int))):
         letters = set(word)
         if not letters or -len(images) < min(letters) <= max(letters) < len(images):
             used = [images[-s if s < 0 else s] for s in letters]
-            if all(map(isinstance, used, repeat((tuple, list)))) and _fits(
-                list(chain.from_iterable(used))
-            ):
-                return images
+            if all(map(isinstance, used, repeat((tuple, list)))):
+                if budget is not None:
+                    needed = 0
+                    for s in word:
+                        needed += len(images[-s if s < 0 else s])
+                    if needed > budget:
+                        raise ImageBudgetError(needed, budget)
+                if _fits(list(chain.from_iterable(used))):
+                    return images
+    if budget is not None and (needed := _needed(word, images)) > budget:
+        raise ImageBudgetError(needed, budget)
     plain = list(images)
     for s in word:
         if not isinstance(s, int):
@@ -117,17 +146,24 @@ def concat_reduced(u, v):
     return u[:i] + v[j:]
 
 
-def substitute(word, images):
+def substitute(word, images, /, *, budget=None):
     """Replace every letter by its image and reduce.
 
     ``images[k]`` is the (reduced) image of the positive letter ``k``; a
     negative letter contributes the inverted image. Cancellation is
     handled on the fly with one stack, so the result is reduced.
+
+    A ``budget`` other than None caps the letters the images write before
+    they reduce: it is read as an index, and ImageBudgetError is raised
+    before any image letter is read if the images the word uses total
+    more (see ``_plain_images``).
     """
     if not isinstance(images, (tuple, list)):
         raise TypeError("substitute expects a tuple or list of images")
+    if budget is not None:
+        budget = index(budget)
     word = tuple(word)
-    images = _plain_images(word, images)
+    images = _plain_images(word, images, budget)
     out = []
     pop = out.pop
     push = out.append

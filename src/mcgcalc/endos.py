@@ -12,7 +12,10 @@ applies its rightmost factor first. ``product`` is the one evaluator of
 a product of generators; ``compose`` and ``power`` are its two- and
 k-factor cases. Iterated composition can grow images exponentially, so
 ``apply`` and ``product`` take a total-letter ``budget`` per call
-(default 10**7) and raise ``ImageBudgetError`` instead of thrashing.
+(default 10**7) and raise ``ImageBudgetError`` instead of thrashing. The
+budget is checked inside the kernel's ``substitute``, which sums the
+image lengths before it substitutes; ``product`` also checks its running
+total after each step.
 """
 
 from __future__ import annotations
@@ -120,7 +123,9 @@ class FreeEndomorphism:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
-        return Word._reduced(self.basis, _image(w.data, self.table, budget))
+        return Word._reduced(
+            self.basis, _wordops.substitute(w.data, self.table, budget=budget)
+        )
 
     def compose(
         self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET
@@ -175,18 +180,6 @@ class FreeEndomorphism:
         return f"FreeEndomorphism({self.basis}: {parts})"
 
 
-def _image(
-    word: tuple[int, ...], table: Sequence[tuple[int, ...]], budget: int
-) -> tuple[int, ...]:
-    """``word`` through ``table``, or ImageBudgetError past ``budget`` letters."""
-    needed = 0
-    for code in word:
-        needed += len(table[code if code > 0 else -code])
-    if needed > budget:
-        raise ImageBudgetError(needed, budget)
-    return _wordops.substitute(word, table)
-
-
 def product(
     basis: Basis,
     factors: Sequence[FreeEndomorphism],
@@ -224,7 +217,7 @@ def product(
             ]
         step = list(table)
         for code, img in rows:
-            new = _image(img, table, budget)
+            new = _wordops.substitute(img, table, budget=budget)
             total += len(new) - len(table[code])
             step[code] = new
         table = tuple(step)

@@ -45,7 +45,7 @@ from functools import lru_cache
 from random import Random
 
 from . import _wordops, chains
-from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, _image
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table
 from .errors import BasisMismatchError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
@@ -219,7 +219,8 @@ def conjugate_to_yz(
     to_yz_table, from_yz_table = _xy_to_yz_table(genus), _yz_to_xy_table(genus)
     images = (
         _wordops.substitute(
-            _image(from_yz_table[sym.code], f.table, budget), to_yz_table
+            _wordops.substitute(from_yz_table[sym.code], f.table, budget=budget),
+            to_yz_table,
         )
         for sym in yz.symbols
     )

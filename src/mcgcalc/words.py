@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
-from operator import neg
+from operator import itemgetter, neg
 from random import Random
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Union
@@ -352,7 +352,14 @@ def parse_word(text: str, basis: Basis) -> Word:
 
 def format_word(w: Word) -> str:
     """Render a word in the text grammar; the identity renders as ``1``."""
-    return _join_tokens(map(_letter_table(w.basis)[1].__getitem__, w.data))
+    data = w.data
+    if not data:
+        return "1"
+    names = _letter_table(w.basis)[1]
+    if len(data) == 1:
+        return names[data[0]]
+    # one itemgetter reads every name in C; a 1-letter getter would return a bare name
+    return " ".join(itemgetter(*data)(names))
 
 
 @lru_cache(maxsize=None)

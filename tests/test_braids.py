@@ -96,9 +96,9 @@ def test_word_problem_substitutes_two_rows_per_later_letter(strands, length, see
     substitute = _wordops.substitute
     calls = []
 
-    def counting(word, table):
+    def counting(word, table, **kwargs):
         calls.append(word)
-        return substitute(word, table)
+        return substitute(word, table, **kwargs)  # the letter budget is a keyword
 
     with mock.patch.object(_wordops, "substitute", counting):
         is_trivial_braid(b)

@@ -27,6 +27,7 @@ from conftest import (
     stale_kernel_reason,
 )
 from mcgcalc import _wordops_py as py
+from mcgcalc.errors import ImageBudgetError
 
 RANK = 6
 LONG_MIN = -(1 << (8 * ctypes.sizeof(ctypes.c_long) - 1))
@@ -555,6 +556,96 @@ def test_kernel_contract(compiled_kernel, name, args, expected):
             assert [type(s) for s in result] == [type(s) for s in expected]
         unused.append([len(list(it)) for it in streams if it is not None])
     assert unused[0] == unused[1]
+
+
+def test_budget_is_keyword_only(compiled_kernel):
+    # The benchmark tracer replays each recorded substitute call from its
+    # positional arguments as ``(word, images)``, so the budget must never
+    # travel by position: both kernels refuse a third positional argument.
+    for kernel in (py, compiled_kernel):
+        with pytest.raises(TypeError):
+            kernel.substitute((1,), [(), (2,)], 5)
+        with pytest.raises(TypeError):
+            kernel.substitute((1,), [(), (2,)], limit=5)
+        assert kernel.substitute((1,), [(), (2,)], budget=1) == (2,)
+
+
+def budget_outcome(kernel, word, images, budget):
+    """``outcome`` of ``substitute`` under ``budget``; a budget error also
+    gives its ``needed`` and ``budget``."""
+    try:
+        result = kernel.substitute(word, images, budget=budget)
+    except ImageBudgetError as exc:
+        return type(exc), exc.needed, exc.budget
+    except Exception as exc:  # the exception type is what both kernels must share
+        return type(exc)
+    return type(result), result, [type(s) for s in result]
+
+
+# Letters (1, 2, -3) use images of 2, 1 and 2 letters: 5 in all.
+SIZES = [(), (1, 2), (3,), (2, -1)]
+OVER = ImageBudgetError
+
+# (word, images, budget, result, exception type, or (OVER, needed, budget)).
+BUDGET_CASES = [
+    pytest.param((1, 2, -3), SIZES, 5, (1, 2, 3, 1, -2), id="needed-equals-budget"),
+    pytest.param((1, 2, -3), SIZES, 4, (OVER, 5, 4), id="needed-one-past-budget"),
+    pytest.param((), SIZES, 0, (), id="empty-word-at-budget-0"),
+    pytest.param((), SIZES, -1, (OVER, 0, -1), id="empty-word-below-budget-0"),
+    pytest.param((1,) * 50, SIZES, 2**70, (1, 2) * 50, id="budget-past-ssize-never-trips"),
+    pytest.param((1,), SIZES, -(2**70), (OVER, 2, -(2**70)), id="budget-below-ssize-trips"),
+    pytest.param((1, 2, -3), SIZES, None, (1, 2, 3, 1, -2), id="no-budget"),
+    pytest.param((1,), SIZES, True, (OVER, 2, 1), id="bool-budget-is-an-index"),
+    pytest.param((1,), SIZES, 2.0, TypeError, id="float-budget"),
+    pytest.param((), SIZES, "2", TypeError, id="str-budget"),
+    # the whole word is read before the sum is compared: a bad letter after
+    # the overrun still raises its own error
+    pytest.param((1, "x1"), SIZES, 1, TypeError, id="bad-letter-type-under-budget"),
+    pytest.param((1, 4), SIZES, 1, IndexError, id="bad-letter-range-under-budget"),
+    pytest.param((1, 1 << 80), SIZES, 1, IndexError, id="wide-letter-under-budget"),
+    pytest.param((1, -2), [(), (1, 2), None], 1, TypeError, id="bad-image-type-under-budget"),
+    # no image letter is read before the sum is compared
+    pytest.param((1, 1), [(), ("a", 1.5)], 3, (OVER, 4, 3), id="bad-image-letter-past-budget"),
+    pytest.param((1, 1), [(), ("a", 1.5)], 4, TypeError, id="bad-image-letter-within-budget"),
+]
+
+
+@pytest.mark.parametrize("word, images, budget, expected", BUDGET_CASES)
+def test_kernel_budget(compiled_kernel, word, images, budget, expected):
+    if isinstance(expected, tuple) and expected[:1] != (OVER,):
+        expected = (tuple, expected, [int] * len(expected))
+    for kernel in (py, compiled_kernel):
+        assert budget_outcome(kernel, word, images, budget) == expected, kernel.BACKEND
+
+
+budgets = st.one_of(
+    st.none(),
+    st.integers(-2, 2000),
+    st.sampled_from([2**70, -(2**70), LONG_MAX, True, 1.0, "3"]),
+)
+
+
+@given(
+    word=st.one_of(unreduced, faulty_words),
+    table=st.one_of(tables, faulty_tables),
+    budget=budgets,
+)
+def test_kernels_agree_on_budgets(compiled_kernel, word, table, budget):
+    assert budget_outcome(compiled_kernel, word, table, budget) == budget_outcome(
+        py, word, table, budget
+    )
+
+
+def test_budget_errors_keep_their_reference_count(compiled_kernel):
+    # A budget past CPython's small ints, so only this test and the kernel
+    # hold it; every failed call must release what it took.
+    budget = int("333")
+    word = (1,) * 200
+    baseline = sys.getrefcount(budget)
+    for _ in range(10**4):
+        with pytest.raises(ImageBudgetError):
+            compiled_kernel.substitute(word, [(), (1, 2)], budget=budget)
+    assert sys.getrefcount(budget) == baseline
 
 
 def test_backend_name(compiled_kernel):

@@ -195,6 +195,12 @@ def test_format_identity_and_letters():
     assert format_word(Word.identity(XY2)) == "1"
     assert format_word(parse_word("x1 y1^-1", XY2)) == "x1 y1^-1"
     assert format_word(parse_word("z1^-1 y1^-1 z1", YZ2)) == "z1^-1 y1^-1 z1"
+    # a 1-letter word is its letter's name alone, inverses included
+    for text, basis in (
+        ("x1", XY2), ("y2^-1", XY2), ("z1", YZ2), ("z2^-1", YZ2), ("y1^-1", YZ2),
+        ("al10", Basis.abstract(10)), ("al3^-1", Basis.abstract(10)),
+    ):
+        assert format_word(parse_word(text, basis)) == text
 
 
 # two-digit indices, the yz basis, and the two-letter ``al`` prefix
