@@ -52,7 +52,17 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        for k in self.letters:
+        letters = self.letters
+        # the type check runs over the letters themselves: in a set of them,
+        # True would merge with 1 and hide the bool
+        if not letters or (
+            set(map(type, letters)) <= {int}
+            and 0 not in letters
+            and -self.strands < min(letters)
+            and max(letters) < self.strands
+        ):
+            return
+        for k in letters:  # only to raise at the first bad letter
             if type(k) is not int:  # bools and other int subclasses too
                 raise TypeError(f"braid letters are ints, not {type(k).__name__}")
             if k == 0 or abs(k) > self.strands - 1:
@@ -125,17 +135,28 @@ def _artin_generator(index: int, strands: int, sign: int) -> FreeEndomorphism:
 def artin_action(
     b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> FreeEndomorphism:
-    """The Artin automorphism of the rank-n free group, rightmost letter first."""
+    """The Artin automorphism of the rank-n free group, rightmost letter first.
+
+    The Artin action is a homomorphism from the free group on the braid
+    generators, so it is evaluated on the freely reduced word: a pair
+    ``b_k b_k^-1`` is never built up only to cancel. ``budget`` bounds the
+    images of that evaluation.
+    """
+    letters = _wordops.reduce_letters(b.letters)
     generators = {
-        k: _artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in set(b.letters)
+        k: _artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in set(letters)
     }
     return product(
-        Basis.abstract(b.strands), [generators[k] for k in b.letters], budget=budget
+        Basis.abstract(b.strands), [generators[k] for k in letters], budget=budget
     )
 
 
 def is_trivial_braid(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> bool:
-    """Word problem: true iff the braid word represents the identity braid."""
+    """Word problem: true iff the braid word represents the identity braid.
+
+    Decided by an exact identity check of ``artin_action``, which evaluates
+    the freely reduced word within ``budget``.
+    """
     return artin_action(b, budget=budget).is_identity()
 
 

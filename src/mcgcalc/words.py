@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter, neg
 from random import Random
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, WordSyntaxError
@@ -236,24 +236,27 @@ _TOKEN_RE = re.compile(r"([a-z]+)([0-9]+)(\^-1)?")
 
 def _tokenize(
     text: str, what: str, decode: Callable[[str, int], Any], table: Mapping[str, Any]
-) -> list:
+) -> Sequence:
     """Decode every whitespace-separated token of ``text``, left to right.
 
     This is the one reader of word, twist, braid and z-word text. Every
     grammar passes ``table``, a cached map from its canonical token
     spellings to their values; when every token is in it, the values come
-    straight from it. Otherwise each token goes through
-    ``decode(token, offset)``, which reads other spellings (``x01``) and
-    returns the same value, or raises ``WordSyntaxError`` at that offset.
-    The text ``1`` alone gives no values (the identity); text without
-    tokens is an error naming ``what``.
+    straight from it, read by one ``itemgetter`` call. Otherwise each token
+    goes through ``decode(token, offset)``, which reads other spellings
+    (``x01``) and returns the same value, or raises ``WordSyntaxError`` at
+    that offset. The text ``1`` alone gives no values (the identity); text
+    without tokens is an error naming ``what``.
     """
     tokens = text.split()
     if tokens:
         try:
-            return list(map(table.__getitem__, tokens))
+            values = itemgetter(*tokens)(table)
         except KeyError:
             pass
+        else:
+            # an itemgetter of one key returns the bare value
+            return values if len(tokens) > 1 else (values,)
     if text.strip() == "1":
         return []
     values = [decode(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]

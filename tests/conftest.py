@@ -112,7 +112,7 @@ def python_configs():
 
 def python_includes(candidates):
     """(the ``-I`` flags of the first candidate whose ``--includes`` answers,
-    None), or (None, why none did)."""
+    that candidate), or (None, why none did)."""
     reasons = []
     for script in dict.fromkeys(candidates):
         try:
@@ -123,7 +123,7 @@ def python_includes(candidates):
             reasons.append(f"{script}: {exc}")
             continue
         if proc.returncode == 0 and proc.stdout.split():
-            return shlex.split(proc.stdout), None
+            return shlex.split(proc.stdout), script
         first = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[0]
         reasons.append(f"{script}: {first}")
     return None, "; ".join(reasons)

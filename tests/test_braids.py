@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcgcalc import _wordops
+from mcgcalc.braids import _artin_generator
+from mcgcalc.endos import product
 from mcgcalc import (
     Basis,
     BasisMismatchError,
@@ -26,6 +28,7 @@ from mcgcalc import (
     random_braid_word,
     restrict_to_z,
     verify_artin_restriction,
+    verify_inverse_pair,
     verify_psi_relations,
 )
 
@@ -89,7 +92,8 @@ def test_equivalent_words_have_equal_actions():
 # perfbench takes its wordops.*.c_over_py kernel comparison only from the
 # substitute calls it traces, so products of braid generators must go through
 # _wordops.substitute, one call per row a factor moves: a product that bypasses
-# it leaves the braid-pairs results without those metrics.
+# it leaves the braid-pairs results without those metrics. The Artin action is
+# evaluated on the freely reduced word, so the count follows its length.
 @given(strands=st.integers(2, 6), length=st.integers(1, 14), seed=st.integers(0, 2**32))
 def test_word_problem_substitutes_two_rows_per_later_letter(strands, length, seed):
     b = random_braid_word(strands, length, random.Random(seed))
@@ -103,7 +107,35 @@ def test_word_problem_substitutes_two_rows_per_later_letter(strands, length, see
     with mock.patch.object(_wordops, "substitute", counting):
         is_trivial_braid(b)
     # the first factor's table is taken as it is; each later one moves two rows
-    assert len(calls) == 2 * (len(b) - 1)
+    assert len(calls) == 2 * max(len(b.free_reduce()) - 1, 0)
+
+
+@st.composite
+def braids_with_cancelling_pairs(draw):
+    """A braid word on 2..6 strands with pairs ``b_k b_k^-1`` inserted."""
+    strands = draw(st.integers(2, 6))
+    letter = st.sampled_from([k for k in range(1 - strands, strands) if k])
+    letters = draw(st.lists(letter, max_size=12))
+    for k in draw(st.lists(letter, max_size=6)):
+        pos = draw(st.integers(0, len(letters)))
+        letters[pos:pos] = [k, -k]
+    return BraidWord(strands, tuple(letters))
+
+
+@given(braids_with_cancelling_pairs())
+def test_artin_action_of_the_reduced_word_is_the_unreduced_product(b):
+    generators = [_artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in b.letters]
+    assert artin_action(b) == product(Basis.abstract(b.strands), generators)
+
+
+@pytest.mark.parametrize("strands", range(2, 9))
+def test_artin_generators_and_their_inverses_compose_to_the_identity(strands):
+    # artin_action cancels b_k b_k^-1 before it evaluates, so this pair of
+    # tables is no longer composed by evaluating such a word
+    for i in range(1, strands):
+        assert verify_inverse_pair(
+            _artin_generator(i, strands, 1), _artin_generator(i, strands, -1)
+        )
 
 
 def test_free_reduce():
@@ -247,6 +279,23 @@ def test_parse_rejects_out_of_range_indices():
         parse_braid_word("x1", 3)
     with pytest.raises(ValueError):
         BraidWord(2, (2,))
+
+
+@pytest.mark.parametrize(
+    "letters, error, message",
+    [
+        ((1, True), TypeError, "braid letters are ints, not bool"),
+        ((2, 1.0), TypeError, "braid letters are ints, not float"),
+        ((1, 0), ValueError, "braid letter 0 out of range for 3 strands (indices run 1..2)"),
+        ((1, 3), ValueError, "braid letter 3 out of range for 3 strands (indices run 1..2)"),
+        ((-3, True), ValueError, "braid letter -3 out of range for 3 strands"),
+    ],
+    ids=repr,
+)
+def test_braid_letters_raise_at_the_first_bad_letter(letters, error, message):
+    with pytest.raises(error) as excinfo:
+        BraidWord(3, letters)
+    assert str(excinfo.value).startswith(message)
 
 
 @pytest.mark.parametrize("letter", [1.0, True, False, "b1", None, 1j], ids=repr)

@@ -63,6 +63,23 @@ def test_braid_nontrivial(capsys):
     assert out.strip() == "nontrivial"
 
 
+# A nontrivial 50-letter braid on 3 strands, drawn by the benchmark's input
+# generator (perfbench/inputs.py, braid_pairs(1517, 0)). Typed as it stands,
+# its Artin image passes the default budget (12,728,385 letters); freely
+# reduced, as artin_action evaluates it, it fits.
+BRAID_1517 = (
+    "b1 b1^-1 b1 b1 b2 b1^-1 b2 b1^-1 b1^-1 b2 b1^-1 b1 b1 b1^-1 b2 b1^-1 b1 b1 "
+    "b2^-1 b1 b1 b2^-1 b2^-1 b1 b2^-1 b1^-1 b1^-1 b2 b2 b2 b1^-1 b2 b1^-1 b2^-1 "
+    "b2^-1 b2^-1 b2^-1 b1^-1 b2 b1^-1 b1^-1 b2 b2 b1^-1 b1^-1 b1 b2 b1^-1 b2^-1 b2"
+)
+
+
+def test_braid_with_cancelling_pairs_is_decided_within_the_budget(capsys):
+    assert len(BRAID_1517.split()) == 50
+    code, out, err = run(capsys, "braid-trivial", "--strands", "3", BRAID_1517)
+    assert (code, out.strip(), err) == (1, "nontrivial", "")
+
+
 def test_braid_trivial_usage_error(capsys):
     code, _, err = run(capsys, "braid-trivial", "--strands", "2", "b2")
     assert code == 2

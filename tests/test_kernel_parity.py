@@ -7,11 +7,14 @@ letters beyond a C long included. Tier-1 runs both: the
 place.
 """
 
+import ast
 import ctypes
 import enum
 import hashlib
+import inspect
 import json
 import os
+import subprocess
 import sys
 from itertools import cycle, repeat
 
@@ -20,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     KERNEL_SOURCE,
+    SRC,
     c_compiler,
     compile_kernel,
     python_configs,
@@ -535,6 +539,36 @@ CONTRACT += [
 ]
 
 
+# A word of one positive letter whose image is a reduced tuple of nonzero
+# one-digit ints returns that image itself; every other one-letter word
+# takes the general path, and the results agree either way.
+REDUCED_ROW = (2, -3, 2)
+CONTRACT += [
+    pytest.param("substitute", ((1,), [(), REDUCED_ROW]), REDUCED_ROW,
+                 id="substitute-one-letter-reduced-image"),
+    pytest.param("substitute", ((2,), [(), (1,), ()]), (),
+                 id="substitute-one-letter-empty-image"),
+    pytest.param("substitute", ((-1,), [(), REDUCED_ROW]), (-2, 3, -2),
+                 id="substitute-one-negative-letter"),
+    pytest.param("substitute", ((1,), [(), (1, -1, 2)]), (2,),
+                 id="substitute-one-letter-unreduced-image"),
+    pytest.param("substitute", ((1,), [(), [2, -3]]), (2, -3),
+                 id="substitute-one-letter-list-image"),
+    pytest.param("substitute", ((1,), [(), (2, True)]), (2, 1),
+                 id="substitute-one-letter-image-with-bool"),
+    pytest.param("substitute", ((1,), [(), (2, 0)]), (2, 0),
+                 id="substitute-one-letter-image-with-zero"),
+    pytest.param("substitute", ((1,), [(), (2, 1 << 40)]), (2, 1 << 40),
+                 id="substitute-one-letter-image-past-one-digit"),
+    pytest.param("substitute", ((1,), [(), (Gen.B, 3)]), (2, 3),
+                 id="substitute-one-letter-image-with-int-enum"),
+    pytest.param("substitute", ((True,), [(), REDUCED_ROW]), REDUCED_ROW,
+                 id="substitute-one-bool-letter"),
+    pytest.param("substitute", ((1,), [(), (2, "x1")]), TypeError,
+                 id="substitute-one-letter-bad-image-letter"),
+]
+
+
 def test_contract_ids_are_unique():
     ids = [row.id for row in CONTRACT]
     assert len(set(ids)) == len(ids)
@@ -556,6 +590,47 @@ def test_kernel_contract(compiled_kernel, name, args, expected):
             assert [type(s) for s in result] == [type(s) for s in expected]
         unused.append([len(list(it)) for it in streams if it is not None])
     assert unused[0] == unused[1]
+
+
+def test_one_letter_returns_its_reduced_image_itself(compiled_kernel):
+    images = [(), REDUCED_ROW]
+    for kernel in (py, compiled_kernel):
+        assert kernel.substitute((1,), images) is REDUCED_ROW
+        assert kernel.substitute((1,), images, budget=3) is REDUCED_ROW
+
+
+def test_returned_rows_keep_their_reference_count(compiled_kernel):
+    # A row built at run time, so only this test and the kernel hold it.
+    row = compiled_kernel.reduce_letters([2, -3, 2])
+    images = [(), row]
+    baseline = sys.getrefcount(row)
+    for budget in (None, 10):
+        results = [compiled_kernel.substitute((1,), images, budget=budget)
+                   for _ in range(10**4)]
+        assert all(result is row for result in results)
+        assert sys.getrefcount(row) == baseline + 10**4  # one per result held
+        del results
+        assert sys.getrefcount(row) == baseline
+
+
+one_letter_images = st.one_of(
+    words.map(tuple),
+    words,
+    st.lists(st.one_of(letters, st.sampled_from([0, True, False, 1 << 40, -(1 << 40), Gen.B])),
+             max_size=8).map(tuple),
+)
+
+
+@given(
+    letter=st.integers(-RANK, RANK),
+    table=st.lists(one_letter_images, min_size=RANK, max_size=RANK),
+    budget=st.one_of(st.none(), st.integers(-1, 12)),
+)
+def test_kernels_agree_on_one_letter_words(compiled_kernel, letter, table, budget):
+    images = [(), *table]
+    assert budget_outcome(compiled_kernel, (letter,), images, budget) == budget_outcome(
+        py, (letter,), images, budget
+    )
 
 
 def test_budget_is_keyword_only(compiled_kernel):
@@ -607,6 +682,10 @@ BUDGET_CASES = [
     # no image letter is read before the sum is compared
     pytest.param((1, 1), [(), ("a", 1.5)], 3, (OVER, 4, 3), id="bad-image-letter-past-budget"),
     pytest.param((1, 1), [(), ("a", 1.5)], 4, TypeError, id="bad-image-letter-within-budget"),
+    # a one-letter word checks the budget before it may return its image
+    pytest.param((1,), [(), (2, -3, 2)], 2, (OVER, 3, 2), id="one-letter-past-budget"),
+    pytest.param((1,), [(), (2, -3, 2)], 3, (2, -3, 2), id="one-letter-at-budget"),
+    pytest.param((1,), [(), (1, -1)], 1, (OVER, 2, 1), id="one-letter-unreduced-past-budget"),
 ]
 
 
@@ -672,20 +751,79 @@ RUNNING = f"{sys.version_info[0]}.{sys.version_info[1]}"
 OTHER_PYTHONS = {v: c for v, c in python_configs().items() if v != RUNNING}
 
 
+def plain(value):
+    """True iff ``repr(value)`` reads back as an equal value of the same types."""
+    if type(value) in (tuple, list):
+        return all(map(plain, value))
+    return type(value) in (int, bool, float, str, type(None))
+
+
+# The substitute rows of CONTRACT and BUDGET_CASES that hold plain values, as
+# (id, args, kwargs); another interpreter reads them back with literal_eval.
+PLAIN_SUBSTITUTE_ROWS = [
+    (row.id, row.values[1], {}) for row in CONTRACT
+    if row.values[0] == "substitute" and plain(row.values[1])
+] + [
+    (row.id, row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES
+    if plain(row.values[:3])
+]
+
+
+def substitute_outcome(kernel, args, kwargs):
+    """What ``kernel.substitute(*args, **kwargs)`` gives, with type names, so
+    that another interpreter can print it for ``literal_eval``."""
+    try:
+        result = kernel.substitute(*args, **kwargs)
+    except Exception as exc:  # the exception type is what every build must share
+        return type(exc).__name__, getattr(exc, "needed", None), getattr(exc, "budget", None)
+    return type(result).__name__, result, [type(s).__name__ for s in result]
+
+
+# Loads the kernel built at argv[1] and prints the outcome of substitute on
+# every row read from stdin. The package, which holds ImageBudgetError, comes
+# from SRC with the pure kernel selected.
+REPLAY = f"""\
+import ast, importlib.machinery, importlib.util, sys
+loader = importlib.machinery.ExtensionFileLoader("mcgcalc._wordops_c", sys.argv[1])
+kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+loader.exec_module(kernel)
+{inspect.getsource(substitute_outcome)}
+rows = ast.literal_eval(sys.stdin.read())
+print(repr([(id, substitute_outcome(kernel, args, kwargs)) for id, args, kwargs in rows]))
+"""
+
+
 @pytest.mark.parametrize(
     "version", sorted(OTHER_PYTHONS, key=lambda v: int(v.split(".")[1])) or [None]
 )
-def test_kernel_source_compiles_against_other_pythons(tmp_path, version):
+def test_kernel_source_compiles_against_other_pythons(compiled_kernel, tmp_path, version):
     if version is None:
         pytest.skip("no python3.X-config for another CPython 3.10+ on PATH")
     compiler = c_compiler()
     if compiler is None:
         pytest.skip("no C compiler")
-    includes, reason = python_includes(OTHER_PYTHONS[version])
+    includes, script = python_includes(OTHER_PYTHONS[version])
     if includes is None:
-        pytest.skip(f"no headers for CPython {version}: {reason}")
-    _, proc = compile_kernel(compiler, tmp_path, STRICT, includes)
+        pytest.skip(f"no headers for CPython {version}: {script}")
+    target, proc = compile_kernel(compiler, tmp_path, STRICT, includes)
     assert proc.returncode == 0, f"{' '.join(includes)}\n{proc.stderr}"
+    # Load the build there too: from 3.12 on, fast_letter takes another branch.
+    interpreter = script.removesuffix("-config")
+    if not os.access(interpreter, os.X_OK):
+        pytest.skip(f"no interpreter beside {script} to load the build")
+    proc = subprocess.run(
+        [interpreter, "-c", REPLAY, str(target)],
+        input=repr(PLAIN_SUBSTITUTE_ROWS),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, MCGCALC_KERNEL="py", PYTHONPATH=str(SRC)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == [
+        (id, substitute_outcome(compiled_kernel, args, kwargs))
+        for id, args, kwargs in PLAIN_SUBSTITUTE_ROWS
+    ]
 
 
 def test_stale_build_is_found_by_source_hash(tmp_path):

@@ -11,8 +11,12 @@ from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
     BasisMismatchError,
+    BraidWord,
     Family,
     Symbol,
+    TwistKind,
+    TwistSymbol,
+    TwistWord,
     Word,
     WordSyntaxError,
     format_word,
@@ -23,6 +27,7 @@ from mcgcalc import (
     random_word,
     verify_yz_roundtrip,
     word_with_z,
+    z_loop,
 )
 from mcgcalc.words import _tokenize
 
@@ -381,6 +386,40 @@ def test_tokenizer_table_matches_the_offset_path_on_every_listed_token(grammar):
 
     with mock.patch.object(module, "_tokenize", offset_path):
         assert [parse_outcome(parse, text, arg) for text in texts] == expected
+
+
+def test_tokenizer_reads_one_token_as_one_value():
+    # an itemgetter of one key returns the bare value, here a tuple itself
+    table = {"t1": (1, 2), "t2": (3,)}
+
+    def decode(token, pos):
+        return ("decoded", token, pos)
+
+    assert list(_tokenize("t1", "t", decode, table)) == [(1, 2)]
+    assert list(_tokenize("\tt2 ", "t", decode, table)) == [(3,)]
+    assert list(_tokenize("t1 t2", "t", decode, table)) == [(1, 2), (3,)]
+    assert list(_tokenize("  t01", "t", decode, table)) == [("decoded", "t01", 2)]
+
+
+@pytest.mark.parametrize(
+    "parse, arg, token, other, expected",
+    [
+        (parse_word, XY2, "x1", "x01", XY2.generator("x1")),
+        (parse_braid_word, 3, "b1", "b01", BraidWord(3, (1,))),
+        (parse_twist_word, 3, "a1", "a01", TwistWord(3, (TwistSymbol(TwistKind.A, 1, 1),))),
+        (word_with_z, 2, "z1", "z01", z_loop(1, 2)),
+    ],
+    ids=["word", "braid", "twist", "z-word"],
+)
+def test_one_token_texts_parse_alike_in_every_grammar(parse, arg, token, other, expected):
+    assert parse(token, arg) == parse(f" {token}\n", arg) == parse(other, arg) == expected
+    assert parse(f"{token} {other}", arg) == expected * expected
+    # a non-canonical token takes the decoder path, with its offsets
+    bad = other.replace("1", "0")
+    for text, position in ((bad, 0), (f"  {bad}", 2), (f"{token} {bad}", len(token) + 1)):
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse(text, arg)
+        assert excinfo.value.position == position
 
 
 def test_format_parse_canonicalizes():
