@@ -11,10 +11,6 @@
  * first pass sums the lengths of the images the word uses and raises
  * ``mcgcalc.errors.ImageBudgetError``, looked up when it is raised, past
  * the budget, before any image letter is read or the result allocated.
- * After that pass, a word of one positive letter whose image is already a
- * reduced tuple of plain letters (``plain_reduced``) returns that tuple
- * itself: a generator that renames one row, as a braid generator does,
- * then costs one scan of the row and no copy.
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
@@ -301,9 +297,8 @@ PyDoc_STRVAR(substitute_doc,
 "``images[k]`` is the (reduced) image of the positive letter ``k``; a\n"
 "negative letter contributes the inverted image. Only the images of the\n"
 "letters in the word are read, in place, and the one stack grows as the\n"
-"result does. ``images`` and each image are tuples or lists. A word of\n"
-"one positive letter whose image is a tuple of nonzero one-digit ints,\n"
-"already reduced, returns that image itself.\n\n"
+"result does, so the result is always built anew. ``images`` and each\n"
+"image are tuples or lists.\n\n"
 "A ``budget`` other than None caps the letters the images write before\n"
 "they reduce. It is read as an index, and clamped to the range of a C\n"
 "ssize_t. A first pass over the word sums the lengths of the images its\n"
@@ -393,27 +388,6 @@ check_budget(PyObject *word, PyObject *images, PyObject *budget)
     return 0;
 }
 
-/* True iff ``img`` is an exact tuple of nonzero letters that ``fast_letter``
- * reads, with no adjacent pair that cancels: the result the general path
- * would build from it, letter for letter. */
-static int
-plain_reduced(PyObject *img)
-{
-    Py_ssize_t k;
-    long t, prev = 0;
-
-    if (!PyTuple_CheckExact(img)) {
-        return 0;
-    }
-    for (k = 0; k < PyTuple_GET_SIZE(img); k++) {
-        if (!fast_letter(PyTuple_GET_ITEM(img, k), &t) || t == 0 || t == -prev) {
-            return 0;
-        }
-        prev = t;
-    }
-    return 1;
-}
-
 static PyObject *
 substitute(PyObject *module, PyObject *const *args,
            Py_ssize_t nargs, PyObject *kwnames)
@@ -459,18 +433,6 @@ substitute(PyObject *module, PyObject *const *args,
         Py_DECREF(budget);
         if (over < 0) {
             goto fail;
-        }
-    }
-    if (PySequence_Fast_GET_SIZE(word) == 1) {
-        PyObject *img = letter_image(PySequence_Fast_GET_ITEM(word, 0), images, &s);
-
-        if (img == NULL) {
-            goto fail;
-        }
-        if (s > 0 && plain_reduced(img)) {
-            Py_DECREF(word);
-            Py_INCREF(img);
-            return img;
         }
     }
     for (i = 0; i < PySequence_Fast_GET_SIZE(word); i++) {

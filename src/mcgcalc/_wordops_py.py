@@ -10,22 +10,18 @@ turns its draws into the letters of a random reduced word. Letters are
 nonzero signed integers; a letter and its negative cancel. Every letter
 the compiled kernel reads is read here too, as a C long in
 [-LONG_MAX, LONG_MAX], and results hold plain ints; ``concat_reduced``
-joins its arguments' own letters in both, and ``substitute`` returns the
-image itself for one positive letter whose image is already a plain
-reduced tuple (see ``_plain_reduced``).
+joins its arguments' own letters in both.
 """
 
 import struct
 import sys
 from itertools import chain, repeat
-from operator import eq, index, neg
+from operator import index
 
 from .errors import ImageBudgetError
 
 BACKEND = "py"
 LONG_MAX = (1 << (8 * struct.calcsize("l") - 1)) - 1
-# the compiled kernel reads an exact int of one digit without a call
-ONE_DIGIT = 1 << sys.int_info.bits_per_digit
 
 
 def _check_letters(letters):
@@ -53,19 +49,6 @@ def _plain_letters(seq):
         return seq
     _check_letters(seq)
     return tuple(map(index, seq))  # int subclasses, such as bool, as plain ints
-
-
-def _plain_reduced(img):
-    """True iff ``img`` is a tuple of nonzero ints of one digit, none of them
-    an int subclass, with no adjacent pair that cancels: the image the
-    compiled kernel's ``substitute`` returns as it is."""
-    return (
-        type(img) is tuple
-        and set(map(type, img)) <= {int}
-        and (not img or -ONE_DIGIT < min(img) and max(img) < ONE_DIGIT)
-        and 0 not in img
-        and not any(map(eq, img, map(neg, img[1:])))
-    )
 
 
 def _needed(word, images):
@@ -173,21 +156,13 @@ def substitute(word, images, /, *, budget=None):
     A ``budget`` other than None caps the letters the images write before
     they reduce: it is read as an index, and ImageBudgetError is raised
     before any image letter is read if the images the word uses total
-    more (see ``_plain_images``). Within the budget, a word of one positive
-    letter whose image is already a plain reduced tuple returns that image
-    itself, as the compiled kernel does.
+    more (see ``_plain_images``). The result is always built on the stack.
     """
     if not isinstance(images, (tuple, list)):
         raise TypeError("substitute expects a tuple or list of images")
     if budget is not None:
         budget = index(budget)
     word = tuple(word)
-    if len(word) == 1 and type(s := word[0]) is int and 0 < s < len(images):
-        img = images[s]
-        if _plain_reduced(img):
-            if budget is not None and len(img) > budget:
-                raise ImageBudgetError(len(img), budget)
-            return img
     images = _plain_images(word, images, budget)
     out = []
     pop = out.pop

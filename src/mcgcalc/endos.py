@@ -15,7 +15,8 @@ k-factor cases. Iterated composition can grow images exponentially, so
 (default 10**7) and raise ``ImageBudgetError`` instead of thrashing. The
 budget is checked inside the kernel's ``substitute``, which sums the
 image lengths before it substitutes; ``product`` also checks its running
-total after each step.
+total after each step. A row that a generator only renames, as each braid
+generator renames one of its two moved rows, is reused there, not copied.
 """
 
 from __future__ import annotations
@@ -190,10 +191,11 @@ def product(
 
     ``product(basis, ())`` is the identity. The factors' code tables are
     composed directly: each step substitutes only the generators its
-    factor moves, and a generator it fixes keeps its accumulated image.
-    Raises ``ImageBudgetError`` before materializing an image whose
-    unreduced size exceeds ``budget``, and after any step whose images
-    total more than ``budget`` letters.
+    factor moves, a generator it fixes keeps its accumulated image, and a
+    generator it sends to a positive letter c takes c's accumulated image,
+    the same object, without a kernel call. Raises ``ImageBudgetError``
+    before materializing an image whose unreduced size exceeds ``budget``,
+    and after any step whose images total more than ``budget`` letters.
     """
     # a product repeats a few generators: compare each distinct factor once
     for f in {id(f): f for f in factors}.values():
@@ -202,9 +204,10 @@ def product(
     if not factors:
         return FreeEndomorphism.identity(basis)
     codes = [sym.code for sym in basis.symbols]
-    # id of a factor's table -> the (code, image) rows it moves, in basis order;
+    # id of a factor's table -> the (code, image, renamed) rows it moves, in
+    # basis order, where ``renamed`` is c for an image (c,) with c > 0 and else 0;
     # ``factors`` keeps every table alive, so no id is reused within the call
-    moved: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    moved: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
     table = factors[0].table
     total = sum([len(table[code]) for code in codes])
     if total > budget:
@@ -213,11 +216,19 @@ def product(
         rows = moved.get(id(f.table))
         if rows is None:
             rows = moved[id(f.table)] = [
-                (code, f.table[code]) for code in codes if f.table[code] != (code,)
+                (code, img, img[0] if len(img) == 1 and img[0] > 0 else 0)
+                for code in codes
+                if (img := f.table[code]) != (code,)
             ]
         step = list(table)
-        for code, img in rows:
-            new = _wordops.substitute(img, table, budget=budget)
+        for code, img, renamed in rows:
+            # A rename reuses the accumulated row and, like a fixed row, needs
+            # no budget check: the total checked before this step counts
+            # table[renamed], so len(table[renamed]) <= total <= budget.
+            if renamed:
+                new = table[renamed]
+            else:
+                new = _wordops.substitute(img, table, budget=budget)
             total += len(new) - len(table[code])
             step[code] = new
         table = tuple(step)

@@ -1,4 +1,5 @@
 import json
+import random
 from unittest import mock
 
 import pytest
@@ -27,8 +28,10 @@ from mcgcalc import (
     pillar_switching_action,
     pillar_switching_yz,
     product,
+    random_braid_word,
     verify_inverse_pair,
 )
+from mcgcalc.braids import _artin_generator
 
 XY2 = Basis.xy(2)
 
@@ -200,6 +203,44 @@ def test_product_matches_the_full_step_loop(compiled_kernel, pool, picks, data):
             expected = budget_outcome(reference_product, AB3, factors, budget, [])
             got = budget_outcome(product, AB3, factors, budget=budget)
         assert got == expected, kernel.BACKEND
+
+
+# Artin generators on 3..8 strands: each moves two rows and renames one of
+# them, so every later factor takes one row from the accumulated table as it is.
+ARTIN_WORDS = [
+    (n, random_braid_word(n, 12, random.Random(n)).letters) for n in range(3, 9)
+]
+
+
+@pytest.mark.parametrize("strands, letters", ARTIN_WORDS, ids=[f"n{n}" for n, _ in ARTIN_WORDS])
+def test_product_of_artin_generators_matches_the_full_step_loop(
+    compiled_kernel, strands, letters
+):
+    basis = Basis.abstract(strands)
+    factors = [_artin_generator(abs(k), strands, 1 if k > 0 else -1) for k in letters]
+    sizes = []
+    reference_product(basis, factors, DEFAULT_IMAGE_BUDGET, sizes)
+    # every size the steps check, and one below each
+    budgets = sorted({s - d for s in sizes for d in (0, 1) if s - d >= 0})
+    for kernel in (py, compiled_kernel):
+        with mock.patch.object(_wordops, "substitute", kernel.substitute):
+            for budget in budgets:
+                expected = budget_outcome(reference_product, basis, factors, budget, [])
+                got = budget_outcome(product, basis, factors, budget=budget)
+                assert got == expected, (kernel.BACKEND, budget)
+
+
+def test_a_renamed_row_is_the_accumulated_row():
+    # b1 sends al1 to al2, so stepping it takes the accumulated row of al2 as
+    # the row of al1, the object itself, and calls the kernel only for al2's row
+    s1, s2 = _artin_generator(1, 3, 1), _artin_generator(2, 3, 1)
+    al1, al2 = (AB3.generator(name).data[0] for name in ("al1", "al2"))
+    substitute = _wordops.substitute
+    with mock.patch.object(_wordops, "substitute", wraps=substitute) as calls:
+        f = product(AB3, [s2, s1])
+    assert f.table[al1] is s2.table[al2]
+    assert calls.call_count == 1
+    assert f == artin_action(BraidWord(3, (2, 1)))
 
 
 def test_product_rejects_basis_mismatch():

@@ -539,9 +539,9 @@ CONTRACT += [
 ]
 
 
-# A word of one positive letter whose image is a reduced tuple of nonzero
-# one-digit ints returns that image itself; every other one-letter word
-# takes the general path, and the results agree either way.
+# Words of one letter over images of every kind the kernels read: reduced
+# or not, tuples or lists, letters past one digit or of an int subclass, and
+# bad letters.
 REDUCED_ROW = (2, -3, 2)
 CONTRACT += [
     pytest.param("substitute", ((1,), [(), REDUCED_ROW]), REDUCED_ROW,
@@ -590,27 +590,6 @@ def test_kernel_contract(compiled_kernel, name, args, expected):
             assert [type(s) for s in result] == [type(s) for s in expected]
         unused.append([len(list(it)) for it in streams if it is not None])
     assert unused[0] == unused[1]
-
-
-def test_one_letter_returns_its_reduced_image_itself(compiled_kernel):
-    images = [(), REDUCED_ROW]
-    for kernel in (py, compiled_kernel):
-        assert kernel.substitute((1,), images) is REDUCED_ROW
-        assert kernel.substitute((1,), images, budget=3) is REDUCED_ROW
-
-
-def test_returned_rows_keep_their_reference_count(compiled_kernel):
-    # A row built at run time, so only this test and the kernel hold it.
-    row = compiled_kernel.reduce_letters([2, -3, 2])
-    images = [(), row]
-    baseline = sys.getrefcount(row)
-    for budget in (None, 10):
-        results = [compiled_kernel.substitute((1,), images, budget=budget)
-                   for _ in range(10**4)]
-        assert all(result is row for result in results)
-        assert sys.getrefcount(row) == baseline + 10**4  # one per result held
-        del results
-        assert sys.getrefcount(row) == baseline
 
 
 one_letter_images = st.one_of(
@@ -682,7 +661,7 @@ BUDGET_CASES = [
     # no image letter is read before the sum is compared
     pytest.param((1, 1), [(), ("a", 1.5)], 3, (OVER, 4, 3), id="bad-image-letter-past-budget"),
     pytest.param((1, 1), [(), ("a", 1.5)], 4, TypeError, id="bad-image-letter-within-budget"),
-    # a one-letter word checks the budget before it may return its image
+    # a one-letter word is checked like any other
     pytest.param((1,), [(), (2, -3, 2)], 2, (OVER, 3, 2), id="one-letter-past-budget"),
     pytest.param((1,), [(), (2, -3, 2)], 3, (2, -3, 2), id="one-letter-at-budget"),
     pytest.param((1,), [(), (1, -1)], 1, (OVER, 2, 1), id="one-letter-unreduced-past-budget"),
