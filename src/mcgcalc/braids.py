@@ -24,14 +24,14 @@ regions of beta_i and beta_j are disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from random import Random
 from types import MappingProxyType
 from typing import Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
-from .errors import BasisMismatchError, NotZStableError, WordSyntaxError
+from .errors import BasisMismatchError, NotZStableError
 from .pillars import (
     conjugate_to_yz,
     pillar_switching_action,
@@ -39,7 +39,7 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
-from .words import Basis, BasisKind, Word, _join_tokens, _split_token, _tokenize
+from .words import Basis, BasisKind, Word, _join_tokens, _tokenize
 
 
 @dataclass(frozen=True)
@@ -52,17 +52,7 @@ class BraidWord:
     def __post_init__(self):
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        letters = self.letters
-        # the type check runs over the letters themselves: in a set of them,
-        # True would merge with 1 and hide the bool
-        if not letters or (
-            set(map(type, letters)) <= {int}
-            and 0 not in letters
-            and -self.strands < min(letters)
-            and max(letters) < self.strands
-        ):
-            return
-        for k in letters:  # only to raise at the first bad letter
+        for k in self.letters:
             if type(k) is not int:  # bools and other int subclasses too
                 raise TypeError(f"braid letters are ints, not {type(k).__name__}")
             if k == 0 or abs(k) > self.strands - 1:
@@ -102,19 +92,17 @@ def _braid_letter_table(strands: int) -> Mapping[str, int]:
     return MappingProxyType(letters)
 
 
+def _braid_error(strands: int, token: str, name: str, index: int, sign: int) -> str:
+    """The message for a well-formed braid token that is no letter on ``strands``."""
+    return f"braid index {index} out of range for {strands} strands"
+
+
 def parse_braid_word(text: str, strands: int) -> BraidWord:
     """Parse braid text; ``1`` denotes the empty braid."""
-
-    def decode(token: str, pos: int) -> int:
-        _, index, sign = _split_token(token, pos, ("b",), "braid ")
-        if not 1 <= index <= strands - 1:
-            raise WordSyntaxError(
-                f"braid index {index} out of range for {strands} strands", pos
-            )
-        return sign * index
-
-    letters = _braid_letter_table(strands)
-    return BraidWord(strands, tuple(_tokenize(text, "braid text", decode, letters)))
+    table = _braid_letter_table(strands)
+    reject = partial(_braid_error, strands)
+    letters = _tokenize(text, "braid text", table, ("b",), reject, "braid ")
+    return BraidWord(strands, tuple(letters))
 
 
 def format_braid_word(b: BraidWord) -> str:

@@ -9,7 +9,8 @@ Subcommands:
 * ``export``        print a mapping class as generator images.
 
 Exit status: 0 on success (for braid-trivial: trivial), 1 when a check
-fails or the braid is nontrivial, 2 on usage or input errors.
+fails or the braid is nontrivial, 2 on usage or input errors and when
+memory runs out.
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise AssertionError("unreachable")
     except (ValueError, ImageBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # not a verdict: 1 would read as "nontrivial" or "failed"
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

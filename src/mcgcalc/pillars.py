@@ -49,9 +49,8 @@ from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table
 from .errors import BasisMismatchError
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from .twists import (
-    TwistKind,
-    TwistSymbol,
     TwistWord,
+    _all_twist_symbols,
     dehn_twist_action,
     evaluate_twist_word,
     parse_twist_word,
@@ -339,15 +338,6 @@ def replay_proof_chains(
             wrong = () if z1 == final_z1 else (Mismatch("z1", z1, final_z1),)
             cases.append(CheckCase("thm-2.2-chain-case-1-z1-vs-action", wrong))
     return VerificationReport(genus, tuple(cases))
-
-
-def _all_twist_symbols(genus: int):
-    for sign in (1, -1):
-        for i in range(1, genus + 1):
-            yield TwistSymbol(TwistKind.A, i, sign)
-            yield TwistSymbol(TwistKind.B, i, sign)
-        for i in range(1, genus):
-            yield TwistSymbol(TwistKind.W, i, sign)
 
 
 def verify_relator_invariance(

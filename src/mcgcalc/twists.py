@@ -25,23 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
-from .errors import WordSyntaxError
-from .words import (
-    Basis,
-    Word,
-    _join_tokens,
-    _letter_decoder,
-    _letter_table,
-    _split_token,
-    _tokenize,
-    parse_word,
-)
+from .words import Basis, Word, _join_tokens, _letter_error, _letter_table, _tokenize, parse_word
 
 
 class TwistKind(Enum):
@@ -111,35 +101,39 @@ class TwistWord:
         return format_twist_word(self)
 
 
+def _all_twist_symbols(genus: int):
+    """Every signed twist of ``genus``: the positive ones first, a_i and b_i
+    for i <= g, then w_i for i <= g - 1."""
+    for sign in (1, -1):
+        for i in range(1, genus + 1):
+            yield TwistSymbol(TwistKind.A, i, sign)
+            yield TwistSymbol(TwistKind.B, i, sign)
+        for i in range(1, genus):
+            yield TwistSymbol(TwistKind.W, i, sign)
+
+
 @lru_cache(maxsize=None)
 def _twist_token_table(genus: int) -> Mapping[str, TwistSymbol]:
     """The signed twists of ``genus`` by canonical token (``w2^-1``)."""
-    twists = {}
-    for kind in TwistKind:
-        limit = genus - 1 if kind is TwistKind.W else genus
-        for index in range(1, limit + 1):
-            for sign in (1, -1):
-                sym = TwistSymbol(kind, index, sign)
-                twists[str(sym)] = sym
-    return MappingProxyType(twists)
+    return MappingProxyType({str(sym): sym for sym in _all_twist_symbols(genus)})
+
+
+def _twist_error(genus: int, token: str, name: str, index: int, sign: int) -> str:
+    """The message for a well-formed twist token that is no twist of ``genus``."""
+    if index < 1:
+        return f"index must be >= 1 in {token!r}"
+    try:
+        TwistSymbol(TwistKind(name), index, sign).validate_for_genus(genus)
+    except ValueError as exc:
+        return str(exc)
 
 
 def parse_twist_word(text: str, genus: int) -> TwistWord:
     """Parse twist-word text; ``1`` denotes the empty product."""
-
-    def decode(token: str, pos: int) -> TwistSymbol:
-        name, index, sign = _split_token(token, pos, ("a", "b", "w"), "twist ")
-        if index < 1:
-            raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
-        sym = TwistSymbol(TwistKind(name), index, sign)
-        try:
-            sym.validate_for_genus(genus)
-        except ValueError as exc:
-            raise WordSyntaxError(str(exc), pos) from None
-        return sym
-
     twists = _twist_token_table(genus)
-    return TwistWord(genus, tuple(_tokenize(text, "twist word", decode, twists)))
+    reject = partial(_twist_error, genus)
+    symbols = _tokenize(text, "twist word", twists, ("a", "b", "w"), reject, "twist ")
+    return TwistWord(genus, tuple(symbols))
 
 
 def format_twist_word(tw: TwistWord) -> str:
@@ -177,30 +171,24 @@ def _z_token_table(genus: int) -> Mapping[str, tuple[int, ...]]:
     return MappingProxyType(pieces)
 
 
+def _z_error(genus: int, token: str, name: str, index: int, sign: int) -> str:
+    """The message for a well-formed z-word token that is no token of ``genus``."""
+    if name == "z":
+        return f"z index {index} out of range for genus {genus}"
+    return _letter_error(Basis.xy(genus), token, name, index, sign)
+
+
 def word_with_z(text: str, genus: int) -> Word:
     """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
 
     This is the notation the factorization chains are tabulated in. Like
-    every grammar, canonical tokens are read from a cached table
-    (``_z_token_table``); other spellings (``z01``) and errors go through
-    the token decoder.
+    every grammar, its tokens are read through a cached table
+    (``_z_token_table``), which is its one rule for the tokens it admits.
     """
-    basis = Basis.xy(genus)
-
-    def decode(token: str, pos: int) -> tuple[int, ...]:
-        name, index, sign = _split_token(token, pos, ("x", "y", "z"))
-        if name != "z":
-            return (_letter_decoder(basis)(token, pos),)
-        if not 1 <= index <= genus:
-            raise WordSyntaxError(
-                f"z index {index} out of range for genus {genus}", pos
-            )
-        z = z_loop(index, genus)
-        return (z if sign > 0 else z.inverse()).data
-
-    pieces = _tokenize(text, "word text", decode, _z_token_table(genus))
+    reject = partial(_z_error, genus)
+    pieces = _tokenize(text, "word text", _z_token_table(genus), ("x", "y", "z"), reject)
     codes = [code for piece in pieces for code in piece]
-    return Word._reduced(basis, _wordops.reduce_letters(codes))
+    return Word._reduced(Basis.xy(genus), _wordops.reduce_letters(codes))
 
 
 @lru_cache(maxsize=None)

@@ -20,9 +20,9 @@ a basis admits and what they are called.
 Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
 ``1`` denotes the identity. ``_tokenize`` reads this text and the twist,
-braid and z-word text alike; each grammar supplies only a token decoder
-and a cached table of its canonical tokens, from which canonical text is
-read without the decoder.
+braid and z-word text alike. Each grammar's cached table of its canonical
+tokens is its one rule for the tokens it admits; the grammar adds only
+the wording of the error for a token missing from it.
 Every token of every grammar has one shape, a name, a decimal index and
 an optional ``^-1``, and ``_split_token`` is its one reader.
 """
@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import itemgetter, neg
 from random import Random
 from types import MappingProxyType
@@ -235,18 +235,25 @@ _TOKEN_RE = re.compile(r"([a-z]+)([0-9]+)(\^-1)?")
 
 
 def _tokenize(
-    text: str, what: str, decode: Callable[[str, int], Any], table: Mapping[str, Any]
+    text: str,
+    what: str,
+    table: Mapping[str, Any],
+    names: frozenset[str] | tuple[str, ...],
+    reject: Callable[[str, str, int, int], str],
+    label: str = "",
 ) -> Sequence:
-    """Decode every whitespace-separated token of ``text``, left to right.
+    """The values of the whitespace-separated tokens of ``text``, left to right.
 
     This is the one reader of word, twist, braid and z-word text. Every
     grammar passes ``table``, a cached map from its canonical token
-    spellings to their values; when every token is in it, the values come
-    straight from it, read by one ``itemgetter`` call. Otherwise each token
-    goes through ``decode(token, offset)``, which reads other spellings
-    (``x01``) and returns the same value, or raises ``WordSyntaxError`` at
-    that offset. The text ``1`` alone gives no values (the identity); text
-    without tokens is an error naming ``what``.
+    spellings to their values and its one rule for the tokens it admits.
+    When every token is in it, the values come straight from it, read by
+    one ``itemgetter`` call. Otherwise each token is read by
+    ``_split_token`` and looked up in ``table`` by its canonical spelling
+    (``x1`` for ``x01``); a token still missing is a ``WordSyntaxError`` at
+    its offset, with the message ``reject(token, name, index, sign)``. The
+    text ``1`` alone gives no values (the identity); text without tokens is
+    an error naming ``what``.
     """
     tokens = text.split()
     if tokens:
@@ -259,7 +266,14 @@ def _tokenize(
             return values if len(tokens) > 1 else (values,)
     if text.strip() == "1":
         return []
-    values = [decode(m.group(0), m.start()) for m in re.finditer(r"\S+", text)]
+    values = []
+    for m in re.finditer(r"\S+", text):
+        token, pos = m.group(0), m.start()
+        name, index, sign = _split_token(token, pos, names, label)
+        value = table.get(f"{name}{index}^-1" if sign < 0 else f"{name}{index}")
+        if value is None:
+            raise WordSyntaxError(reject(token, name, index, sign), pos)
+        values.append(value)
     if not values:
         raise WordSyntaxError(f'empty {what} (use "1" for the identity)', 0)
     return values
@@ -270,10 +284,12 @@ def _split_token(
 ) -> tuple[str, int, int]:
     """The ``(name, index, sign)`` of a token whose name is one of ``names``.
 
-    This is the one reader of the token shape. The name is checked before
-    the index is read, so a token with a foreign name is a ``bad {label}token``
-    however long its index. Leading zeros are allowed; an index with more
-    digits than ``int`` converts is a ``WordSyntaxError`` at ``pos``.
+    This is the one reader of the token shape; ``_tokenize`` reads every
+    token with it when a text is not all canonical tokens. The name is
+    checked before the index is read, so a token with a foreign name is a
+    ``bad {label}token`` however long its index. Leading zeros are allowed;
+    an index with more digits than ``int`` converts is a
+    ``WordSyntaxError`` at ``pos``.
     """
     tm = _TOKEN_RE.fullmatch(token)
     name, digits, inverse = tm.groups() if tm else (None, None, None)
@@ -322,24 +338,11 @@ def _admitted(basis: Basis, code: int) -> int:
     raise BasisMismatchError(f"letter code {code} is not admitted by {basis}")
 
 
-def _letter_decoder(basis: Basis) -> Callable[[str, int], int]:
-    """The decoder of one letter token over ``basis`` to its signed code."""
-    codes = _letter_table(basis)[0]
-
-    def decode(token: str, pos: int) -> int:
-        code = codes.get(token)
-        if code is not None:
-            return code
-        # Another spelling of a letter (``x01``), or the reason for rejecting it.
-        prefix, index, sign = _split_token(token, pos, _LETTER_PREFIXES)
-        if index < 1:
-            raise WordSyntaxError(f"index must be >= 1 in {token!r}", pos)
-        name = f"{prefix}{index}"
-        if name not in codes:
-            raise WordSyntaxError(f"symbol {name} is out of range for {basis}", pos)
-        return sign * codes[name]
-
-    return decode
+def _letter_error(basis: Basis, token: str, name: str, index: int, sign: int) -> str:
+    """The message for a well-formed letter token that is no letter of ``basis``."""
+    if index < 1:
+        return f"index must be >= 1 in {token!r}"
+    return f"symbol {name}{index} is out of range for {basis}"
 
 
 def parse_word(text: str, basis: Basis) -> Word:
@@ -349,7 +352,8 @@ def parse_word(text: str, basis: Basis) -> Word:
     tokens or indices the basis does not admit.
     """
     letters = _letter_table(basis)[0]
-    codes = _tokenize(text, "word text", _letter_decoder(basis), letters)
+    reject = partial(_letter_error, basis)
+    codes = _tokenize(text, "word text", letters, _LETTER_PREFIXES, reject)
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 
 

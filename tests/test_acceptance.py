@@ -33,7 +33,7 @@ from mcgcalc import (
     verify_psi_relations,
     verify_theorem_2_2,
 )
-from mcgcalc.pillars import _all_twist_symbols
+from mcgcalc.twists import _all_twist_symbols
 
 
 def _criterion(number, description, ok):

@@ -227,6 +227,24 @@ def test_budget_zero_is_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+# Running out of memory is no verdict: exit 2 and one line on stderr, never 1.
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("is_trivial_braid", ["braid-trivial", "b1", "--strands", "3"]),
+        ("verify_relator_invariance", ["verify", "--genus", "2", "--which", "relator"]),
+    ],
+    ids=["braid-trivial", "verify"],
+)
+def test_out_of_memory_exits_2_without_a_verdict(capsys, monkeypatch, target, argv):
+    monkeypatch.setattr(f"mcgcalc.cli.{target}", _out_of_memory)
+    assert run(capsys, *argv) == (2, "", "error: out of memory\n")
+
+
 # --- usage errors found after parsing ---------------------------------------------
 
 VERIFY_USAGE = (

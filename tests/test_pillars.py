@@ -24,8 +24,8 @@ from mcgcalc import (
     verify_theorem_2_2,
     word_with_z,
 )
-from mcgcalc.pillars import _all_twist_symbols
 from mcgcalc.reports import CheckCase, case_from_endos
+from mcgcalc.twists import _all_twist_symbols
 
 
 # --- switching actions ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import pickle
+from functools import partial
 from random import Random
 from unittest import mock
 
@@ -19,6 +20,8 @@ from mcgcalc import (
     TwistWord,
     Word,
     WordSyntaxError,
+    format_braid_word,
+    format_twist_word,
     format_word,
     fundamental_relator,
     parse_braid_word,
@@ -255,6 +258,12 @@ W2 = "twist w2 is out of range for genus 2 (w indices run 1..1)"
         (parse_braid_word, "bb1", 3, "bad braid token 'bb1'", 0),
         (word_with_z, "xy1", 2, "bad token 'xy1'", 0),
         (parse_word, "y1 alx1", XY2, "bad token 'alx1'", 3),
+        # zero-padded and inverse tokens off the table get the canonical token's error
+        (parse_twist_word, "a1 w02^-1", 2, "twist w2^-1 is out of range for genus 2 "
+         "(w indices run 1..1)", 3),
+        (parse_braid_word, "b003^-1", 3, "braid index 3 out of range for 3 strands", 0),
+        (word_with_z, "y1 x03", 2, "symbol x3 is out of range for xy(2)", 3),
+        (word_with_z, "z00", 2, "z index 0 out of range for genus 2", 0),
     ],
 )
 def test_parse_error_contract(parse, text, arg, message, position):
@@ -361,15 +370,23 @@ def parse_outcome(parse, text, arg):
         return type(exc), str(exc), getattr(exc, "position", None)
 
 
+class MissingTable(dict):
+    """A token table whose ``[]`` always misses: ``_tokenize``'s one-``itemgetter``
+    path fails on every text, so the offset path reads it, with ``get``."""
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+
+def offset_path(text, what, table, *rest):
+    return _tokenize(text, what, MissingTable(table), *rest)
+
+
 @pytest.mark.parametrize("grammar", TABLE_GRAMMARS)
 @given(data=st.data())
 def test_tokenizer_table_matches_the_offset_path(grammar, data):
     parse, arg, module, canonical, other = TABLE_GRAMMARS[grammar]
     text = data.draw(token_texts(canonical, other))
-
-    def offset_path(text, what, decode, table):
-        return _tokenize(text, what, decode, {})
-
     expected = parse_outcome(parse, text, arg)
     with mock.patch.object(module, "_tokenize", offset_path):
         assert parse_outcome(parse, text, arg) == expected
@@ -380,25 +397,92 @@ def test_tokenizer_table_matches_the_offset_path_on_every_listed_token(grammar):
     parse, arg, module, canonical, other = TABLE_GRAMMARS[grammar]
     texts = canonical + other + [" ".join(canonical), " ".join(canonical + other)]
     expected = [parse_outcome(parse, text, arg) for text in texts]
-
-    def offset_path(text, what, decode, table):
-        return _tokenize(text, what, decode, {})
-
     with mock.patch.object(module, "_tokenize", offset_path):
         assert [parse_outcome(parse, text, arg) for text in texts] == expected
 
 
 def test_tokenizer_reads_one_token_as_one_value():
     # an itemgetter of one key returns the bare value, here a tuple itself
-    table = {"t1": (1, 2), "t2": (3,)}
+    table = {"t1": (1, 2), "t2": (3,), "t2^-1": (-3,)}
 
-    def decode(token, pos):
-        return ("decoded", token, pos)
+    def reject(token, name, index, sign):
+        return f"no {name} {index} {sign} in {token!r}"
 
-    assert list(_tokenize("t1", "t", decode, table)) == [(1, 2)]
-    assert list(_tokenize("\tt2 ", "t", decode, table)) == [(3,)]
-    assert list(_tokenize("t1 t2", "t", decode, table)) == [(1, 2), (3,)]
-    assert list(_tokenize("  t01", "t", decode, table)) == [("decoded", "t01", 2)]
+    def tokenize(text):
+        return list(_tokenize(text, "t", table, ("t",), reject))
+
+    assert tokenize("t1") == [(1, 2)]
+    assert tokenize("\tt2 ") == [(3,)]
+    assert tokenize("t1 t2") == [(1, 2), (3,)]
+    # other spellings are looked up in the same table by their canonical one
+    assert tokenize("  t01") == [(1, 2)]
+    assert tokenize("t002^-1 t1") == [(-3,), (1, 2)]
+    with pytest.raises(WordSyntaxError) as excinfo:
+        tokenize("t1 t03^-1")
+    assert str(excinfo.value) == "no t 3 -1 in 't03^-1' (at position 3)"
+
+
+def admitted(token, indices):
+    """The tokens ``token(index, sign)`` writes over ``indices`` and both signs,
+    leaving out those whose value its value type refuses with ValueError."""
+    tokens = set()
+    for index in indices:
+        for sign in (1, -1):
+            try:
+                tokens.add(token(index, sign))
+            except ValueError:
+                pass
+    return tokens
+
+
+# Each grammar's table is its one rule for the tokens it admits: every key is
+# the text its formatter writes for the key's value, and every token whose
+# value the value type itself admits is a key, so no lookup of a canonical
+# spelling misses a token of the grammar.
+@pytest.mark.parametrize("rank", [1, 2, 3, 5])
+def test_every_table_is_its_grammars_canonical_tokens(rank):
+    for basis in (Basis.xy(rank), Basis.yz(rank), Basis.abstract(rank)):
+        letters = words_module._letter_table(basis)[0]
+        for key, code in letters.items():
+            assert format_word(Word(basis, (code,))) == key
+        names = [sym.name for sym in basis.symbols]
+        assert set(letters) == {name + suffix for name in names for suffix in ("", "^-1")}
+
+    twist_table = twists._twist_token_table(rank)
+    for key, sym in twist_table.items():
+        assert format_twist_word(TwistWord(rank, (sym,))) == key
+
+    def twist(index, sign, kind):
+        sym = TwistSymbol(kind, index, sign)
+        sym.validate_for_genus(rank)
+        return str(sym)
+
+    assert set(twist_table) == set().union(
+        *(admitted(partial(twist, kind=kind), range(rank + 2)) for kind in TwistKind)
+    )
+
+    braid_table = braids._braid_letter_table(rank)
+    for key, k in braid_table.items():
+        assert format_braid_word(BraidWord(rank, (k,))) == key
+    assert set(braid_table) == admitted(
+        lambda index, sign: format_braid_word(BraidWord(rank, (sign * index,))),
+        range(rank + 1),
+    )
+
+    xy = Basis.xy(rank)
+    z_table = twists._z_token_table(rank)
+    for key, data in z_table.items():
+        if key.startswith("z"):
+            z = z_loop(int(key[1:].removesuffix("^-1")), rank)
+            assert data == (z.inverse() if key.endswith("^-1") else z).data
+        else:
+            assert format_word(Word(xy, data)) == key
+
+    def z(index, sign):
+        z_loop(index, rank)
+        return f"z{index}" if sign > 0 else f"z{index}^-1"
+
+    assert set(z_table) == set(words_module._letter_table(xy)[0]) | admitted(z, range(rank + 2))
 
 
 @pytest.mark.parametrize(
@@ -414,7 +498,7 @@ def test_tokenizer_reads_one_token_as_one_value():
 def test_one_token_texts_parse_alike_in_every_grammar(parse, arg, token, other, expected):
     assert parse(token, arg) == parse(f" {token}\n", arg) == parse(other, arg) == expected
     assert parse(f"{token} {other}", arg) == expected * expected
-    # a non-canonical token takes the decoder path, with its offsets
+    # a non-canonical token takes the offset path, with its offsets
     bad = other.replace("1", "0")
     for text, position in ((bad, 0), (f"  {bad}", 2), (f"{token} {bad}", len(token) + 1)):
         with pytest.raises(WordSyntaxError) as excinfo:
