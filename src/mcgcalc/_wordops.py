@@ -26,6 +26,7 @@ reduce_letters = _impl.reduce_letters
 concat_reduced = _impl.concat_reduced
 substitute = _impl.substitute
 draw_letters = _impl.draw_letters
+format_letters = _impl.format_letters
 
 
 def kernel_backend() -> str:

@@ -1,11 +1,12 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same four functions with the same results,
+ * Twin of ``_wordops_py``: the same five functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel. Three ops reduce, join and
  * substitute words; ``draw_letters`` calls a uniform source, such as a
  * bound ``Random.random``, and turns its draws into the letters of a
- * random reduced word.
+ * random reduced word; ``format_letters`` writes the names of a word's
+ * letters into one new string, sized by a first pass over the letters.
  *
  * ``substitute`` also checks a letter budget, given by keyword only: a
  * first pass sums the lengths of the images the word uses and raises
@@ -14,9 +15,11 @@
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
- * one outside that range raises OverflowError. Only ints are read inside
- * the three word loops, so no Python code runs there and borrowed items
- * stay valid. ``draw_letters`` runs Python code once per letter: its loop
+ * one outside that range raises OverflowError; ``format_letters`` reads a
+ * letter as a tuple index instead, so one outside the tuple raises
+ * IndexError. Only ints and strs are read inside the word loops of the
+ * four word ops, so no Python code runs there and borrowed items stay
+ * valid. ``draw_letters`` runs Python code once per letter: its loop
  * calls ``random`` with ``PyObject_CallNoArgs``. It copies the letters
  * into a C array before the first call and keeps the drawn letters in a
  * C array until the last, so that call sees none of its state. Each draw
@@ -85,31 +88,38 @@ fast_letter(PyObject *obj, long *out)
     return 1;
 }
 
-/* Reads one letter into *out; returns -1 with an exception set on failure. */
-static inline int
-read_letter(PyObject *obj, long *out)
+/* Reads a letter that ``fast_letter`` did not into *out, with *overflow
+ * set for an int beyond a C long; returns -1 with an exception set for a
+ * letter that is no int. */
+static int
+slow_letter(PyObject *obj, long *out, int *overflow)
 {
-    int overflow;
-    long value;
-
-    if (fast_letter(obj, out)) {
-        return 0;
-    }
     if (!PyLong_Check(obj)) {
         PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
                      Py_TYPE(obj)->tp_name);
         return -1;
     }
-    value = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (value == -1 && PyErr_Occurred()) {
+    *out = PyLong_AsLongAndOverflow(obj, overflow);
+    return *out == -1 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Reads one letter into *out; returns -1 with an exception set on failure. */
+static inline int
+read_letter(PyObject *obj, long *out)
+{
+    int overflow = 0;
+
+    if (fast_letter(obj, out)) {
+        return 0;
+    }
+    if (slow_letter(obj, out, &overflow) < 0) {
         return -1;
     }
-    if (overflow || value == LONG_MIN) {
+    if (overflow || *out == LONG_MIN) {
         PyErr_SetString(PyExc_OverflowError,
                         "letter code does not fit the compiled kernel");
         return -1;
     }
-    *out = value;
     return 0;
 }
 
@@ -315,16 +325,8 @@ letter_image(PyObject *code, PyObject *images, long *s)
     PyObject *img;
     int overflow = 0;
 
-    if (!fast_letter(code, s)) {
-        if (!PyLong_Check(code)) {
-            PyErr_Format(PyExc_TypeError, "letters are ints, not %.200s",
-                         Py_TYPE(code)->tp_name);
-            return NULL;
-        }
-        *s = PyLong_AsLongAndOverflow(code, &overflow);
-        if (*s == -1 && PyErr_Occurred()) {
-            return NULL;
-        }
+    if (!fast_letter(code, s) && slow_letter(code, s, &overflow) < 0) {
+        return NULL;
     }
     /* Code 0 reads images[0], as ``images[-s]`` does in the pure kernel. */
     if (overflow || *s == LONG_MIN
@@ -567,6 +569,160 @@ fail:
     return NULL;
 }
 
+PyDoc_STRVAR(format_letters_doc,
+"format_letters(letters, names, /)\n--\n\n"
+"The names of ``letters``, one space apart: ``\" \".join(names[c] for c in letters)``.\n\n"
+"``names`` is a tuple of str indexed by the letter itself, so a negative\n"
+"letter counts from its end; no letters give \"\". A first pass reads every\n"
+"letter and sums the lengths of the names it picks, raising at the first\n"
+"letter that is no int (TypeError) or picks no name (IndexError), and only\n"
+"then, as the join does, at a name that is no str (TypeError). A second\n"
+"pass copies the names into the one new string.");
+
+/* The index in a tuple of ``n`` names that the letter ``code`` picks; -1
+ * with an exception set for a letter that is no int or picks no name. */
+static inline Py_ssize_t
+name_index(PyObject *code, Py_ssize_t n)
+{
+    Py_ssize_t k;
+    int overflow = 0;
+    long s = 0;
+
+    if (!fast_letter(code, &s) && slow_letter(code, &s, &overflow) < 0) {
+        return -1;
+    }
+    /* A negative code counts from the end, as a tuple index does. Random
+     * signs defeat a branch on the sign, so the index is found without one. */
+    k = (Py_ssize_t)s + (s < 0) * n;
+    if (overflow || (size_t)k >= (size_t)n) {
+        PyErr_SetString(PyExc_IndexError, "letter code has no name");
+        return -1;
+    }
+    return k;
+}
+
+/* One name as the second pass writes it, filled when the first pass first
+ * meets it: ``span`` is its length plus the space after it (0 until then).
+ * A name of at most 7 one-byte characters is also kept in ``text`` with
+ * that space, padded to 8 bytes, so that one store writes it: copying the
+ * few bytes of a name by length costs a mispredicted branch per letter. */
+typedef struct {
+    Py_ssize_t span;
+    char text[8];
+    int short_name;
+} NameSlot;
+
+static PyObject *
+format_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
+               Py_ssize_t nargs)
+{
+    PyObject *letters, *names, *name, *bad = NULL, *out = NULL;
+    PyObject **codes;
+    NameSlot *slots = NULL, *slot;
+    Py_ssize_t i, j, k, m, n, count, size = 0, pos = 0;
+    Py_UCS4 maxchar = ' ';
+    char *data = NULL;
+    int kind = 0;
+
+    if (check_nargs("format_letters", nargs, 2) < 0) {
+        return NULL;
+    }
+    names = args[1];
+    if (!PyTuple_Check(names)) {
+        PyErr_SetString(PyExc_TypeError, "format_letters expects a tuple of names");
+        return NULL;
+    }
+    letters = PySequence_Fast(args[0], "format_letters expects an iterable of letters");
+    if (letters == NULL) {
+        return NULL;
+    }
+    n = PySequence_Fast_GET_SIZE(letters);
+    codes = PySequence_Fast_ITEMS(letters);
+    count = PyTuple_GET_SIZE(names);
+    slots = PyMem_Calloc(count > 0 ? (size_t)count : 1, sizeof(NameSlot));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* The length of the text with a space after every name, which
+     * saturates at PY_SSIZE_T_MAX (too long for PyUnicode_New), and the
+     * widest kind of character it holds. */
+    for (i = 0; i < n; i++) {
+        k = name_index(codes[i], count);
+        if (k < 0) {
+            goto done;
+        }
+        slot = &slots[k];
+        if (slot->span == 0) {
+            name = PyTuple_GET_ITEM(names, k);
+            if (!PyUnicode_Check(name)) {
+                bad = bad != NULL ? bad : name;
+                continue;
+            }
+            if (PyUnicode_READY(name) < 0) {
+                goto done;
+            }
+            m = PyUnicode_GET_LENGTH(name);
+            slot->span = m + 1;
+            if (PyUnicode_KIND(name) == PyUnicode_1BYTE_KIND && m < 8) {
+                memcpy(slot->text, PyUnicode_1BYTE_DATA(name), (size_t)m);
+                slot->text[m] = ' ';
+                slot->short_name = 1;
+            }
+            if (PyUnicode_MAX_CHAR_VALUE(name) > maxchar) {
+                maxchar = PyUnicode_MAX_CHAR_VALUE(name);
+            }
+        }
+        size = size > PY_SSIZE_T_MAX - slot->span ? PY_SSIZE_T_MAX : size + slot->span;
+    }
+    if (bad != NULL) {
+        PyErr_Format(PyExc_TypeError, "names are str, not %.200s",
+                     Py_TYPE(bad)->tp_name);
+        goto done;
+    }
+    out = PyUnicode_New(n > 0 ? size - 1 : 0, maxchar);  /* no space after the last */
+    if (out == NULL) {
+        goto done;
+    }
+    kind = (int)PyUnicode_KIND(out);
+    data = PyUnicode_DATA(out);
+    size = PyUnicode_GET_LENGTH(out);
+    /* No Python code has run since the first pass, so every letter picks the
+     * name it picked there. An 8-byte store stays within the text (never on
+     * its closing NUL); later names overwrite its padding. */
+    for (i = 0; i < n; i++) {
+        k = name_index(codes[i], count);
+        if (k < 0) {
+            Py_CLEAR(out);
+            goto done;
+        }
+        slot = &slots[k];
+        if (slot->short_name && kind == PyUnicode_1BYTE_KIND && pos + 8 <= size) {
+            memcpy(data + pos, slot->text, 8);
+        }
+        else {
+            name = PyTuple_GET_ITEM(names, k);
+            m = slot->span - 1;
+            if ((int)PyUnicode_KIND(name) == kind) {
+                memcpy(data + pos * kind, PyUnicode_DATA(name), (size_t)(m * kind));
+            }
+            else {
+                for (j = 0; j < m; j++) {
+                    PyUnicode_WRITE(kind, data, pos + j, PyUnicode_READ_CHAR(name, j));
+                }
+            }
+            if (pos + m < size) {
+                PyUnicode_WRITE(kind, data, pos + m, ' ');
+            }
+        }
+        pos += slot->span;
+    }
+done:
+    PyMem_Free(slots);
+    Py_DECREF(letters);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"reduce_letters", reduce_letters, METH_O, reduce_letters_doc},
     {"concat_reduced", (PyCFunction)(void (*)(void))concat_reduced,
@@ -575,6 +731,8 @@ static PyMethodDef methods[] = {
      METH_FASTCALL | METH_KEYWORDS, substitute_doc},
     {"draw_letters", (PyCFunction)(void (*)(void))draw_letters, METH_FASTCALL,
      draw_letters_doc},
+    {"format_letters", (PyCFunction)(void (*)(void))format_letters, METH_FASTCALL,
+     format_letters_doc},
     {NULL, NULL, 0, NULL},
 };
 

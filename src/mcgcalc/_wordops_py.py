@@ -1,22 +1,24 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same four functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same five functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
 words, ``substitute`` within a letter budget given by keyword;
 ``draw_letters`` calls a uniform source, such as a bound
 ``Random.random``, once per letter, in the compiled kernel's order, and
-turns its draws into the letters of a random reduced word. Letters are
+turns its draws into the letters of a random reduced word;
+``format_letters`` writes the names of a word's letters. Letters are
 nonzero signed integers; a letter and its negative cancel. Every letter
-the compiled kernel reads is read here too, as a C long in
+the compiled kernel reads as a C long is read here too, in
 [-LONG_MAX, LONG_MAX], and results hold plain ints; ``concat_reduced``
-joins its arguments' own letters in both.
+joins its arguments' own letters in both. ``format_letters`` reads a
+letter as a tuple index in both.
 """
 
 import struct
 import sys
 from itertools import chain, repeat
-from operator import index
+from operator import index, itemgetter
 
 from .errors import ImageBudgetError
 
@@ -220,3 +222,22 @@ def draw_letters(random, length, letters):
         k = j + (j >= k ^ 1)
         push(letters[k])
     return tuple(out)
+
+
+def format_letters(letters, names, /):
+    """The names of ``letters``, one space apart: ``" ".join(names[c] for c in letters)``.
+
+    ``names`` is a tuple of str indexed by the letter itself, so a negative
+    letter counts from its end; no letters give "". Every letter is read
+    before the join sees a name: the first letter that is no int raises
+    TypeError, the first that picks no name IndexError, and only then a
+    name that is no str TypeError. A letter is read as a tuple index, so
+    an object that is no int but has ``__index__`` is read here where the
+    compiled kernel refuses it; a ``Word``'s letters are always ints.
+    """
+    if not isinstance(names, tuple):
+        raise TypeError("format_letters expects a tuple of names")
+    letters = tuple(letters)
+    # an itemgetter of one key returns the bare name, and of none is refused
+    picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
+    return " ".join(picked)

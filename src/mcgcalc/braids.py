@@ -84,7 +84,12 @@ class BraidWord:
 
 @lru_cache(maxsize=None)
 def _braid_letter_table(strands: int) -> Mapping[str, int]:
-    """The braid letters on ``strands`` strands by canonical token (``b2^-1`` -> -2)."""
+    """The braid letters on ``strands`` strands by canonical token (``b2^-1`` -> -2).
+
+    A strand count below 1 raises ``BraidWord``'s ValueError before any
+    token is read, whatever the text, and leaves nothing in the cache.
+    """
+    BraidWord(strands)
     letters = {}
     for k in range(1, strands):
         letters[f"b{k}"] = k

@@ -114,7 +114,12 @@ def _all_twist_symbols(genus: int):
 
 @lru_cache(maxsize=None)
 def _twist_token_table(genus: int) -> Mapping[str, TwistSymbol]:
-    """The signed twists of ``genus`` by canonical token (``w2^-1``)."""
+    """The signed twists of ``genus`` by canonical token (``w2^-1``).
+
+    A genus below 1 raises ``TwistWord``'s ValueError before any token is
+    read, whatever the text, and leaves nothing in the cache.
+    """
+    TwistWord(genus)
     return MappingProxyType({str(sym): sym for sym in _all_twist_symbols(genus)})
 
 

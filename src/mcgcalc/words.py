@@ -358,15 +358,16 @@ def parse_word(text: str, basis: Basis) -> Word:
 
 
 def format_word(w: Word) -> str:
-    """Render a word in the text grammar; the identity renders as ``1``."""
-    data = w.data
-    if not data:
+    """Render a word in the text grammar; the identity renders as ``1``.
+
+    Every other word is one call of the kernel's ``format_letters`` on its
+    letters and the basis's name tuple, which writes the names one space
+    apart. Every printer goes through here: ``act``, ``export``, reports
+    and ``repr``.
+    """
+    if not w.data:
         return "1"
-    names = _letter_table(w.basis)[1]
-    if len(data) == 1:
-        return names[data[0]]
-    # one itemgetter reads every name in C; a 1-letter getter would return a bare name
-    return " ".join(itemgetter(*data)(names))
+    return _wordops.format_letters(w.data, _letter_table(w.basis)[1])
 
 
 @lru_cache(maxsize=None)

@@ -221,6 +221,47 @@ def test_kernels_agree_on_faulty_draws(compiled_kernel, draws, length, table):
     assert drawn(compiled_kernel, draws, length, table) == drawn(py, draws, length, table)
 
 
+name_tables = st.lists(
+    st.one_of(st.text(max_size=9), st.sampled_from(["x1", "y12^-1", "\xe9", 7, None, b"x1"])),
+    max_size=2 * RANK + 1,
+).map(tuple)
+
+
+@given(
+    letters=st.lists(
+        st.one_of(st.integers(-2 * RANK - 2, 2 * RANK + 2), faulty_letters), max_size=40
+    ),
+    names=name_tables,
+    as_tuple=st.booleans(),
+)
+def test_kernels_agree_on_names(compiled_kernel, letters, names, as_tuple):
+    if as_tuple:
+        letters = tuple(letters)
+    assert outcome(compiled_kernel.format_letters, letters, names) == outcome(
+        py.format_letters, letters, names
+    )
+
+
+def test_formatting_keeps_the_reference_count(compiled_kernel):
+    # Names made at run time, so only the tuple holds them: the kernel borrows
+    # the names and the tuple, on failure too.
+    names = ("", *("".join(["x", str(k)]) for k in range(1, 4)), 7)
+    letters = (1, 2, -2)
+
+    def counts():
+        return [sys.getrefcount(obj) for obj in (names, letters, *names[1:4])]
+
+    baseline = counts()
+    texts = [compiled_kernel.format_letters(letters, names) for _ in range(10**4)]
+    assert set(texts) == {"x1 x2 x3"}
+    for bad, fault in (((1, 9), IndexError), ((1, -1), TypeError), ((1, "x1"), TypeError)):
+        for _ in range(10**4):
+            with pytest.raises(fault):
+                compiled_kernel.format_letters(bad, names)
+    del texts
+    assert counts() == baseline
+
+
 def public_ops(module):
     """The functions a kernel module defines itself, by name."""
     return {
@@ -234,7 +275,9 @@ def public_ops(module):
 def test_kernels_expose_the_same_ops(compiled_kernel):
     ops = public_ops(py)
     assert ops == public_ops(compiled_kernel)
-    assert ops == {"reduce_letters", "concat_reduced", "substitute", "draw_letters"}
+    assert ops == {
+        "reduce_letters", "concat_reduced", "substitute", "draw_letters", "format_letters"
+    }
     from mcgcalc import _wordops
 
     assert all(getattr(_wordops, op) is getattr(_wordops._impl, op) for op in ops)
@@ -569,6 +612,70 @@ CONTRACT += [
 ]
 
 
+# format_letters: a letter is an index into the name tuple, so a negative one
+# counts from its end; every letter is read before a name that is no str is
+# refused, as the join does. Names of up to 7 one-byte characters and longer
+# or wider ones are written on different paths of the compiled kernel.
+NAMES = ("", "x1", "y1", "y1^-1", "x1^-1")
+WIDE = ("", "\xe9", "\u03c8", "\U0001d535", "abcdefg", "abcdefgh")
+CONTRACT += [
+    pytest.param("format_letters", ((), NAMES), "",
+                 id="format_letters-no-letters"),
+    pytest.param("format_letters", ((2,), NAMES), "y1",
+                 id="format_letters-one-letter"),
+    pytest.param("format_letters", ([1, -2, -1, 2],), TypeError,
+                 id="format_letters-one-argument"),
+    pytest.param("format_letters", ((1,), NAMES, 1), TypeError,
+                 id="format_letters-three-arguments"),
+    pytest.param("format_letters", ([1, -2, -1, 2], NAMES), "x1 y1^-1 x1^-1 y1",
+                 id="format_letters-negative-codes"),
+    pytest.param("format_letters", ((True, -True, 0), NAMES), "x1 x1^-1 ",
+                 id="format_letters-bool-reads-as-1"),
+    pytest.param("format_letters", ((Gen.B, Gen.A), NAMES), "y1 x1",
+                 id="format_letters-int-enum"),
+    pytest.param("format_letters", ((1, "x1"), NAMES), TypeError,
+                 id="format_letters-str-letter"),
+    pytest.param("format_letters", ((1.0,), NAMES), TypeError,
+                 id="format_letters-float-letter"),
+    pytest.param("format_letters", ((None, 9), NAMES), TypeError,
+                 id="format_letters-none-letter-before-range"),
+    pytest.param("format_letters", ((1, 5), NAMES), IndexError,
+                 id="format_letters-code-past-the-end"),
+    pytest.param("format_letters", ((-6,), NAMES), IndexError,
+                 id="format_letters-code-before-the-start"),
+    pytest.param("format_letters", ((1 << 80,), NAMES), IndexError,
+                 id="format_letters-code-past-ssize"),
+    pytest.param("format_letters", ((LONG_MIN,), NAMES), IndexError,
+                 id="format_letters-long-min"),
+    pytest.param("format_letters", ((1,), ()), IndexError,
+                 id="format_letters-no-names"),
+    pytest.param("format_letters", ((), ()), "",
+                 id="format_letters-no-letters-no-names"),
+    pytest.param("format_letters", ((1, 2), ("", "x1", 7)), TypeError,
+                 id="format_letters-int-name"),
+    pytest.param("format_letters", ((2, 1), ("", "x1", b"y1")), TypeError,
+                 id="format_letters-bytes-name"),
+    pytest.param("format_letters", ((2, 3), ("", "x1", 7)), IndexError,
+                 id="format_letters-bad-letter-before-bad-name"),
+    pytest.param("format_letters", ((1,), None), TypeError,
+                 id="format_letters-names-none"),
+    pytest.param("format_letters", ((), None), TypeError,
+                 id="format_letters-no-letters-names-none"),
+    pytest.param("format_letters", ((1,), list(NAMES)), TypeError,
+                 id="format_letters-names-list"),
+    pytest.param("format_letters", (5, NAMES), TypeError,
+                 id="format_letters-letters-not-iterable"),
+    pytest.param("format_letters", ((1, 2, 3, -1), WIDE),
+                 " ".join(["\xe9", "\u03c8", "\U0001d535", "abcdefgh"]),
+                 id="format_letters-non-ascii-names-as-str-join"),
+    pytest.param("format_letters", ((1, 4, 1), WIDE), " ".join(["\xe9", "abcdefg", "\xe9"]),
+                 id="format_letters-latin-1-names-as-str-join"),
+    pytest.param("format_letters", ((5, 4, 5, 4, 4), WIDE),
+                 " ".join(["abcdefgh", "abcdefg"] * 2 + ["abcdefg"]),
+                 id="format_letters-seven-and-eight-character-names"),
+]
+
+
 def test_contract_ids_are_unique():
     ids = [row.id for row in CONTRACT]
     assert len(set(ids)) == len(ids)
@@ -737,38 +844,39 @@ def plain(value):
     return type(value) in (int, bool, float, str, type(None))
 
 
-# The substitute rows of CONTRACT and BUDGET_CASES that hold plain values, as
-# (id, args, kwargs); another interpreter reads them back with literal_eval.
-PLAIN_SUBSTITUTE_ROWS = [
-    (row.id, row.values[1], {}) for row in CONTRACT
-    if row.values[0] == "substitute" and plain(row.values[1])
+# The substitute and format_letters rows of CONTRACT and the rows of
+# BUDGET_CASES that hold plain values, as (id, op, args, kwargs); another
+# interpreter reads them back with literal_eval.
+PLAIN_ROWS = [
+    (row.id, row.values[0], row.values[1], {}) for row in CONTRACT
+    if row.values[0] in ("substitute", "format_letters") and plain(row.values[1])
 ] + [
-    (row.id, row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES
+    (row.id, "substitute", row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES
     if plain(row.values[:3])
 ]
 
 
-def substitute_outcome(kernel, args, kwargs):
-    """What ``kernel.substitute(*args, **kwargs)`` gives, with type names, so
-    that another interpreter can print it for ``literal_eval``."""
+def op_outcome(kernel, op, args, kwargs):
+    """What ``kernel.<op>(*args, **kwargs)`` gives, with type names, so that
+    another interpreter can print it for ``literal_eval``."""
     try:
-        result = kernel.substitute(*args, **kwargs)
+        result = getattr(kernel, op)(*args, **kwargs)
     except Exception as exc:  # the exception type is what every build must share
         return type(exc).__name__, getattr(exc, "needed", None), getattr(exc, "budget", None)
     return type(result).__name__, result, [type(s).__name__ for s in result]
 
 
-# Loads the kernel built at argv[1] and prints the outcome of substitute on
-# every row read from stdin. The package, which holds ImageBudgetError, comes
-# from SRC with the pure kernel selected.
+# Loads the kernel built at argv[1] and prints the outcome of every row read
+# from stdin. The package, which holds ImageBudgetError, comes from SRC with
+# the pure kernel selected.
 REPLAY = f"""\
 import ast, importlib.machinery, importlib.util, sys
 loader = importlib.machinery.ExtensionFileLoader("mcgcalc._wordops_c", sys.argv[1])
 kernel = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
 loader.exec_module(kernel)
-{inspect.getsource(substitute_outcome)}
+{inspect.getsource(op_outcome)}
 rows = ast.literal_eval(sys.stdin.read())
-print(repr([(id, substitute_outcome(kernel, args, kwargs)) for id, args, kwargs in rows]))
+print(repr([(id, op_outcome(kernel, *row)) for id, *row in rows]))
 """
 
 
@@ -792,7 +900,7 @@ def test_kernel_source_compiles_against_other_pythons(compiled_kernel, tmp_path,
         pytest.skip(f"no interpreter beside {script} to load the build")
     proc = subprocess.run(
         [interpreter, "-c", REPLAY, str(target)],
-        input=repr(PLAIN_SUBSTITUTE_ROWS),
+        input=repr(PLAIN_ROWS),
         capture_output=True,
         text=True,
         env=dict(os.environ, MCGCALC_KERNEL="py", PYTHONPATH=str(SRC)),
@@ -800,8 +908,7 @@ def test_kernel_source_compiles_against_other_pythons(compiled_kernel, tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
     assert ast.literal_eval(proc.stdout) == [
-        (id, substitute_outcome(compiled_kernel, args, kwargs))
-        for id, args, kwargs in PLAIN_SUBSTITUTE_ROWS
+        (id, op_outcome(compiled_kernel, *row)) for id, *row in PLAIN_ROWS
     ]
 
 
@@ -835,21 +942,30 @@ def test_stale_build_by_hand_is_found_by_mtime(tmp_path):
 
 # --- both kernels end to end ----------------------------------------------------
 
+LONG_TARGET = " ".join(["x1 y2 x3^-1 y1"] * 1200)
 CLI_RUNS = {
     "verify": ["verify", "--genus", "2..4", "--all", "--json", "--seed", "1"],
     "braid-trivial": ["braid-trivial", "--strands", "4", "b1 b2 b1 b3 b2^-1 b1^-1 b2^-1 b3^-1"],
     "act": ["act", "twist-word", "a1 b2 w1^-1 a3", "--genus", "3", "--on", "x1 y2 x3^-1 y1"],
+    # an image of at least 10,000 letters (checked below), of one letter, and 1
+    "act-long-image": ["act", "twist-word", "a1 b2 w1^-1 a3 b1 w2 b3^-1", "--genus", "3",
+                       "--on", LONG_TARGET],
+    "act-one-letter-image": ["act", "twist-word", "a1 b2", "--genus", "2", "--on", "x1"],
+    "act-identity-image": ["act", "twist-word", "a1", "--genus", "2", "--on", "1"],
+    "export": ["export", "twist-word", "a1 b2^-1 w1 a2", "--genus", "3", "--json"],
 }
 
 
-@pytest.mark.parametrize("argv", CLI_RUNS.values(), ids=CLI_RUNS.keys())
-def test_cli_output_is_kernel_independent(run_cli, argv):
+@pytest.mark.parametrize("name, argv", CLI_RUNS.items(), ids=CLI_RUNS.keys())
+def test_cli_output_is_kernel_independent(run_cli, name, argv):
     pure = run_cli("py", argv)
     compiled = run_cli("c", argv)
     assert pure.stderr == compiled.stderr == ""
     assert compiled.returncode == pure.returncode
     # verify --json names the kernel that ran; everything else is byte-identical.
     assert compiled.stdout == pure.stdout.replace('"kernel": "py"', '"kernel": "c"')
+    if name == "act-long-image":
+        assert len(compiled.stdout.split()) >= 10_000
 
 
 # sha256 of json.dumps(payload["results"], sort_keys=True) of

@@ -308,6 +308,27 @@ def test_parse_reads_the_name_before_the_index(parse, text, arg, message):
     assert excinfo.value.position == 0
 
 
+# The rank is checked before the grammar's table is built, so a bad rank is one
+# ValueError whatever the text, and a refused rank leaves no table cached.
+@pytest.mark.parametrize(
+    "parse, table, rank, message",
+    [
+        (parse_twist_word, twists._twist_token_table, 0, "genus must be >= 1, got 0"),
+        (parse_twist_word, twists._twist_token_table, -2, "genus must be >= 1, got -2"),
+        (parse_braid_word, braids._braid_letter_table, 0, "strand count must be >= 1, got 0"),
+        (parse_braid_word, braids._braid_letter_table, -3, "strand count must be >= 1, got -3"),
+    ],
+    ids=["twist-genus-0", "twist-genus-negative", "braid-strands-0", "braid-strands-negative"],
+)
+def test_a_bad_rank_gives_one_error_whatever_the_text(parse, table, rank, message):
+    cached = table.cache_info().currsize
+    for text in ("1", "a1", "b1", "w1^-1", "b1 b2^-1", "c1", "x1", "", "b0"):
+        with pytest.raises(ValueError) as excinfo:
+            parse(text, rank)
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == message, text
+    assert table.cache_info().currsize == cached
+
+
 # Unicode whitespace that str.split() and the offset path's \S+ both split on
 SPACES = [" ", "\t", "\n", "\xa0", "\x1c", "\x85", "\u3000"]
 
