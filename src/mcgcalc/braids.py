@@ -13,7 +13,8 @@ problem: a braid word is trivial iff its Artin action is the identity.
 genus-n surface. On the z generators of the {y, z} basis every sigma_i
 (i >= 1) acts by exactly the Artin substitution, so psi inherits
 injectivity from the Artin map; ``verify_artin_restriction`` certifies
-that diagram generator by generator.
+that diagram generator by generator. One evaluator computes both actions
+on the freely reduced word (psi's inverse letters are certified inverses).
 
 Braid text grammar: whitespace-separated tokens ``b<k>`` with optional
 ``^-1``, rightmost letter acting first, plus a strand count. Far
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from random import Random
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
@@ -38,7 +39,7 @@ from .pillars import (
     pillar_switching_inverse,
     pillar_switching_yz,
 )
-from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
+from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos, identity_report
 from .words import Basis, BasisKind, Word, _join_tokens, _tokenize
 
 
@@ -115,33 +116,30 @@ def format_braid_word(b: BraidWord) -> str:
 
 
 @lru_cache(maxsize=None)
-def _artin_generator(index: int, strands: int, sign: int) -> FreeEndomorphism:
+def _artin_generator(k: int, strands: int) -> FreeEndomorphism:
+    """The Artin action of the braid letter ``k``: beta_k, or beta_{-k}^-1 for k < 0."""
     basis = Basis.abstract(strands)
-    a, b = f"al{index}", f"al{index + 1}"
-    if sign > 0:
+    a, b = f"al{abs(k)}", f"al{abs(k) + 1}"
+    if k > 0:
         images = {a: b, b: f"{b}^-1 {a} {b}"}
     else:
         images = {a: f"{a} {b} {a}^-1", b: a}
     return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
 
 
-def artin_action(
-    b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET
-) -> FreeEndomorphism:
+def _evaluate(b: BraidWord, basis: Basis, factor: Callable, budget: int) -> FreeEndomorphism:
+    """``product`` of ``factor(k, b.strands)`` over the freely reduced letters k."""
+    letters = _wordops.reduce_letters(b.letters)
+    factors = {k: factor(k, b.strands) for k in set(letters)}
+    return product(basis, [factors[k] for k in letters], budget=budget)
+
+
+def artin_action(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> FreeEndomorphism:
     """The Artin automorphism of the rank-n free group, rightmost letter first.
 
-    The Artin action is a homomorphism from the free group on the braid
-    generators, so it is evaluated on the freely reduced word: a pair
-    ``b_k b_k^-1`` is never built up only to cancel. ``budget`` bounds the
-    images of that evaluation.
+    The freely reduced word is evaluated, within ``budget``.
     """
-    letters = _wordops.reduce_letters(b.letters)
-    generators = {
-        k: _artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in set(letters)
-    }
-    return product(
-        Basis.abstract(b.strands), [generators[k] for k in letters], budget=budget
-    )
+    return _evaluate(b, Basis.abstract(b.strands), _artin_generator, budget)
 
 
 def is_trivial_braid(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> bool:
@@ -153,20 +151,22 @@ def is_trivial_braid(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> boo
     return artin_action(b, budget=budget).is_identity()
 
 
+def _switching(k: int, g: int) -> FreeEndomorphism:
+    """psi of the braid letter ``k``: sigma_k, or its certified inverse for k < 0."""
+    return pillar_switching_action(k, g) if k > 0 else pillar_switching_inverse(-k, g)
+
+
 def psi_action(b: BraidWord, *, budget: int = DEFAULT_IMAGE_BUDGET) -> FreeEndomorphism:
     """Image of a braid word under beta_i -> sigma_i, over the xy basis.
 
     The genus is the strand count (no implicit stabilization) and must be
-    at least 2. Inverse letters use the certified switching inverses.
+    at least 2. Inverse letters are the certified switching inverses, so,
+    as in ``artin_action``, the freely reduced word is evaluated and
+    ``budget`` bounds the images of that evaluation.
     """
-    g = b.strands
-    if g < 2:
-        raise ValueError(f"psi needs genus >= 2, got {g}")
-    factors = [
-        pillar_switching_action(k, g) if k > 0 else pillar_switching_inverse(-k, g)
-        for k in b.letters
-    ]
-    return product(Basis.xy(g), factors, budget=budget)
+    if b.strands < 2:
+        raise ValueError(f"psi needs genus >= 2, got {b.strands}")
+    return _evaluate(b, Basis.xy(b.strands), _switching, budget)
 
 
 def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
@@ -200,35 +200,21 @@ def verify_psi_relations(
 ) -> VerificationReport:
     """Braid relations among all switchings sigma_0 .. sigma_{g-1}.
 
-    Checks sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1}
-    for 0 <= i <= g-2 and sigma_i sigma_j = sigma_j sigma_i for
-    |i-j| >= 2, as exact endomorphism equalities over the xy basis.
+    Lists sigma_i sigma_{i+1} sigma_i = sigma_{i+1} sigma_i sigma_{i+1}
+    for 0 <= i <= g-2, then sigma_i sigma_j = sigma_j sigma_i for
+    |i-j| >= 2, as identities over the xy basis for ``identity_report``.
     """
     if genus < 2:
         raise ValueError(f"pillar switchings need genus >= 2, got {genus}")
-    basis = Basis.xy(genus)
-    sigma = [pillar_switching_action(i, genus) for i in range(genus)]
-
-    def word(*indices):
-        return product(basis, [sigma[i] for i in indices], budget=budget)
-
-    cases = []
-    for i in range(genus - 1):
-        cases.append(
-            case_from_endos(
-                f"braid-relation-sigma{i}-sigma{i + 1}",
-                word(i, i + 1, i),
-                word(i + 1, i, i + 1),
-            )
-        )
-    for i in range(genus):
-        for j in range(i + 2, genus):
-            cases.append(
-                case_from_endos(
-                    f"commutation-sigma{i}-sigma{j}", word(i, j), word(j, i)
-                )
-            )
-    return VerificationReport(genus, tuple(cases))
+    s = [pillar_switching_action(i, genus) for i in range(genus)]
+    relations = [
+        (f"braid-relation-sigma{i}-sigma{j}", [s[i], s[j], s[i]], [s[j], s[i], s[j]])
+        for i, j in zip(range(genus), range(1, genus))
+    ] + [
+        (f"commutation-sigma{i}-sigma{j}", [s[i], s[j]], [s[j], s[i]])
+        for i in range(genus) for j in range(i + 2, genus)
+    ]
+    return identity_report(genus, Basis.xy(genus), relations, budget=budget)
 
 
 def verify_artin_restriction(

@@ -167,10 +167,10 @@ class FreeEndomorphism:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "FreeEndomorphism":
-        basis = Basis(
-            BasisKind(payload["basis"]["kind"]),
-            int(payload["basis"]["genus_or_rank"]),
-        )
+        rank = payload["basis"]["genus_or_rank"]
+        if type(rank) is not int:  # no bool, float or numeric text either
+            raise ValueError(f"genus_or_rank must be an int, got {rank!r}")
+        basis = Basis(BasisKind(payload["basis"]["kind"]), rank)
         return cls.from_images(basis, payload["images"])
 
     def __repr__(self) -> str:

@@ -26,8 +26,8 @@ Dehn twists (products read right to left, rightmost twist first):
     (2) sigma_i     = a_{i+2}^-1 a_{i+1} b_{i+1} w_{i+1} w_i a_i^-1 b_{i+1} a_{i+1}
     (3) sigma_{g-1} = (w_{g-1} a_g b_g)^2 a_{g-1}^-1
 
-``verify_theorem_2_2`` certifies (1)-(3) as exact reduced-word equalities
-(check names thm-2.2-case-<k>-sigma<i>), and ``replay_proof_chains``
+``verify_theorem_2_2`` certifies (1)-(3) through ``identity_report``, as exact
+reduced-word equalities (thm-2.2-case-<k>-sigma<i>), and ``replay_proof_chains``
 re-derives them one twist at a time against the tabulated intermediate
 images in ``chains``. In the {y, z} basis the switchings sigma_1 ..
 sigma_{g-1} take the substitution form returned by
@@ -47,7 +47,7 @@ from random import Random
 from . import _wordops, chains
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table
 from .errors import BasisMismatchError
-from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos
+from .reports import CheckCase, Mismatch, VerificationReport, identity_report
 from .twists import (
     TwistWord,
     _all_twist_symbols,
@@ -271,24 +271,20 @@ def verify_theorem_2_2(
 ) -> VerificationReport:
     """Certify the twist factorizations (1)-(3) of every sigma_i at this genus.
 
-    Each case compares the evaluated twist word with the switching action
-    generator by generator; case (2) is vacuous at genus 2.
+    Each case compares the product of the twist actions with the switching
+    action generator by generator; case (2) is vacuous at genus 2.
     """
     if genus < 2:
         raise ValueError(f"the factorizations need genus >= 2, got {genus}")
-    cases = []
+    identities = []
     for i in range(genus):
-        name = f"thm-2.2-case-{_case_number(i, genus)}-sigma{i}"
-        cases.append(
-            case_from_endos(
-                name,
-                evaluate_twist_word(
-                    pillar_switching_twist_word(i, genus), budget=budget
-                ),
-                pillar_switching_action(i, genus),
-            )
-        )
-    return VerificationReport(genus, tuple(cases))
+        twists = pillar_switching_twist_word(i, genus).symbols
+        identities.append((
+            f"thm-2.2-case-{_case_number(i, genus)}-sigma{i}",
+            [dehn_twist_action(sym, genus) for sym in twists],
+            [pillar_switching_action(i, genus)],
+        ))
+    return identity_report(genus, Basis.xy(genus), identities, budget=budget)
 
 
 def replay_proof_chains(

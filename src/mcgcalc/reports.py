@@ -7,11 +7,12 @@ cases hold exactly when their mismatch lists are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Iterable, Optional, Sequence
 
-from .endos import FreeEndomorphism
+from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import BasisMismatchError
-from .words import Word, format_word
+from .words import Basis, Word, format_word
 
 
 @dataclass(frozen=True)
@@ -86,3 +87,20 @@ def case_from_endos(
         if lhs.table[sym.code] != rhs.table[sym.code]
     )
     return CheckCase(name, mismatches)
+
+
+Identity = tuple[str, Sequence[FreeEndomorphism], Sequence[FreeEndomorphism]]
+
+
+def identity_report(
+    genus: int, basis: Basis, identities: Iterable[Identity], *,
+    budget: int = DEFAULT_IMAGE_BUDGET,
+) -> VerificationReport:
+    """One case per ``(name, lhs, rhs)`` identity, in order.
+
+    Each side is a ``product`` over ``basis`` (rightmost factor first, at most
+    ``budget`` letters, else ``ImageBudgetError``), compared by ``case_from_endos``.
+    """
+    side = partial(product, basis, budget=budget)
+    cases = [case_from_endos(name, side(lhs), side(rhs)) for name, lhs, rhs in identities]
+    return VerificationReport(genus, tuple(cases))

@@ -134,13 +134,6 @@ class Basis:
         return cls(BasisKind.ABSTRACT, rank)
 
     @property
-    def rank(self) -> int:
-        """Number of free generators (2g for xy and yz, n for abstract)."""
-        if self.kind is BasisKind.ABSTRACT:
-            return self.genus_or_rank
-        return 2 * self.genus_or_rank
-
-    @property
     def symbols(self) -> tuple[Symbol, ...]:
         return _basis_symbols(self.kind, self.genus_or_rank)
 

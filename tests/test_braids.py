@@ -23,6 +23,7 @@ from mcgcalc import (
     parse_twist_word,
     parse_word,
     pillar_switching_action,
+    pillar_switching_inverse,
     pillar_switching_yz,
     psi_action,
     random_braid_word,
@@ -113,12 +114,12 @@ def test_word_problem_substitutes_one_row_per_later_letter(strands, length, seed
 
 
 @st.composite
-def braids_with_cancelling_pairs(draw):
-    """A braid word on 2..6 strands with pairs ``b_k b_k^-1`` inserted."""
-    strands = draw(st.integers(2, 6))
+def braids_with_cancelling_pairs(draw, max_strands=6, max_letters=12, max_pairs=6):
+    """A braid word on 2..max_strands strands with pairs ``b_k b_k^-1`` inserted."""
+    strands = draw(st.integers(2, max_strands))
     letter = st.sampled_from([k for k in range(1 - strands, strands) if k])
-    letters = draw(st.lists(letter, max_size=12))
-    for k in draw(st.lists(letter, max_size=6)):
+    letters = draw(st.lists(letter, max_size=max_letters))
+    for k in draw(st.lists(letter, max_size=max_pairs)):
         pos = draw(st.integers(0, len(letters)))
         letters[pos:pos] = [k, -k]
     return BraidWord(strands, tuple(letters))
@@ -126,7 +127,7 @@ def braids_with_cancelling_pairs(draw):
 
 @given(braids_with_cancelling_pairs())
 def test_artin_action_of_the_reduced_word_is_the_unreduced_product(b):
-    generators = [_artin_generator(abs(k), b.strands, 1 if k > 0 else -1) for k in b.letters]
+    generators = [_artin_generator(k, b.strands) for k in b.letters]
     assert artin_action(b) == product(Basis.abstract(b.strands), generators)
 
 
@@ -136,7 +137,7 @@ def test_artin_generators_and_their_inverses_compose_to_the_identity(strands):
     # tables is no longer composed by evaluating such a word
     for i in range(1, strands):
         assert verify_inverse_pair(
-            _artin_generator(i, strands, 1), _artin_generator(i, strands, -1)
+            _artin_generator(i, strands), _artin_generator(-i, strands)
         )
 
 
@@ -183,6 +184,17 @@ def test_psi_images_fix_the_relator():
     for _ in range(5):
         b = random_braid_word(3, 6, rng)
         assert fixes_relator(psi_action(b))
+
+
+# switchings grow images faster than Artin generators: shorter words
+@given(braids_with_cancelling_pairs(max_strands=5, max_letters=6, max_pairs=4))
+def test_psi_action_of_the_reduced_word_is_the_unreduced_product(b):
+    g = b.strands
+    factors = [
+        pillar_switching_action(k, g) if k > 0 else pillar_switching_inverse(-k, g)
+        for k in b.letters
+    ]
+    assert psi_action(b) == product(Basis.xy(g), factors)
 
 
 def test_psi_strand_genus_coupling():

@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from mcgcalc import Basis, kernel_backend, parse_word
+from mcgcalc import (
+    Basis,
+    ImageBudgetError,
+    kernel_backend,
+    parse_word,
+    pillar_switching_action,
+    pillar_switching_inverse,
+    product,
+)
 from mcgcalc.cli import _build_parser, main
 
 
@@ -33,6 +41,20 @@ def test_act_trivial_braid_image(capsys):
     )
     assert code == 0
     assert out.strip() == "x1 y1"
+
+
+def test_act_braid_psi_is_decided_on_the_reduced_word_within_the_budget(capsys):
+    # typed as it stands, sigma_1 sigma_1^-1 sigma_1 needs 51 letters at
+    # genus 2; freely reduced to sigma_1, as psi_action evaluates it, 14
+    sigma1, inverse = pillar_switching_action(1, 2), pillar_switching_inverse(1, 2)
+    with pytest.raises(ImageBudgetError):
+        product(Basis.xy(2), [sigma1, inverse, sigma1], budget=20)
+    code, out, err = run(
+        capsys, "act", "braid-psi", "b1 b1^-1 b1", "--genus", "2", "--on", "x1 y1",
+        "--budget", "20",
+    )
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "act", "sigma", "1", "--genus", "2", "--on", "x1 y1")[1]
 
 
 def test_act_parse_error_exits_2(capsys):

@@ -217,7 +217,7 @@ def test_product_of_artin_generators_matches_the_full_step_loop(
     compiled_kernel, strands, letters
 ):
     basis = Basis.abstract(strands)
-    factors = [_artin_generator(abs(k), strands, 1 if k > 0 else -1) for k in letters]
+    factors = [_artin_generator(k, strands) for k in letters]
     sizes = []
     reference_product(basis, factors, DEFAULT_IMAGE_BUDGET, sizes)
     # every size the steps check, and one below each
@@ -233,7 +233,7 @@ def test_product_of_artin_generators_matches_the_full_step_loop(
 def test_a_renamed_row_is_the_accumulated_row():
     # b1 sends al1 to al2, so stepping it takes the accumulated row of al2 as
     # the row of al1, the object itself, and calls the kernel only for al2's row
-    s1, s2 = _artin_generator(1, 3, 1), _artin_generator(2, 3, 1)
+    s1, s2 = _artin_generator(1, 3), _artin_generator(2, 3)
     al1, al2 = (AB3.generator(name).data[0] for name in ("al1", "al2"))
     substitute = _wordops.substitute
     with mock.patch.object(_wordops, "substitute", wraps=substitute) as calls:
@@ -456,3 +456,12 @@ def test_json_roundtrip():
     payload = json.loads(f.to_json())
     assert payload["basis"] == {"kind": "xy", "genus_or_rank": 2}
     assert FreeEndomorphism.from_json_dict(payload) == f
+
+
+@pytest.mark.parametrize("rank", [2.9, True, "2"], ids=["float", "bool", "text"])
+def test_from_json_refuses_a_rank_that_is_not_an_int(rank):
+    payload = json.loads(pillar_switching_action(0, 2).to_json())
+    payload["basis"]["genus_or_rank"] = rank
+    with pytest.raises(ValueError) as excinfo:
+        FreeEndomorphism.from_json_dict(payload)
+    assert str(excinfo.value) == f"genus_or_rank must be an int, got {rank!r}"

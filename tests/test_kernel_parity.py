@@ -14,6 +14,7 @@ import hashlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from itertools import cycle, repeat
@@ -1004,6 +1005,72 @@ def test_one_process_matches_fresh_processes(run_cli, run_cli_many, backend):
     for argv, (code, out, err) in zip(MIXED_REQUESTS, results):
         fresh = run_cli(backend, argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+# Generated requests for the parity sweep below. Ranks (genus, strand count)
+# stay at 6 or less, so no request builds a large table; indices, letters,
+# budgets and seeds may have 30 digits, and any token may be malformed.
+BIG = "123456789012345678901234567890"
+ODD = ["", " ", "x", "-", "2.5", "1e3", "0x3", "+2", "٣", "１", "\x00", "é", "--", "-" + BIG]
+
+
+def _fuzz_argv(rng):
+    def odd(valid, pool=ODD + [BIG]):  # mostly the valid token, sometimes a malformed one
+        return rng.choice(pool) if rng.random() < 0.05 else valid
+
+    def number():  # an index or a seed
+        return odd(str(rng.choice([0, 1, 1, 2, 3, 5, 9, -1, int(BIG)])))
+
+    def text(prefixes, top):  # a short word over indices 1..top, at times with one bad token
+        tokens = [
+            rng.choice(prefixes) + str(rng.randint(1, top)) + rng.choice(["", "^-1"])
+            for _ in range(rng.randint(0, 5))
+        ]
+        if tokens and rng.random() < 0.3:
+            bad = rng.choice([prefixes[0] + index for index in ("0", "9", BIG, "1^-2", "1^")] + ODD)
+            tokens[rng.randrange(len(tokens))] = bad
+        return " ".join(tokens) or "1"
+
+    rank = rng.choice([2, 2, 3, 3, 4, 4, 5, 6, 0, 1])
+    top = max(rank - 1, 1)
+    command = rng.choice(["verify", "act", "export", "braid-trivial"])
+    if command == "verify":
+        lo = rng.randint(1, 5)
+        genus = odd(rng.choice([str(lo), f"{lo}..{lo + 1}"]), ODD + ["3..2", "2..", "..3"])
+        checks = ["thm22", "chains", "relations", "relator", "artin-restriction"]
+        if rng.random() < 0.1:  # the randomized check is the slow one: rarely
+            checks.append("yz-roundtrip")
+        which = ",".join(rng.sample(checks, rng.randint(1, 3)))
+        argv = ["verify", "--genus", genus, "--which", odd(which, ["bogus", ""])]
+        argv += rng.choice([[], ["--json"]]) + rng.choice([[], ["--seed", number()]])
+    elif command in ("act", "export"):
+        kind = rng.choice(["twist-word", "sigma", "braid-psi"])
+        spec = {"sigma": number, "twist-word": lambda: text("abw", top),
+                "braid-psi": lambda: text("b", top)}[kind]()
+        argv = [command, odd(kind), spec, "--genus", odd(str(rank), ODD)]
+        argv += ["--on", text("xy", top)] if command == "act" else rng.choice([[], ["--json"]])
+    else:
+        argv = ["braid-trivial", text("b", top), "--strands", odd(str(rank), ODD)]
+    if rng.random() < 0.5:
+        argv += ["--budget", odd(str(rng.choice([0, -5, 1, 10, 500, 10**7, 10**7, int(BIG)])))]
+    if rng.random() < 0.03:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD))
+    return argv
+
+
+FUZZ_ARGVS = [_fuzz_argv(random.Random(seed)) for seed in range(300)]
+
+
+def test_generated_requests_exit_cleanly_and_alike_under_both_kernels(run_cli_many):
+    pure = run_cli_many("py", FUZZ_ARGVS)
+    compiled = run_cli_many("c", FUZZ_ARGVS)
+    for argv, (code, out, err), c in zip(FUZZ_ARGVS, pure, compiled):
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        # verify --json names the kernel that ran; everything else is byte-identical.
+        assert c == (code, out.replace('"kernel": "py"', '"kernel": "c"'), err), argv
+    # the sweep reaches every verdict, not only the usage errors
+    assert {code for code, _, _ in pure} == {0, 1, 2}
 
 
 @pytest.mark.parametrize("backend", ["py", "c"])

@@ -57,3 +57,21 @@ def test_traced_request_is_well_formed(tmp_path, capsys, argv):
     for op in tracing.KERNEL_OPS:
         assert f"_wordops.{op}.c_over_py" in metrics, op
     assert metrics["_wordops.substitute.calls"] > 0
+
+
+def test_traced_verify_times_the_identity_checks(tmp_path, capsys):
+    # thm22 and relations run through identity_report; their spans stay keyed
+    # to the verifiers the CLI runs, whatever those call inside
+    tracing = load_tracer()
+    tracing.REPLAY_MIN_S = 0.01
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--which", "thm22,relations", "--genus", "2..3", "--json"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.report(None, tmp_path / "spans.tsv.gz")["metrics"]
+    assert metrics["cli.verify.thm22_s"] > 0
+    assert metrics["cli.verify.relations_s"] > 0
