@@ -98,6 +98,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         payload = {
             "kernel": kernel_backend(),
             "ok": ok,
+            "seed": args.seed,
             "results": [
                 {"which": which, **report.to_json_dict()}
                 for which, report in results

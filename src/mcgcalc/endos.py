@@ -17,12 +17,16 @@ budget is checked inside the kernel's ``substitute``, which sums the
 image lengths before it substitutes; ``product`` also checks its running
 total after each step. A row that a generator only renames, as each braid
 generator renames one of its two moved rows, is reused there, not copied.
+Each map computes the rows it moves and its letter total once, the first
+time ``product`` reads them, so a step costs what its factor moves. A
+product of one factor is that factor.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _wordops
@@ -45,8 +49,7 @@ def _code_table(
 
 
 def _row_count(basis: Basis) -> int:
-    # the cached names run from the largest code's inverse to the largest code
-    return len(_letter_table(basis)[1]) // 2 + 1
+    return len(basis._identity_table)
 
 
 @dataclass(frozen=True, repr=False)
@@ -56,7 +59,9 @@ class FreeEndomorphism:
     ``table[code]`` is the image of the generator with that code, as
     signed letter codes; build maps with ``from_images``, ``identity`` or
     ``product``. Instances are immutable values; composition materializes
-    all images eagerly.
+    all images eagerly. A map computes the rows it moves and its letter
+    total once, when ``product`` first asks for them; like the basis's
+    tables they stay out of equality and out of the pickled state.
     """
 
     basis: Basis
@@ -69,6 +74,27 @@ class FreeEndomorphism:
                 f"{self.basis}, got {len(self.table)}"
             )
 
+    def __getstate__(self) -> dict:
+        # the fields alone: the cached rows and total are not part of the value
+        return {"basis": self.basis, "table": self.table}
+
+    @cached_property
+    def _moved(self) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+        """The ``(code, image, renamed)`` rows this map moves, in basis order.
+
+        ``renamed`` is c for an image ``(c,)`` with c > 0, else 0.
+        """
+        table = self.table
+        return tuple(
+            (code, img, img[0] if len(img) == 1 and img[0] > 0 else 0)
+            for code in (sym.code for sym in self.basis.symbols)
+            if (img := table[code]) != (code,)
+        )
+
+    @cached_property
+    def _letter_total(self) -> int:
+        return sum(map(len, self.table))
+
     @property
     def images(self) -> tuple[Word, ...]:
         """The image words, aligned with ``basis.symbols``."""
@@ -79,7 +105,7 @@ class FreeEndomorphism:
 
     @classmethod
     def identity(cls, basis: Basis) -> "FreeEndomorphism":
-        return cls(basis, _code_table(basis, ((sym.code,) for sym in basis.symbols)))
+        return cls(basis, basis._identity_table)
 
     @classmethod
     def from_images(
@@ -94,25 +120,28 @@ class FreeEndomorphism:
         With ``fix_unlisted`` the generators absent from the mapping map
         to themselves; otherwise every generator must be listed.
         """
-        by_name = dict(mapping)
-        images = []
-        for sym in basis.symbols:
-            if sym.name in by_name:
-                value = by_name.pop(sym.name)
-                if not isinstance(value, Word):
-                    value = parse_word(value, basis)
-                elif value.basis != basis:
-                    raise BasisMismatchError(
-                        f"image {value} lives over {value.basis}, not {basis}"
-                    )
-                images.append(value.data)
-            elif fix_unlisted:
-                images.append((sym.code,))
-            else:
-                raise ValueError(f"missing image for generator {sym.name}")
-        if by_name:
-            raise ValueError(f"unknown generators in mapping: {sorted(by_name)}")
-        return cls(basis, _code_table(basis, images))
+        letters = _letter_table(basis)[0]
+        if not fix_unlisted:
+            for sym in basis.symbols:
+                if sym.name not in mapping:
+                    raise ValueError(f"missing image for generator {sym.name}")
+        table = list(basis._identity_table)
+        unknown = []
+        for name, value in mapping.items():
+            code = letters.get(name, 0)
+            if code <= 0:  # no generator's name, or an inverse letter's
+                unknown.append(name)
+                continue
+            if not isinstance(value, Word):
+                value = parse_word(value, basis)
+            elif value.basis != basis:
+                raise BasisMismatchError(
+                    f"image {value} lives over {value.basis}, not {basis}"
+                )
+            table[code] = value.data
+        if unknown:
+            raise ValueError(f"unknown generators in mapping: {sorted(unknown)}")
+        return cls(basis, tuple(table))
 
     def image_of(self, name_or_symbol: Union[str, Symbol]) -> Word:
         code = self.basis.generator(name_or_symbol).data[0]
@@ -167,10 +196,8 @@ class FreeEndomorphism:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "FreeEndomorphism":
-        rank = payload["basis"]["genus_or_rank"]
-        if type(rank) is not int:  # no bool, float or numeric text either
-            raise ValueError(f"genus_or_rank must be an int, got {rank!r}")
-        basis = Basis(BasisKind(payload["basis"]["kind"]), rank)
+        # the constructor refuses a rank that is not an int, bool included
+        basis = Basis(BasisKind(payload["basis"]["kind"]), payload["basis"]["genus_or_rank"])
         return cls.from_images(basis, payload["images"])
 
     def __repr__(self) -> str:
@@ -189,39 +216,29 @@ def product(
 ) -> FreeEndomorphism:
     """The product f_1 f_2 ... f_n of ``factors``, rightmost acting first.
 
-    ``product(basis, ())`` is the identity. The factors' code tables are
-    composed directly: each step substitutes only the generators its
-    factor moves, a generator it fixes keeps its accumulated image, and a
+    ``product(basis, ())`` is the identity, and one factor is returned as
+    it is. The factors' code tables are composed directly: each step
+    substitutes only the rows its factor moves (``_moved``, computed once
+    per map), a generator it fixes keeps its accumulated image, and a
     generator it sends to a positive letter c takes c's accumulated image,
     the same object, without a kernel call. Raises ``ImageBudgetError``
     before materializing an image whose unreduced size exceeds ``budget``,
     and after any step whose images total more than ``budget`` letters.
     """
-    # a product repeats a few generators: compare each distinct factor once
-    for f in {id(f): f for f in factors}.values():
+    for f in factors:
         if f.basis is not basis and f.basis != basis:
             raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
     if not factors:
         return FreeEndomorphism.identity(basis)
-    codes = [sym.code for sym in basis.symbols]
-    # id of a factor's table -> the (code, image, renamed) rows it moves, in
-    # basis order, where ``renamed`` is c for an image (c,) with c > 0 and else 0;
-    # ``factors`` keeps every table alive, so no id is reused within the call
-    moved: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
     table = factors[0].table
-    total = sum([len(table[code]) for code in codes])
+    total = factors[0]._letter_total
     if total > budget:
         raise ImageBudgetError(total, budget)
+    if len(factors) == 1:
+        return factors[0]
     for f in factors[1:]:
-        rows = moved.get(id(f.table))
-        if rows is None:
-            rows = moved[id(f.table)] = [
-                (code, img, img[0] if len(img) == 1 and img[0] > 0 else 0)
-                for code in codes
-                if (img := f.table[code]) != (code,)
-            ]
         step = list(table)
-        for code, img, renamed in rows:
+        for code, img, renamed in f._moved:
             # A rename reuses the accumulated row and, like a fixed row, needs
             # no budget check: the total checked before this step counts
             # table[renamed], so len(table[renamed]) <= total <= budget.

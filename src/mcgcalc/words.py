@@ -10,6 +10,13 @@ kinds cover all uses downstream:
 * ``Basis.abstract(n)`` -- al1..aln: a plain rank-n free group, the
   target of the Artin representation.
 
+Each factory returns one shared basis per kind and rank, kept in a dict
+per kind keyed by the int rank. A basis computes its symbols, its letter
+table and its identity code table once and keeps them, and its hash is
+computed once from ints. A basis built with the constructor is equal to
+the shared one, hashes alike and computes its own tables. A rank that is
+not an ``int`` (``True``, ``2.0``, ``"2"``) is refused.
+
 Words are always stored freely reduced, so equality is a plain sequence
 comparison. A letter is one signed integer code: positive for the
 generator, negative for its inverse. ``Word.data`` is the tuple of these
@@ -32,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 from operator import itemgetter, neg
 from random import Random
 from types import MappingProxyType
@@ -72,10 +79,10 @@ class Symbol:
         return (self.index - 1) * 4 + int(self.family) + 1
 
     def __getstate__(self) -> dict:
-        # the fields alone: a cached ``code`` is not part of the value
+        # the fields alone: a cached ``code`` or ``name`` is not part of the value
         return {"family": self.family, "index": self.index}
 
-    @property
+    @cached_property
     def name(self) -> str:
         return f"{_FAMILY_PREFIX[self.family]}{self.index}"
 
@@ -95,47 +102,92 @@ class BasisKind(Enum):
     ABSTRACT = "abstract"
 
 
-@lru_cache(maxsize=None)
-def _basis_symbols(kind: BasisKind, n: int) -> tuple[Symbol, ...]:
-    if kind is BasisKind.XY:
-        syms = []
-        for i in range(1, n + 1):
-            syms.append(Symbol(Family.X, i))
-            syms.append(Symbol(Family.Y, i))
-        return tuple(syms)
-    if kind is BasisKind.YZ:
-        return tuple(Symbol(Family.Y, i) for i in range(1, n + 1)) + tuple(
-            Symbol(Family.Z, i) for i in range(1, n + 1)
-        )
-    return tuple(Symbol(Family.ALPHA, i) for i in range(1, n + 1))
+_BASIS_KINDS = tuple(BasisKind)
 
 
 @dataclass(frozen=True)
 class Basis:
-    """A free generating set: a kind plus its genus (xy, yz) or rank."""
+    """A free generating set: a kind plus its genus (xy, yz) or rank.
+
+    The factories return shared instances (see the module docstring).
+    The cached hash and tables stay out of equality and pickling.
+    """
 
     kind: BasisKind
     genus_or_rank: int
 
     def __post_init__(self):
-        if self.genus_or_rank < 1:
-            raise ValueError(f"genus/rank must be >= 1, got {self.genus_or_rank}")
+        rank = self.genus_or_rank
+        if type(rank) is not int:  # no bool, float or numeric text either
+            raise ValueError(f"genus_or_rank must be an int, got {rank!r}")
+        if rank < 1:
+            raise ValueError(f"genus/rank must be >= 1, got {rank}")
+        # tuple.index compares by identity first, so no Enum hash is paid
+        object.__setattr__(self, "_hash", hash((_BASIS_KINDS.index(self.kind), rank)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Basis:
+            return NotImplemented
+        return self.kind is other.kind and self.genus_or_rank == other.genus_or_rank
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt by the constructor, so no cached table or hash is pickled
+        return (Basis, (self.kind, self.genus_or_rank))
 
     @classmethod
     def xy(cls, genus: int) -> "Basis":
-        return cls(BasisKind.XY, genus)
+        return _interned(BasisKind.XY, _XY_BASES, genus)
 
     @classmethod
     def yz(cls, genus: int) -> "Basis":
-        return cls(BasisKind.YZ, genus)
+        return _interned(BasisKind.YZ, _YZ_BASES, genus)
 
     @classmethod
     def abstract(cls, rank: int) -> "Basis":
-        return cls(BasisKind.ABSTRACT, rank)
+        return _interned(BasisKind.ABSTRACT, _ABSTRACT_BASES, rank)
 
-    @property
+    @cached_property
     def symbols(self) -> tuple[Symbol, ...]:
-        return _basis_symbols(self.kind, self.genus_or_rank)
+        n = self.genus_or_rank
+        if self.kind is BasisKind.XY:
+            return tuple(Symbol(f, i) for i in range(1, n + 1) for f in (Family.X, Family.Y))
+        if self.kind is BasisKind.YZ:
+            return tuple(Symbol(f, i) for f in (Family.Y, Family.Z) for i in range(1, n + 1))
+        return tuple(Symbol(Family.ALPHA, i) for i in range(1, n + 1))
+
+    @cached_property
+    def _letters(self) -> tuple[Mapping[str, int], tuple[str, ...]]:
+        # see _letter_table, the one reader of this pair
+        codes = {}
+        for sym in self.symbols:
+            codes[sym.name] = sym.code
+            codes[sym.name + "^-1"] = -sym.code
+        names = [""] * (2 * max(codes.values()) + 1)
+        for name, code in codes.items():
+            names[code] = name
+        return MappingProxyType(codes), tuple(names)
+
+    @cached_property
+    def _identity_table(self) -> tuple[tuple[int, ...], ...]:
+        """The identity map's code table: ``(code,)`` at each code of the
+        basis, ``()`` at every code it does not use."""
+        table: list[tuple[int, ...]] = [()] * (len(self._letters[1]) // 2 + 1)
+        for sym in self.symbols:
+            table[sym.code] = (sym.code,)
+        return tuple(table)
+
+    @cached_property
+    def _signed_letters(self) -> tuple[int, ...]:
+        """The 2r letter codes, each inverse pair adjacent: c, -c, ...
+
+        The inverse of the letter at index ``k`` sits at index ``k ^ 1``.
+        """
+        return tuple(code for sym in self.symbols for code in (sym.code, -sym.code))
 
     def admits(self, symbol: Symbol) -> bool:
         return symbol.name in _letter_table(self)[0]
@@ -154,6 +206,23 @@ class Basis:
 
     def __str__(self) -> str:
         return f"{self.kind.value}({self.genus_or_rank})"
+
+
+# The shared bases, one dict per kind keyed by the int rank. Like the other
+# per-genus caches they are unbounded.
+_XY_BASES: dict[int, Basis] = {}
+_YZ_BASES: dict[int, Basis] = {}
+_ABSTRACT_BASES: dict[int, Basis] = {}
+
+
+def _interned(kind: BasisKind, bases: dict[int, Basis], rank: int) -> Basis:
+    """The shared basis of ``kind`` and ``rank``; ``bases`` holds the ones made."""
+    basis = bases.get(rank)
+    if basis is None or type(rank) is not int:
+        # a new rank, or a value that only equals one (True, 2.0): the
+        # constructor refuses the latter before it can be stored
+        basis = bases[rank] = Basis(kind, rank)
+    return basis
 
 
 @dataclass(frozen=True, repr=False)
@@ -302,23 +371,15 @@ def _join_tokens(tokens: Iterable[str]) -> str:
     return " ".join(tokens) or "1"
 
 
-@lru_cache(maxsize=None)
 def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
     """The letters of ``basis`` both ways: name -> signed code, signed code -> name.
 
     This is the one rule for which codes and names a basis admits. The
-    cache hands the same pair to every caller, so both are read-only.
-    The names are indexed by the signed code itself: a negative code
-    counts from the end of the tuple.
+    basis computes the pair once and hands the same pair to every caller,
+    so both are read-only. The names are indexed by the signed code
+    itself: a negative code counts from the end of the tuple.
     """
-    codes = {}
-    for sym in basis.symbols:
-        codes[sym.name] = sym.code
-        codes[sym.name + "^-1"] = -sym.code
-    names = [""] * (2 * max(codes.values()) + 1)
-    for name, code in codes.items():
-        names[code] = name
-    return MappingProxyType(codes), tuple(names)
+    return basis._letters
 
 
 def _admitted(basis: Basis, code: int) -> int:
@@ -363,15 +424,6 @@ def format_word(w: Word) -> str:
     return _wordops.format_letters(w.data, _letter_table(w.basis)[1])
 
 
-@lru_cache(maxsize=None)
-def _signed_letters(basis: Basis) -> tuple[int, ...]:
-    """The 2r letter codes of ``basis``, each inverse pair adjacent: c, -c, ...
-
-    The inverse of the letter at index ``k`` sits at index ``k ^ 1``.
-    """
-    return tuple(code for sym in basis.symbols for code in (sym.code, -sym.code))
-
-
 def random_word(basis: Basis, length: int, rng: Random) -> Word:
     """A uniformly random reduced word of exactly ``length`` letters.
 
@@ -382,7 +434,7 @@ def random_word(basis: Basis, length: int, rng: Random) -> Word:
     that do not cancel the previous one (the draw skips the previous
     letter's inverse by shifting the indices above it).
     """
-    return Word._reduced(basis, _wordops.draw_letters(rng.random, length, _signed_letters(basis)))
+    return Word._reduced(basis, _wordops.draw_letters(rng.random, length, basis._signed_letters))
 
 
 def _random_codes(basis: Basis, rng: Random, max_length: int) -> Callable[[], tuple[int, ...]]:
@@ -394,5 +446,5 @@ def _random_codes(basis: Basis, rng: Random, max_length: int) -> Callable[[], tu
     pays for no ``Word`` and no lookup per word.
     """
     draw, random, randrange = _wordops.draw_letters, rng.random, rng.randrange
-    letters, stop = _signed_letters(basis), max_length + 1
+    letters, stop = basis._signed_letters, max_length + 1
     return lambda: draw(random, randrange(stop), letters)

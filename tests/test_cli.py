@@ -174,7 +174,20 @@ def test_verify_json_names_the_kernel(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kernel"] == kernel_backend() in ("py", "c")
-    assert set(payload) == {"kernel", "ok", "results"}
+    assert set(payload) == {"kernel", "ok", "results", "seed"}
+
+
+def test_verify_json_records_the_seed(capsys):
+    payloads = {}
+    for seed in (0, 7):
+        argv = ("verify", "--genus", "2", "--which", "yz-roundtrip", "--json", "--seed", str(seed))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        payloads[seed] = json.loads(out)
+        assert payloads[seed]["seed"] == seed
+    # the seed is the only difference: kernel, ok and results stay as they were
+    del payloads[0]["seed"], payloads[7]["seed"]
+    assert payloads[0] == payloads[7]
 
 
 def test_verify_genus_1_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from unittest import mock
 
@@ -9,6 +10,7 @@ from mcgcalc import _wordops
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
+    BasisKind,
     BasisMismatchError,
     BraidWord,
     DEFAULT_IMAGE_BUDGET,
@@ -32,6 +34,7 @@ from mcgcalc import (
     verify_inverse_pair,
 )
 from mcgcalc.braids import _artin_generator
+from mcgcalc.reports import CheckCase, case_from_endos
 
 XY2 = Basis.xy(2)
 
@@ -256,9 +259,46 @@ def test_product_rejects_a_late_basis_mismatch_before_any_step():
 
 
 def test_product_accepts_an_equal_basis_object():
-    twin = FreeEndomorphism(Basis.xy(2), A1.table)
+    # the constructor builds a distinct basis; Basis.xy(2) would be XY2 itself
+    twin = FreeEndomorphism(Basis(BasisKind.XY, 2), A1.table)
     assert twin.basis is not XY2
     assert product(XY2, [twin, A1]) == A1.compose(A1)
+
+
+def test_a_constructor_built_basis_works_as_the_shared_one():
+    twin = Basis(BasisKind.XY, 2)
+    f = FreeEndomorphism(twin, A1.table)
+    w = parse_word("x1 y1 x2^-1", twin)
+    assert A1.apply(w) == f.apply(w) == A1.apply(parse_word("x1 y1 x2^-1", XY2))
+    assert product(twin, [A1, B1]) == product(XY2, [f, B1])
+    assert case_from_endos("t", A1, f) == CheckCase("t")
+    assert case_from_endos("t", B1, f).mismatches
+
+
+def test_product_of_one_factor_is_that_factor():
+    f = product(XY2, [A1, B1])
+    assert product(XY2, [f]) is f
+    assert product(Basis(BasisKind.XY, 2), [f]) is f
+    with pytest.raises(ImageBudgetError) as excinfo:
+        product(XY2, [f], budget=f._letter_total - 1)
+    assert excinfo.value.needed == f._letter_total
+
+
+def test_a_map_computes_its_moved_rows_once():
+    f = FreeEndomorphism(AB3, _artin_generator(1, 3).table)  # nothing cached yet
+    assert "_moved" not in vars(f) and "_letter_total" not in vars(f)
+    moved = type(f).__dict__["_moved"]
+    with mock.patch.object(moved, "func", wraps=moved.func) as computed:
+        first = product(AB3, [_artin_generator(2, 3), f])
+        second = product(AB3, [f, _artin_generator(2, 3), f])
+    assert [call.args[0] for call in computed.call_args_list].count(f) == 1
+    al1, al2 = (AB3.generator(name).data[0] for name in ("al1", "al2"))
+    assert f._moved == ((al1, (al2,), al2), (al2, (-al2, al1, al2), 0))  # al1 -> al2 renames
+    assert vars(f)["_letter_total"] == 1 + 3 + 1  # the first factor of the second product
+    assert first == artin_action(BraidWord(3, (2, 1)))
+    assert second == artin_action(BraidWord(3, (1, 2, 1)))
+    # the cached rows are not part of the value
+    assert f == _artin_generator(1, 3) and set(vars(pickle.loads(pickle.dumps(f)))) == {"basis", "table"}
 
 
 # --- equality ------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from mcgcalc import (
     Basis,
+    BasisKind,
     BasisMismatchError,
     FreeEndomorphism,
     Word,
@@ -212,7 +213,7 @@ def test_case_from_endos_refuses_maps_over_different_bases(lhs, rhs):
 def test_case_from_endos_on_equal_tables_compares_no_generator():
     f = pillar_switching_action(1, 3)
     # an equal basis and an equal table, neither the same object
-    twin = FreeEndomorphism(Basis.xy(3), tuple(tuple(list(row)) for row in f.table))
+    twin = FreeEndomorphism(Basis(BasisKind.XY, 3), tuple(tuple(list(row)) for row in f.table))
     assert twin.basis is not f.basis and twin.table is not f.table
     # the equal tables answer: no generator is listed, no image is built
     with mock.patch.object(Basis, "symbols", mock.PropertyMock(side_effect=AssertionError)):

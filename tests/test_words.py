@@ -1,6 +1,6 @@
 import hashlib
 import pickle
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from unittest import mock
 
@@ -11,6 +11,7 @@ from mcgcalc import _wordops, braids, twists, words as words_module
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
+    BasisKind,
     BasisMismatchError,
     BraidWord,
     Family,
@@ -636,6 +637,95 @@ def test_basis_symbol_order():
     assert [s.name for s in XY2.symbols] == ["x1", "y1", "x2", "y2"]
     assert [s.name for s in YZ2.symbols] == ["y1", "y2", "z1", "z2"]
     assert [s.name for s in Basis.abstract(2).symbols] == ["al1", "al2"]
+
+
+# --- shared bases ----------------------------------------------------------------
+
+FACTORIES = [(Basis.xy, BasisKind.XY), (Basis.yz, BasisKind.YZ), (Basis.abstract, BasisKind.ABSTRACT)]
+
+
+@pytest.mark.parametrize("factory, kind", FACTORIES, ids=["xy", "yz", "abstract"])
+def test_each_factory_returns_one_basis_per_rank(factory, kind):
+    basis = factory(7)
+    assert factory(7) is basis and factory(8) is not basis
+    # its tables are computed once and handed out as the same objects
+    assert basis.symbols is factory(7).symbols
+    assert words_module._letter_table(basis) is words_module._letter_table(factory(7))
+    twin = Basis(kind, 7)
+    assert twin is not basis and twin == basis and hash(twin) == hash(basis)
+    assert str(twin) == str(basis) and repr(twin) == repr(basis)
+    assert twin.symbols == basis.symbols and twin.symbols is not basis.symbols
+    assert words_module._letter_table(twin) == words_module._letter_table(basis)
+    assert twin != factory(8)
+
+
+@pytest.mark.parametrize("rank", [2.9, 2.0, True, "2"], ids=["float", "whole-float", "bool", "text"])
+@pytest.mark.parametrize("build", [Basis.xy, Basis.yz, Basis.abstract, partial(Basis, BasisKind.XY)],
+                         ids=["xy", "yz", "abstract", "constructor"])
+def test_a_basis_refuses_a_rank_that_is_not_an_int(build, rank):
+    for factory, _ in FACTORIES:  # the int ranks equal to the refused values are shared
+        factory(1), factory(2)
+    with pytest.raises(ValueError) as excinfo:
+        build(rank)
+    assert str(excinfo.value) == f"genus_or_rank must be an int, got {rank!r}"
+
+
+def test_a_refused_bool_rank_leaves_the_int_rank_as_it_was():
+    with pytest.raises(ValueError):
+        Basis.xy(True)
+    assert str(Basis.xy(1)) == "xy(1)"
+    assert type(Basis.xy(1).genus_or_rank) is int
+    with pytest.raises(ValueError):
+        Basis.xy(True)
+
+
+def test_a_constructor_built_basis_is_an_equal_cache_key():
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def rank_of(basis):
+        calls.append(basis)
+        return basis.genus_or_rank
+
+    twin = Basis(BasisKind.YZ, 3)
+    assert rank_of(Basis.yz(3)) == rank_of(twin) == 3
+    assert calls == [Basis.yz(3)] and calls[0] is Basis.yz(3)
+    assert {Basis.yz(3): "shared"}[twin] == "shared"
+
+
+PICKLED_IN_ANOTHER_PROCESS = """
+import pickle, sys
+from mcgcalc import Basis, BasisKind, pillar_switching_action, product
+f = pillar_switching_action(1, 3)
+product(f.basis, [f, f])  # computes f's cached rows before it is pickled
+objects = [Basis.xy(3), Basis(BasisKind.YZ, 4), Basis.abstract(5), f, hash(Basis.xy(3))]
+sys.stdout.buffer.write(pickle.dumps(objects))
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "12345"])
+def test_bases_and_maps_pickled_under_another_hash_seed_load_equal(hashseed):
+    import os
+    import subprocess
+    import sys
+
+    import mcgcalc
+    from mcgcalc import FreeEndomorphism, pillar_switching_action
+
+    src = os.path.dirname(os.path.dirname(mcgcalc.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", PICKLED_IN_ANOTHER_PROCESS], env=env, capture_output=True, check=True
+    ).stdout
+    xy, yz, abstract, f, xy_hash = pickle.loads(out)
+    # xy(3) had its tables computed before pickling; none of them was pickled
+    assert set(vars(xy)) == {"kind", "genus_or_rank", "_hash"}
+    for loaded, here in [(xy, Basis.xy(3)), (yz, Basis.yz(4)), (abstract, Basis.abstract(5))]:
+        assert loaded == here and hash(loaded) == hash(here)
+        assert words_module._letter_table(loaded) == words_module._letter_table(here)
+    assert xy_hash == hash(Basis.xy(3))  # ints only, whatever the hash seed
+    assert f == pillar_switching_action(1, 3) and hash(f) == hash(pillar_switching_action(1, 3))
+    assert isinstance(f, FreeEndomorphism) and set(vars(f)) == {"basis", "table"}
 
 
 # --- random words --------------------------------------------------------------
