@@ -51,6 +51,8 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if type(self.strands) is not int:  # no bool or float either
+            raise ValueError(f"strand count must be an int, got {self.strands!r}")
         if self.strands < 1:
             raise ValueError(f"strand count must be >= 1, got {self.strands}")
         for k in self.letters:

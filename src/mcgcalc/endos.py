@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from . import _wordops
 from .errors import BasisMismatchError, ImageBudgetError
 from .words import (
-    Basis, BasisKind, Symbol, Word, _letter_table, format_word, parse_word
+    Basis, BasisKind, Symbol, Word, format_word, parse_word
 )
 
 DEFAULT_IMAGE_BUDGET = 10**7
@@ -42,14 +42,10 @@ def _code_table(
     basis: Basis, images: Iterable[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """The code table of ``images``, which are aligned with ``basis.symbols``."""
-    table: list[tuple[int, ...]] = [()] * _row_count(basis)
+    table: list[tuple[int, ...]] = [()] * len(basis._identity_table)
     for sym, image in zip(basis.symbols, images, strict=True):
         table[sym.code] = image
     return tuple(table)
-
-
-def _row_count(basis: Basis) -> int:
-    return len(basis._identity_table)
 
 
 @dataclass(frozen=True, repr=False)
@@ -68,10 +64,10 @@ class FreeEndomorphism:
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.table) != _row_count(self.basis):
+        rows = len(self.basis._identity_table)
+        if len(self.table) != rows:
             raise ValueError(
-                f"expected a table of {_row_count(self.basis)} rows for "
-                f"{self.basis}, got {len(self.table)}"
+                f"expected a table of {rows} rows for {self.basis}, got {len(self.table)}"
             )
 
     def __getstate__(self) -> dict:
@@ -120,7 +116,7 @@ class FreeEndomorphism:
         With ``fix_unlisted`` the generators absent from the mapping map
         to themselves; otherwise every generator must be listed.
         """
-        letters = _letter_table(basis)[0]
+        letters = basis._codes
         if not fix_unlisted:
             for sym in basis.symbols:
                 if sym.name not in mapping:
@@ -134,7 +130,7 @@ class FreeEndomorphism:
                 continue
             if not isinstance(value, Word):
                 value = parse_word(value, basis)
-            elif value.basis != basis:
+            elif value.basis is not basis:
                 raise BasisMismatchError(
                     f"image {value} lives over {value.basis}, not {basis}"
                 )
@@ -149,7 +145,7 @@ class FreeEndomorphism:
 
     def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
         """Image of ``w``: substitute letterwise and reduce."""
-        if w.basis != self.basis:
+        if w.basis is not self.basis:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
@@ -196,7 +192,7 @@ class FreeEndomorphism:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "FreeEndomorphism":
-        # the constructor refuses a rank that is not an int, bool included
+        # the shared basis; the constructor refuses a rank that is not an int
         basis = Basis(BasisKind(payload["basis"]["kind"]), payload["basis"]["genus_or_rank"])
         return cls.from_images(basis, payload["images"])
 
@@ -226,7 +222,7 @@ def product(
     and after any step whose images total more than ``budget`` letters.
     """
     for f in factors:
-        if f.basis is not basis and f.basis != basis:
+        if f.basis is not basis:
             raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
     if not factors:
         return FreeEndomorphism.identity(basis)
@@ -258,7 +254,7 @@ def verify_inverse_pair(
     f: FreeEndomorphism, h: FreeEndomorphism, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> bool:
     """True iff ``f`` and ``h`` compose to the identity in both orders."""
-    if f.basis != h.basis:
+    if f.basis is not h.basis:
         raise BasisMismatchError(
             f"cannot compare maps over {f.basis} and {h.basis}"
         )

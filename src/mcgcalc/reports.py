@@ -77,7 +77,7 @@ def case_from_endos(
 
     Maps over different bases are not comparable: ``BasisMismatchError``.
     """
-    if lhs.basis != rhs.basis:
+    if lhs.basis is not rhs.basis:
         raise BasisMismatchError(f"cannot compare maps over {lhs.basis} and {rhs.basis}")
     if lhs.table == rhs.table:
         return CheckCase(name)

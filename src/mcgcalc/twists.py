@@ -31,7 +31,7 @@ from typing import Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
-from .words import Basis, Word, _join_tokens, _letter_error, _letter_table, _tokenize, parse_word
+from .words import Basis, Word, _join_tokens, _letter_error, _tokenize, parse_word
 
 
 class TwistKind(Enum):
@@ -49,6 +49,9 @@ class TwistSymbol:
     sign: int = 1
 
     def __post_init__(self):
+        for field, value in (("index", self.index), ("sign", self.sign)):
+            if type(value) is not int:  # no bool or float either
+                raise ValueError(f"twist {field} must be an int, got {value!r}")
         if self.index < 1:
             raise ValueError(f"twist index must be >= 1, got {self.index}")
         if self.sign not in (1, -1):
@@ -77,6 +80,8 @@ class TwistWord:
     symbols: tuple[TwistSymbol, ...] = ()
 
     def __post_init__(self):
+        if type(self.genus) is not int:  # no bool or float either
+            raise ValueError(f"genus must be an int, got {self.genus!r}")
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
         for sym in self.symbols:
@@ -168,7 +173,7 @@ def _z_token_table(genus: int) -> Mapping[str, tuple[int, ...]]:
     An x/y letter maps to its one code, ``z<k>`` and ``z<k>^-1`` to the
     codes of ``z_loop(k, genus)`` and of its inverse.
     """
-    pieces = {name: (code,) for name, code in _letter_table(Basis.xy(genus))[0].items()}
+    pieces = {name: (code,) for name, code in Basis.xy(genus)._codes.items()}
     for k in range(1, genus + 1):
         z = z_loop(k, genus)
         pieces[f"z{k}"] = z.data

@@ -10,19 +10,19 @@ kinds cover all uses downstream:
 * ``Basis.abstract(n)`` -- al1..aln: a plain rank-n free group, the
   target of the Artin representation.
 
-Each factory returns one shared basis per kind and rank, kept in a dict
-per kind keyed by the int rank. A basis computes its symbols, its letter
-table and its identity code table once and keeps them, and its hash is
-computed once from ints. A basis built with the constructor is equal to
-the shared one, hashes alike and computes its own tables. A rank that is
-not an ``int`` (``True``, ``2.0``, ``"2"``) is refused.
+There is one basis per kind and rank, and no twin: the constructor
+interns, so ``Basis(kind, rank)``, the factories, ``pickle``,
+``copy.deepcopy`` and ``dataclasses.replace`` all return the one object in
+``_BASES``, and bases compare and hash by identity. A basis computes its
+symbols and tables once. A rank that is not an ``int`` (``True``, ``2.0``,
+``"2"``) is refused before anything is stored.
 
 Words are always stored freely reduced, so equality is a plain sequence
 comparison. A letter is one signed integer code: positive for the
 generator, negative for its inverse. ``Word.data`` is the tuple of these
 codes, the form the word kernel operates on; ``Symbol`` names the
-generator behind a positive code. ``_letter_table`` decides which codes
-a basis admits and what they are called.
+generator behind a positive code. The basis's ``_codes`` and ``_names``
+decide which codes a basis admits and what they are called.
 
 Text grammar: whitespace-separated tokens ``x<k>``, ``y<k>``, ``z<k>``,
 ``al<k>`` (k >= 1), each optionally suffixed ``^-1``; the single token
@@ -70,6 +70,8 @@ class Symbol:
     index: int
 
     def __post_init__(self):
+        if type(self.index) is not int:  # no bool or float either
+            raise ValueError(f"symbol index must be an int, got {self.index!r}")
         if self.index < 1:
             raise ValueError(f"symbol index must be >= 1, got {self.index}")
 
@@ -102,54 +104,44 @@ class BasisKind(Enum):
     ABSTRACT = "abstract"
 
 
-_BASIS_KINDS = tuple(BasisKind)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Basis:
-    """A free generating set: a kind plus its genus (xy, yz) or rank.
-
-    The factories return shared instances (see the module docstring).
-    The cached hash and tables stay out of equality and pickling.
-    """
+    """A free generating set: a kind plus its genus (xy, yz) or rank, one
+    object per kind and rank (see the module docstring), compared by
+    identity. Its cached tables are not pickled."""
 
     kind: BasisKind
     genus_or_rank: int
 
-    def __post_init__(self):
-        rank = self.genus_or_rank
-        if type(rank) is not int:  # no bool, float or numeric text either
-            raise ValueError(f"genus_or_rank must be an int, got {rank!r}")
-        if rank < 1:
-            raise ValueError(f"genus/rank must be >= 1, got {rank}")
-        # tuple.index compares by identity first, so no Enum hash is paid
-        object.__setattr__(self, "_hash", hash((_BASIS_KINDS.index(self.kind), rank)))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Basis:
-            return NotImplemented
-        return self.kind is other.kind and self.genus_or_rank == other.genus_or_rank
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, kind: BasisKind, genus_or_rank: int) -> "Basis":
+        if type(genus_or_rank) is not int:  # no bool, float or numeric text either
+            raise ValueError(f"genus_or_rank must be an int, got {genus_or_rank!r}")
+        if genus_or_rank < 1:
+            raise ValueError(f"genus/rank must be >= 1, got {genus_or_rank}")
+        basis = _BASES[kind].get(genus_or_rank)
+        if basis is None:
+            basis = object.__new__(cls)
+            vars(basis).update(kind=kind, genus_or_rank=genus_or_rank)
+            # two threads building the same rank both get the one stored first
+            basis = _BASES[kind].setdefault(genus_or_rank, basis)
+        return basis
 
     def __reduce__(self):
-        # rebuilt by the constructor, so no cached table or hash is pickled
+        # rebuilt by the constructor, so a pickle loads as the shared basis
         return (Basis, (self.kind, self.genus_or_rank))
 
-    @classmethod
-    def xy(cls, genus: int) -> "Basis":
-        return _interned(BasisKind.XY, _XY_BASES, genus)
+    # one dict lookup; a rank that only equals an int (True, 2.0) is refused
+    @staticmethod
+    def xy(genus: int) -> "Basis":
+        return (type(genus) is int and _XY_BASES.get(genus)) or Basis(BasisKind.XY, genus)
 
-    @classmethod
-    def yz(cls, genus: int) -> "Basis":
-        return _interned(BasisKind.YZ, _YZ_BASES, genus)
+    @staticmethod
+    def yz(genus: int) -> "Basis":
+        return (type(genus) is int and _YZ_BASES.get(genus)) or Basis(BasisKind.YZ, genus)
 
-    @classmethod
-    def abstract(cls, rank: int) -> "Basis":
-        return _interned(BasisKind.ABSTRACT, _ABSTRACT_BASES, rank)
+    @staticmethod
+    def abstract(rank: int) -> "Basis":
+        return (type(rank) is int and _ABSTRACT_BASES.get(rank)) or Basis(BasisKind.ABSTRACT, rank)
 
     @cached_property
     def symbols(self) -> tuple[Symbol, ...]:
@@ -161,22 +153,29 @@ class Basis:
         return tuple(Symbol(Family.ALPHA, i) for i in range(1, n + 1))
 
     @cached_property
-    def _letters(self) -> tuple[Mapping[str, int], tuple[str, ...]]:
-        # see _letter_table, the one reader of this pair
+    def _codes(self) -> Mapping[str, int]:
+        """Name -> signed code. With ``_names``, the one rule for which codes
+        and names a basis admits; both are computed once and read-only."""
         codes = {}
         for sym in self.symbols:
             codes[sym.name] = sym.code
             codes[sym.name + "^-1"] = -sym.code
-        names = [""] * (2 * max(codes.values()) + 1)
-        for name, code in codes.items():
+        return MappingProxyType(codes)
+
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        """Signed code -> name, ``""`` at a code not admitted; a negative
+        code counts from the end of the tuple."""
+        names = [""] * (2 * max(sym.code for sym in self.symbols) + 1)
+        for name, code in self._codes.items():
             names[code] = name
-        return MappingProxyType(codes), tuple(names)
+        return tuple(names)
 
     @cached_property
     def _identity_table(self) -> tuple[tuple[int, ...], ...]:
         """The identity map's code table: ``(code,)`` at each code of the
         basis, ``()`` at every code it does not use."""
-        table: list[tuple[int, ...]] = [()] * (len(self._letters[1]) // 2 + 1)
+        table: list[tuple[int, ...]] = [()] * (len(self._names) // 2 + 1)
         for sym in self.symbols:
             table[sym.code] = (sym.code,)
         return tuple(table)
@@ -190,7 +189,7 @@ class Basis:
         return tuple(code for sym in self.symbols for code in (sym.code, -sym.code))
 
     def admits(self, symbol: Symbol) -> bool:
-        return symbol.name in _letter_table(self)[0]
+        return symbol.name in self._codes
 
     def generator(self, name_or_symbol: Union[str, Symbol]) -> "Word":
         """The one-letter word for a generator of this basis, by canonical name."""
@@ -199,7 +198,7 @@ class Basis:
             if isinstance(name_or_symbol, Symbol)
             else name_or_symbol
         )
-        code = _letter_table(self)[0].get(name, 0)
+        code = self._codes.get(name, 0)
         if code <= 0:
             raise BasisMismatchError(f"{name!r} is not a generator of {self}")
         return Word._reduced(self, (code,))
@@ -208,21 +207,12 @@ class Basis:
         return f"{self.kind.value}({self.genus_or_rank})"
 
 
-# The shared bases, one dict per kind keyed by the int rank. Like the other
-# per-genus caches they are unbounded.
-_XY_BASES: dict[int, Basis] = {}
-_YZ_BASES: dict[int, Basis] = {}
-_ABSTRACT_BASES: dict[int, Basis] = {}
-
-
-def _interned(kind: BasisKind, bases: dict[int, Basis], rank: int) -> Basis:
-    """The shared basis of ``kind`` and ``rank``; ``bases`` holds the ones made."""
-    basis = bases.get(rank)
-    if basis is None or type(rank) is not int:
-        # a new rank, or a value that only equals one (True, 2.0): the
-        # constructor refuses the latter before it can be stored
-        basis = bases[rank] = Basis(kind, rank)
-    return basis
+# The one intern table: the bases made so far, one dict per kind keyed by the
+# int rank. Like the other per-genus caches it is unbounded.
+_BASES: dict[BasisKind, dict[int, Basis]] = {kind: {} for kind in BasisKind}
+_XY_BASES = _BASES[BasisKind.XY]
+_YZ_BASES = _BASES[BasisKind.YZ]
+_ABSTRACT_BASES = _BASES[BasisKind.ABSTRACT]
 
 
 @dataclass(frozen=True, repr=False)
@@ -271,7 +261,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        if other.basis != self.basis:
+        if other.basis is not self.basis:
             raise BasisMismatchError(
                 f"cannot multiply a word over {self.basis} by one over {other.basis}"
             )
@@ -371,22 +361,11 @@ def _join_tokens(tokens: Iterable[str]) -> str:
     return " ".join(tokens) or "1"
 
 
-def _letter_table(basis: Basis) -> tuple[Mapping[str, int], tuple[str, ...]]:
-    """The letters of ``basis`` both ways: name -> signed code, signed code -> name.
-
-    This is the one rule for which codes and names a basis admits. The
-    basis computes the pair once and hands the same pair to every caller,
-    so both are read-only. The names are indexed by the signed code
-    itself: a negative code counts from the end of the tuple.
-    """
-    return basis._letters
-
-
 def _admitted(basis: Basis, code: int) -> int:
     """``code`` itself if it is a letter of ``basis``, else BasisMismatchError."""
     if type(code) is not int:  # bools and other int subclasses too
         raise TypeError(f"letter codes are ints, not {type(code).__name__}")
-    names = _letter_table(basis)[1]
+    names = basis._names
     if 2 * abs(code) < len(names) and names[code]:
         return code
     raise BasisMismatchError(f"letter code {code} is not admitted by {basis}")
@@ -405,9 +384,8 @@ def parse_word(text: str, basis: Basis) -> Word:
     Raises ``WordSyntaxError`` (with the character offset) for malformed
     tokens or indices the basis does not admit.
     """
-    letters = _letter_table(basis)[0]
     reject = partial(_letter_error, basis)
-    codes = _tokenize(text, "word text", letters, _LETTER_PREFIXES, reject)
+    codes = _tokenize(text, "word text", basis._codes, _LETTER_PREFIXES, reject)
     return Word._reduced(basis, _wordops.reduce_letters(codes))
 
 
@@ -421,7 +399,7 @@ def format_word(w: Word) -> str:
     """
     if not w.data:
         return "1"
-    return _wordops.format_letters(w.data, _letter_table(w.basis)[1])
+    return _wordops.format_letters(w.data, w.basis._names)
 
 
 def random_word(basis: Basis, length: int, rng: Random) -> Word:

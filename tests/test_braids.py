@@ -312,6 +312,15 @@ def test_braid_letters_raise_at_the_first_bad_letter(letters, error, message):
     assert str(excinfo.value).startswith(message)
 
 
+@pytest.mark.parametrize("strands", [True, 2.5, 3.0, "3", None], ids=repr)
+def test_a_braid_word_refuses_a_strand_count_that_is_not_an_int(strands):
+    with pytest.raises(ValueError) as excinfo:
+        BraidWord(strands, ())
+    assert str(excinfo.value) == f"strand count must be an int, got {strands!r}"
+    with pytest.raises(ValueError):
+        BraidWord(strands, (1,))
+
+
 @pytest.mark.parametrize("letter", [1.0, True, False, "b1", None, 1j], ids=repr)
 def test_braid_letters_are_plain_ints(letter):
     with pytest.raises(TypeError):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
 import types
 
+import pytest
+
 import mcgcalc
+from conftest import SRC
 
 
 def test_all_is_exactly_the_public_names_the_package_binds():
@@ -15,3 +21,44 @@ def test_all_is_exactly_the_public_names_the_package_binds():
     namespace = {}
     exec("from mcgcalc import *", namespace)
     assert bound <= set(namespace)
+
+
+# Imports the package in a fresh interpreter, with the compiled kernel blocked
+# when argv[1] is "blocked", and prints the kernel it selected or the ImportError.
+SELECT_KERNEL = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["mcgcalc._wordops_c"] = None
+try:
+    from mcgcalc import kernel_backend
+except ImportError as exc:
+    print(f"ImportError: {exc}")
+else:
+    print(kernel_backend())
+"""
+
+
+@pytest.mark.parametrize(
+    "requested, extension, expected",
+    [
+        (None, "blocked", "py"),
+        ("", "blocked", "py"),
+        ("c", "blocked", "ImportError: import of mcgcalc._wordops_c halted; None in sys.modules"),
+        ("bogus", "blocked", "ImportError: unknown MCGCALC_KERNEL value: 'bogus'"),
+        ("bogus", "as built", "ImportError: unknown MCGCALC_KERNEL value: 'bogus'"),
+        (" PY ", "blocked", "py"),
+        (" PY ", "as built", "py"),
+    ],
+    ids=repr,
+)
+def test_the_kernel_is_selected_as_the_readme_says(requested, extension, expected):
+    env = {k: v for k, v in os.environ.items() if k != "MCGCALC_KERNEL"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    if requested is not None:
+        env["MCGCALC_KERNEL"] = requested
+    proc = subprocess.run(
+        [sys.executable, "-c", SELECT_KERNEL, extension],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == expected

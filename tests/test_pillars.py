@@ -212,9 +212,9 @@ def test_case_from_endos_refuses_maps_over_different_bases(lhs, rhs):
 
 def test_case_from_endos_on_equal_tables_compares_no_generator():
     f = pillar_switching_action(1, 3)
-    # an equal basis and an equal table, neither the same object
+    # an equal table that is not the same object, over the one shared basis
     twin = FreeEndomorphism(Basis(BasisKind.XY, 3), tuple(tuple(list(row)) for row in f.table))
-    assert twin.basis is not f.basis and twin.table is not f.table
+    assert twin.basis is f.basis and twin.table is not f.table and twin.table == f.table
     # the equal tables answer: no generator is listed, no image is built
     with mock.patch.object(Basis, "symbols", mock.PropertyMock(side_effect=AssertionError)):
         assert case_from_endos("t", f, twin) == CheckCase("t")

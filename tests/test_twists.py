@@ -70,6 +70,33 @@ def test_twist_index_validation():
         TwistSymbol(TwistKind.A, 0)
 
 
+@pytest.mark.parametrize(
+    "index, sign, message",
+    [
+        (True, 1, "twist index must be an int, got True"),
+        (2.0, 1, "twist index must be an int, got 2.0"),
+        ("2", 1, "twist index must be an int, got '2'"),
+        (1, True, "twist sign must be an int, got True"),
+        (1, -1.0, "twist sign must be an int, got -1.0"),
+        (1.5, 1.0, "twist index must be an int, got 1.5"),
+    ],
+    ids=repr,
+)
+def test_a_twist_symbol_refuses_an_index_or_sign_that_is_not_an_int(index, sign, message):
+    with pytest.raises(ValueError) as excinfo:
+        TwistSymbol(TwistKind.A, index, sign)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("genus", [True, 2.5, 2.0, "2", None], ids=repr)
+def test_a_twist_word_refuses_a_genus_that_is_not_an_int(genus):
+    with pytest.raises(ValueError) as excinfo:
+        TwistWord(genus)
+    assert str(excinfo.value) == f"genus must be an int, got {genus!r}"
+    with pytest.raises(ValueError):
+        parse_twist_word("a1", genus)
+
+
 def test_z_loop_values():
     assert z_loop(1, 2) == parse_word("x1^-1 y2 x2 y2^-1", XY2)
     assert z_loop(2, 2) == parse_word("x2^-1", XY2)

@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import pickle
+import threading
+import time
 from functools import lru_cache, partial
 from random import Random
 from unittest import mock
@@ -7,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgcalc import _wordops, braids, twists, words as words_module
+from mcgcalc import _wordops, braids, endos, twists, words as words_module
 from mcgcalc import _wordops_py as py
 from mcgcalc import (
     Basis,
@@ -464,7 +468,7 @@ def admitted(token, indices):
 @pytest.mark.parametrize("rank", [1, 2, 3, 5])
 def test_every_table_is_its_grammars_canonical_tokens(rank):
     for basis in (Basis.xy(rank), Basis.yz(rank), Basis.abstract(rank)):
-        letters = words_module._letter_table(basis)[0]
+        letters = basis._codes
         for key, code in letters.items():
             assert format_word(Word(basis, (code,))) == key
         names = [sym.name for sym in basis.symbols]
@@ -504,7 +508,7 @@ def test_every_table_is_its_grammars_canonical_tokens(rank):
         z_loop(index, rank)
         return f"z{index}" if sign > 0 else f"z{index}^-1"
 
-    assert set(z_table) == set(words_module._letter_table(xy)[0]) | admitted(z, range(rank + 2))
+    assert set(z_table) == set(xy._codes) | admitted(z, range(rank + 2))
 
 
 @pytest.mark.parametrize(
@@ -575,6 +579,13 @@ def test_reading_a_symbol_code_leaves_its_value_unchanged(source):
 def test_symbol_and_letter_validation():
     with pytest.raises(ValueError):
         Symbol(Family.X, 0)
+
+
+@pytest.mark.parametrize("index", [True, 1.5, 2.0, "2", None], ids=repr)
+def test_a_symbol_refuses_an_index_that_is_not_an_int(index):
+    with pytest.raises(ValueError) as excinfo:
+        Symbol(Family.X, index)
+    assert str(excinfo.value) == f"symbol index must be an int, got {index!r}"
 
 
 def test_word_constructor_enforces_invariants():
@@ -650,13 +661,118 @@ def test_each_factory_returns_one_basis_per_rank(factory, kind):
     assert factory(7) is basis and factory(8) is not basis
     # its tables are computed once and handed out as the same objects
     assert basis.symbols is factory(7).symbols
-    assert words_module._letter_table(basis) is words_module._letter_table(factory(7))
-    twin = Basis(kind, 7)
-    assert twin is not basis and twin == basis and hash(twin) == hash(basis)
-    assert str(twin) == str(basis) and repr(twin) == repr(basis)
-    assert twin.symbols == basis.symbols and twin.symbols is not basis.symbols
-    assert words_module._letter_table(twin) == words_module._letter_table(basis)
-    assert twin != factory(8)
+    assert basis._codes is factory(7)._codes and basis._names is factory(7)._names
+    # the constructor is the intern table: no twin of the shared basis exists
+    assert Basis(kind, 7) is basis and words_module._BASES[kind][7] is basis
+    assert basis != factory(8)
+    assert str(basis) == f"{kind.value}(7)"
+    assert repr(basis) == f"Basis(kind={kind!r}, genus_or_rank=7)"
+
+
+def test_bases_compare_and_hash_by_identity():
+    assert "__eq__" not in vars(Basis) and "__hash__" not in vars(Basis)
+    assert Basis.__eq__ is object.__eq__ and Basis.__hash__ is object.__hash__
+    for name in ("_BASIS_KINDS", "_interned", "_letter_table"):
+        assert not hasattr(words_module, name), name
+    assert not hasattr(endos, "_row_count")
+
+
+def _json_loaded(basis):
+    from mcgcalc import FreeEndomorphism
+
+    return FreeEndomorphism.from_json_dict(FreeEndomorphism.identity(basis).to_json_dict()).basis
+
+
+def _works_as(basis, shared):
+    """Maps and words over ``basis`` act, compose and compare with those
+    over ``shared``, and ``basis`` finds ``shared``'s cache entry."""
+    from mcgcalc import FreeEndomorphism, product
+    from mcgcalc.reports import CheckCase, case_from_endos
+
+    identity = FreeEndomorphism.identity(shared)
+    f = FreeEndomorphism(basis, identity.table)
+    w = random_word(shared, 9, Random(3))
+    assert f.apply(parse_word(str(w), basis)) == w
+    assert product(basis, [f, identity]) == product(shared, [identity, f]) == identity
+    assert case_from_endos("t", f, identity) == CheckCase("t")
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def rank_of(b):
+        calls.append(b)
+        return b.genus_or_rank
+
+    assert rank_of(shared) == rank_of(basis) == basis.genus_or_rank
+    assert calls == [shared] and {shared: "shared"}[basis] == "shared"
+
+
+def _other_kind(kind):
+    return BasisKind.YZ if kind is BasisKind.XY else BasisKind.XY
+
+
+# Every way to reach a basis of kind and rank; each must land on the shared one.
+ROUTES = {
+    "constructor": lambda kind, n: Basis(kind, n),
+    "keywords": lambda kind, n: Basis(kind=kind, genus_or_rank=n),
+    "pickle": lambda kind, n: pickle.loads(pickle.dumps(Basis(kind, n))),
+    "deepcopy": lambda kind, n: copy.deepcopy(Basis(kind, n)),
+    "copy": lambda kind, n: copy.copy(Basis(kind, n)),
+    "replace-rank": lambda kind, n: dataclasses.replace(Basis(kind, n + 1), genus_or_rank=n),
+    "replace-kind": lambda kind, n: dataclasses.replace(Basis(_other_kind(kind), n), kind=kind),
+    "from-json": lambda kind, n: _json_loaded(Basis(kind, n)),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+def test_every_route_to_a_basis_lands_on_the_shared_one(route):
+    for factory, kind in FACTORIES:
+        for n in (2, 5):
+            assert route(kind, n) is factory(n), kind
+            _works_as(route(kind, n), factory(n))
+
+
+class _SlowLookups(dict):
+    """A rank table whose lookups hand the interpreter to other threads, so
+    every thread looks a new rank up before any of them stores it."""
+
+    def get(self, key, default=None):
+        found = dict.get(self, key, default)
+        time.sleep(0.002)
+        return found
+
+
+def test_threads_building_one_rank_get_one_basis():
+    ranks = range(1, 21)
+    built = [[] for _ in range(8)]  # more threads than cores
+    start = threading.Barrier(len(built))
+
+    def build(out):
+        for n in ranks:  # all threads build each rank at once
+            start.wait(timeout=10)
+            out.append(Basis(BasisKind.ABSTRACT, n))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    with mock.patch.dict(words_module._BASES, {BasisKind.ABSTRACT: _SlowLookups()}):
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        for out in built:  # a lost update would hand some thread a second object
+            assert len(out) == len(ranks) and all(b is a for a, b in zip(built[0], out))
+        assert [Basis(BasisKind.ABSTRACT, n) for n in ranks] == built[0]
+
+
+@pytest.mark.parametrize("rank", [0, -3, True, 2.0, "2"], ids=repr)
+def test_a_refused_rank_stores_nothing(rank):
+    for factory, _ in FACTORIES:  # the int ranks equal to the refused values are shared
+        factory(1), factory(2)
+    stored = {kind: dict(bases) for kind, bases in words_module._BASES.items()}
+    for factory, kind in FACTORIES:
+        for build in (factory, partial(Basis, kind)):
+            with pytest.raises(ValueError):
+                build(rank)
+    assert words_module._BASES == stored  # bases compare by identity
 
 
 @pytest.mark.parametrize("rank", [2.9, 2.0, True, "2"], ids=["float", "whole-float", "bool", "text"])
@@ -679,28 +795,18 @@ def test_a_refused_bool_rank_leaves_the_int_rank_as_it_was():
         Basis.xy(True)
 
 
-def test_a_constructor_built_basis_is_an_equal_cache_key():
-    calls = []
-
-    @lru_cache(maxsize=None)
-    def rank_of(basis):
-        calls.append(basis)
-        return basis.genus_or_rank
-
-    twin = Basis(BasisKind.YZ, 3)
-    assert rank_of(Basis.yz(3)) == rank_of(twin) == 3
-    assert calls == [Basis.yz(3)] and calls[0] is Basis.yz(3)
-    assert {Basis.yz(3): "shared"}[twin] == "shared"
-
-
 PICKLED_IN_ANOTHER_PROCESS = """
 import pickle, sys
 from mcgcalc import Basis, BasisKind, pillar_switching_action, product
 f = pillar_switching_action(1, 3)
 product(f.basis, [f, f])  # computes f's cached rows before it is pickled
-objects = [Basis.xy(3), Basis(BasisKind.YZ, 4), Basis.abstract(5), f, hash(Basis.xy(3))]
+assert Basis.xy(3)._codes and Basis.xy(3)._identity_table  # computed before pickling
+objects = [Basis.xy(3), Basis(BasisKind.YZ, 4), Basis.abstract(5), f]
 sys.stdout.buffer.write(pickle.dumps(objects))
 """
+
+# The names of every table a basis caches; none of them may reach a pickle.
+CACHED_TABLES = ("symbols", "_codes", "_names", "_identity_table", "_signed_letters")
 
 
 @pytest.mark.parametrize("hashseed", ["0", "12345"])
@@ -717,14 +823,14 @@ def test_bases_and_maps_pickled_under_another_hash_seed_load_equal(hashseed):
     out = subprocess.run(
         [sys.executable, "-c", PICKLED_IN_ANOTHER_PROCESS], env=env, capture_output=True, check=True
     ).stdout
-    xy, yz, abstract, f, xy_hash = pickle.loads(out)
     # xy(3) had its tables computed before pickling; none of them was pickled
-    assert set(vars(xy)) == {"kind", "genus_or_rank", "_hash"}
-    for loaded, here in [(xy, Basis.xy(3)), (yz, Basis.yz(4)), (abstract, Basis.abstract(5))]:
-        assert loaded == here and hash(loaded) == hash(here)
-        assert words_module._letter_table(loaded) == words_module._letter_table(here)
-    assert xy_hash == hash(Basis.xy(3))  # ints only, whatever the hash seed
+    for name in CACHED_TABLES:
+        assert name.encode() not in out, name
+    assert b"x1" not in out and Basis.xy(3).__reduce__() == (Basis, (BasisKind.XY, 3))
+    xy, yz, abstract, f = pickle.loads(out)
+    assert xy is Basis.xy(3) and yz is Basis.yz(4) and abstract is Basis.abstract(5)
     assert f == pillar_switching_action(1, 3) and hash(f) == hash(pillar_switching_action(1, 3))
+    assert f.basis is Basis.xy(3)
     assert isinstance(f, FreeEndomorphism) and set(vars(f)) == {"basis", "table"}
 
 
