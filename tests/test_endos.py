@@ -34,6 +34,7 @@ from mcgcalc import (
     verify_inverse_pair,
 )
 from mcgcalc.braids import _artin_generator
+from mcgcalc.reports import CheckCase, case_from_endos
 
 XY2 = Basis.xy(2)
 
@@ -263,6 +264,16 @@ def test_product_accepts_an_equal_basis_object():
     assert f.basis is XY2 and f == A1
     assert product(XY2, [f, A1]) == A1.compose(A1)
     assert product(Basis(kind=BasisKind.XY, genus_or_rank=2), [A1, B1]) == product(XY2, [f, B1])
+
+
+def test_a_constructor_built_basis_works_as_the_shared_one():
+    twin = Basis(BasisKind.XY, 2)
+    f = FreeEndomorphism(twin, A1.table)
+    w = parse_word("x1 y1 x2^-1", twin)
+    assert A1.apply(w) == f.apply(w) == A1.apply(parse_word("x1 y1 x2^-1", XY2))
+    assert product(twin, [A1, B1]) == product(XY2, [f, B1])
+    assert case_from_endos("t", A1, f) == CheckCase("t")
+    assert case_from_endos("t", B1, f).mismatches
 
 
 def test_product_of_one_factor_is_that_factor():

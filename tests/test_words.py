@@ -795,6 +795,20 @@ def test_a_refused_bool_rank_leaves_the_int_rank_as_it_was():
         Basis.xy(True)
 
 
+def test_a_constructor_built_basis_is_an_equal_cache_key():
+    calls = []
+
+    @lru_cache(maxsize=None)
+    def rank_of(basis):
+        calls.append(basis)
+        return basis.genus_or_rank
+
+    twin = Basis(BasisKind.YZ, 3)
+    assert rank_of(Basis.yz(3)) == rank_of(twin) == 3
+    assert calls == [Basis.yz(3)] and calls[0] is Basis.yz(3)
+    assert {Basis.yz(3): "shared"}[twin] == "shared"
+
+
 PICKLED_IN_ANOTHER_PROCESS = """
 import pickle, sys
 from mcgcalc import Basis, BasisKind, pillar_switching_action, product
