@@ -27,6 +27,7 @@ concat_reduced = _impl.concat_reduced
 substitute = _impl.substitute
 draw_letters = _impl.draw_letters
 format_letters = _impl.format_letters
+read_tokens = _impl.read_tokens
 
 
 def kernel_backend() -> str:

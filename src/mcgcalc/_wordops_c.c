@@ -1,12 +1,17 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same five functions with the same results,
+ * Twin of ``_wordops_py``: the same six functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel. Three ops reduce, join and
  * substitute words; ``draw_letters`` calls a uniform source, such as a
  * bound ``Random.random``, and turns its draws into the letters of a
  * random reduced word; ``format_letters`` writes the names of a word's
- * letters into one new string, sized by a first pass over the letters.
+ * letters into one new string, sized by a first pass over the letters;
+ * ``read_tokens`` reads word text: it splits the text at the whitespace
+ * of ``str.split()`` and looks every token up in a table. ASCII text is
+ * scanned in place, and each distinct token is looked up once, through a
+ * memo keyed by the token's bytes, so a str is made only for a token not
+ * seen before in that call; other text is split by ``PyUnicode_Split``.
  *
  * ``substitute`` also checks a letter budget, given by keyword only: a
  * first pass sums the lengths of the images the word uses and raises
@@ -19,12 +24,18 @@
  * letter as a tuple index instead, so one outside the tuple raises
  * IndexError. Only ints and strs are read inside the word loops of the
  * four word ops, so no Python code runs there and borrowed items stay
- * valid. ``draw_letters`` runs Python code once per letter: its loop
- * calls ``random`` with ``PyObject_CallNoArgs``. It copies the letters
- * into a C array before the first call and keeps the drawn letters in a
- * C array until the last, so that call sees none of its state. Each draw
- * is an owned reference: it must be a float in [0, 1), its value is read,
- * and it is released before the next call, on failure too.
+ * valid. ``read_tokens`` is the one op that calls ``__getitem__``: the
+ * table's, once per distinct token (every token, for text that is not
+ * ASCII), and that may run Python code. So its memo holds owned
+ * references to the values, lives only for the call (no module state) and
+ * keys on bytes of the text, which is immutable, and the result tuple
+ * holds only values it owns. ``draw_letters`` runs Python code once per
+ * letter: its loop calls ``random`` with ``PyObject_CallNoArgs``. It
+ * copies the letters into a C array before the first call and keeps the
+ * drawn letters in a C array until the last, so that call sees none of
+ * its state. Each draw is an owned reference: it must be a float in
+ * [0, 1), its value is read, and it is released before the next call, on
+ * failure too.
  *
  * Boxing is the per-letter cost, so both ends of it skip the C API where
  * they can. ``fast_letter`` reads an exact int of at most one digit
@@ -47,6 +58,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <stdint.h>
 
 /* A build by hand does not know its source's hash. */
 #ifndef SOURCE_SHA256
@@ -723,6 +735,237 @@ done:
     return out;
 }
 
+PyDoc_STRVAR(read_tokens_doc,
+"read_tokens(text, table, /)\n--\n\n"
+"The values of the whitespace-separated tokens of ``text``, in order:\n"
+"``tuple(map(table.__getitem__, text.split()))``, and () for text without\n"
+"a token. ``text`` is a str (TypeError otherwise); a token that ``table``\n"
+"lacks raises what ``table[token]`` raises, KeyError for a dict. ASCII\n"
+"text is read in place and each distinct token is looked up once, so\n"
+"equal tokens give the one value that lookup returned; other text is\n"
+"split as ``str.split()`` splits it and every token is looked up.");
+
+/* str.split()'s whitespace among the ASCII characters: \t \n \v \f \r,
+ * \x1c to \x1f and the space. */
+static const char ascii_space[128] = {
+    ['\t'] = 1, ['\n'] = 1, ['\v'] = 1, ['\f'] = 1, ['\r'] = 1,
+    [0x1c] = 1, [0x1d] = 1, [0x1e] = 1, [0x1f] = 1, [' '] = 1,
+};
+
+/* One distinct token of the text and the value the table gave for it (an
+ * owned reference; NULL marks a free slot). ``head`` packs the token's
+ * first 8 bytes, so a token of at most 8 bytes is compared without a call. */
+typedef struct {
+    const char *start;
+    Py_ssize_t size;
+    uint64_t head;
+    uint64_t hash;
+    PyObject *value;
+} TokenSlot;
+
+/* An open-addressing map from token bytes to values, for one call only: it
+ * starts in ``local`` and moves to the heap as it grows. */
+#define MEMO_LOCAL 64
+
+typedef struct {
+    TokenSlot *slots;
+    size_t mask;  /* the capacity, a power of two, minus one */
+    Py_ssize_t used;
+    TokenSlot local[MEMO_LOCAL];
+} TokenMemo;
+
+/* The slot of the token (start, size), or the free slot where it goes. */
+static inline TokenSlot *
+memo_slot(TokenMemo *memo, const char *start, Py_ssize_t size, uint64_t head,
+          uint64_t hash)
+{
+    size_t i = (size_t)hash & memo->mask;
+
+    for (;;) {
+        TokenSlot *slot = &memo->slots[i];
+
+        if (slot->value == NULL
+            || (slot->head == head && slot->size == size
+                && (size <= 8 || memcmp(slot->start + 8, start + 8, (size_t)(size - 8)) == 0))) {
+            return slot;
+        }
+        i = (i + 1) & memo->mask;
+    }
+}
+
+/* Doubles the memo's capacity; returns -1 with MemoryError set on failure. */
+static int
+memo_grow(TokenMemo *memo)
+{
+    size_t i, capacity = memo->mask + 1;
+    TokenSlot *old = memo->slots, *slots;
+
+    if (capacity > PY_SSIZE_T_MAX / 2 / sizeof(TokenSlot)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    slots = PyMem_Calloc(2 * capacity, sizeof(TokenSlot));
+    if (slots == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    memo->slots = slots;
+    memo->mask = 2 * capacity - 1;
+    for (i = 0; i < capacity; i++) {
+        if (old[i].value != NULL) {
+            *memo_slot(memo, old[i].start, old[i].size, old[i].head, old[i].hash) = old[i];
+        }
+    }
+    if (old != memo->local) {
+        PyMem_Free(old);
+    }
+    return 0;
+}
+
+/* Releases the values the memo holds and its heap slots. */
+static void
+memo_clear(TokenMemo *memo)
+{
+    size_t i;
+
+    for (i = 0; i <= memo->mask; i++) {
+        Py_XDECREF(memo->slots[i].value);
+    }
+    if (memo->slots != memo->local) {
+        PyMem_Free(memo->slots);
+    }
+}
+
+/* read_tokens on ASCII text, at ``data`` with ``length`` bytes. */
+static PyObject *
+read_ascii_tokens(const char *data, Py_ssize_t length, PyObject *table)
+{
+    const char *end = data + length, *p, *start;
+    Py_ssize_t k, count = 0, n = 0;
+    int here, after_space = 1;
+    PyObject *out, *name, *value;
+    TokenMemo memo;
+    TokenSlot *slot;
+    uint64_t head, hash;
+    size_t capacity = 8;
+
+    /* Count the tokens, so that the result and the memo are sized once: a
+     * token starts at each character that is no space and follows a space
+     * or the start. Without a branch, since token lengths vary. */
+    for (k = 0; k < length; k++) {
+        here = ascii_space[(unsigned char)data[k]];
+        count += after_space & !here;
+        after_space = here;
+    }
+    out = PyTuple_New(count);
+    if (out == NULL || count == 0) {
+        return out;
+    }
+    while (capacity < MEMO_LOCAL && capacity < 2 * (size_t)count) {
+        capacity *= 2;
+    }
+    memo.slots = memo.local;
+    memo.mask = capacity - 1;
+    memo.used = 0;
+    memset(memo.local, 0, capacity * sizeof(TokenSlot));
+    for (p = data; n < count; n++) {
+        while (ascii_space[(unsigned char)*p]) {
+            p++;
+        }
+        start = p;
+        head = 0;
+        for (k = 0; p < end && !ascii_space[(unsigned char)*p]; k++, p++) {
+            if (k < 8) {
+                head |= (uint64_t)(unsigned char)*p << (8 * k);
+            }
+        }
+        /* The head and the size, and FNV-1a over any later bytes, mixed so
+         * that the low bits, which pick the slot, depend on all of them. */
+        hash = head ^ (uint64_t)k;
+        for (k = 8; k < p - start; k++) {
+            hash = (hash ^ (unsigned char)start[k]) * 0x100000001b3ULL;
+        }
+        hash *= 0x9e3779b97f4a7c15ULL;
+        hash ^= hash >> 29;
+        slot = memo_slot(&memo, start, p - start, head, hash);
+        if (slot->value == NULL) {
+            /* The lookup may run Python code: the memo owns what it holds,
+             * and the tuple holds only values it owns. */
+            name = PyUnicode_New(p - start, 127);
+            if (name == NULL) {
+                goto fail;
+            }
+            memcpy(PyUnicode_1BYTE_DATA(name), start, (size_t)(p - start));
+            value = PyObject_GetItem(table, name);
+            Py_DECREF(name);
+            if (value == NULL) {
+                goto fail;
+            }
+            *slot = (TokenSlot){start, p - start, head, hash, value};
+            if (++memo.used * 2 > (Py_ssize_t)memo.mask + 1 && memo_grow(&memo) < 0) {
+                goto fail;
+            }
+        }
+        else {
+            value = slot->value;
+        }
+        Py_INCREF(value);
+        PyTuple_SET_ITEM(out, n, value);
+    }
+    memo_clear(&memo);
+    return out;
+fail:
+    memo_clear(&memo);
+    Py_DECREF(out);
+    return NULL;
+}
+
+static PyObject *
+read_tokens(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *text, *table, *tokens, *token, *value, *out;
+    Py_ssize_t i, n;
+
+    if (check_nargs("read_tokens", nargs, 2) < 0) {
+        return NULL;
+    }
+    text = args[0];
+    table = args[1];
+    if (!PyUnicode_Check(text)) {
+        PyErr_Format(PyExc_TypeError, "read_tokens expects str text, not %.200s",
+                     Py_TYPE(text)->tp_name);
+        return NULL;
+    }
+    if (PyUnicode_READY(text) < 0) {
+        return NULL;
+    }
+    if (PyUnicode_IS_ASCII(text)) {
+        return read_ascii_tokens((const char *)PyUnicode_1BYTE_DATA(text),
+                                 PyUnicode_GET_LENGTH(text), table);
+    }
+    tokens = PyUnicode_Split(text, NULL, -1);
+    if (tokens == NULL) {
+        return NULL;
+    }
+    n = PyList_GET_SIZE(tokens);
+    out = PyTuple_New(n);
+    for (i = 0; out != NULL && i < n; i++) {
+        /* held across the lookup, which may run Python code */
+        token = PyList_GET_ITEM(tokens, i);
+        Py_INCREF(token);
+        value = PyObject_GetItem(table, token);
+        Py_DECREF(token);
+        if (value == NULL) {
+            Py_CLEAR(out);
+        }
+        else {
+            PyTuple_SET_ITEM(out, i, value);
+        }
+    }
+    Py_DECREF(tokens);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"reduce_letters", reduce_letters, METH_O, reduce_letters_doc},
     {"concat_reduced", (PyCFunction)(void (*)(void))concat_reduced,
@@ -733,6 +976,8 @@ static PyMethodDef methods[] = {
      draw_letters_doc},
     {"format_letters", (PyCFunction)(void (*)(void))format_letters, METH_FASTCALL,
      format_letters_doc},
+    {"read_tokens", (PyCFunction)(void (*)(void))read_tokens, METH_FASTCALL,
+     read_tokens_doc},
     {NULL, NULL, 0, NULL},
 };
 

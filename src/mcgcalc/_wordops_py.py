@@ -1,13 +1,14 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same five functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same six functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
 words, ``substitute`` within a letter budget given by keyword;
 ``draw_letters`` calls a uniform source, such as a bound
 ``Random.random``, once per letter, in the compiled kernel's order, and
 turns its draws into the letters of a random reduced word;
-``format_letters`` writes the names of a word's letters. Letters are
+``format_letters`` writes the names of a word's letters, and
+``read_tokens`` reads the values of the tokens of word text. Letters are
 nonzero signed integers; a letter and its negative cancel. Every letter
 the compiled kernel reads as a C long is read here too, in
 [-LONG_MAX, LONG_MAX], and results hold plain ints; ``concat_reduced``
@@ -241,3 +242,21 @@ def format_letters(letters, names, /):
     # an itemgetter of one key returns the bare name, and of none is refused
     picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
     return " ".join(picked)
+
+
+def read_tokens(text, table, /):
+    """The values of the whitespace-separated tokens of ``text``, in order:
+    ``tuple(map(table.__getitem__, text.split()))``, and () for text without
+    a token.
+
+    ``text`` is a str (TypeError otherwise), split as ``str.split()``
+    splits it; a token that ``table`` lacks raises what ``table[token]``
+    raises, KeyError for a dict. The compiled kernel looks each distinct
+    token of ASCII text up only once; for a table whose lookups give the
+    same value every time, as a dict's do, the results are the same.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"read_tokens expects str text, not {type(text).__name__}")
+    tokens = str.split(text)
+    # an itemgetter of one key returns the bare value, and of none is refused
+    return itemgetter(*tokens)(table) if len(tokens) > 1 else tuple(table[t] for t in tokens)

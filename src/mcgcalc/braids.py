@@ -40,7 +40,7 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos, identity_report
-from .words import Basis, BasisKind, Word, _join_tokens, _tokenize
+from .words import Basis, BasisKind, Word, _int_keyed, _join_tokens, _tokenize
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,14 @@ class BraidWord:
                     f"(indices run 1..{self.strands - 1})"
                 )
 
+    @classmethod
+    def _trusted(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
+        # trusted fast path for letters a strand count's token table admitted
+        b = object.__new__(cls)
+        object.__setattr__(b, "strands", strands)
+        object.__setattr__(b, "letters", letters)
+        return b
+
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-k for k in reversed(self.letters)))
 
@@ -85,12 +93,13 @@ class BraidWord:
         return format_braid_word(self)
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(strands="strand count")
 def _braid_letter_table(strands: int) -> Mapping[str, int]:
     """The braid letters on ``strands`` strands by canonical token (``b2^-1`` -> -2).
 
-    A strand count below 1 raises ``BraidWord``'s ValueError before any
-    token is read, whatever the text, and leaves nothing in the cache.
+    A strand count that is not an int, or is below 1, raises ``BraidWord``'s
+    ValueError before any token is read, whatever the text, and leaves
+    nothing in the cache; ``parse_braid_word`` trusts the strand count too.
     """
     BraidWord(strands)
     letters = {}
@@ -106,11 +115,15 @@ def _braid_error(strands: int, token: str, name: str, index: int, sign: int) -> 
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
-    """Parse braid text; ``1`` denotes the empty braid."""
+    """Parse braid text; ``1`` denotes the empty braid.
+
+    The strand count's token table admits only the letters in range, so
+    the word skips ``BraidWord``'s check of every letter.
+    """
     table = _braid_letter_table(strands)
     reject = partial(_braid_error, strands)
     letters = _tokenize(text, "braid text", table, ("b",), reject, "braid ")
-    return BraidWord(strands, tuple(letters))
+    return BraidWord._trusted(strands, tuple(letters))
 
 
 def format_braid_word(b: BraidWord) -> str:

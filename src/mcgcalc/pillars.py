@@ -57,7 +57,7 @@ from .twists import (
     word_with_z,
     z_loop,
 )
-from .words import Basis, BasisKind, Word, _random_codes, parse_word
+from .words import Basis, BasisKind, Word, _int_keyed, _random_codes, parse_word
 
 
 def commutator(u: Word, v: Word) -> Word:
@@ -65,7 +65,7 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(genus="genus")
 def fundamental_relator(genus: int) -> Word:
     """The boundary relator R = [y_1, x_1] ... [y_g, x_g].
 
@@ -101,7 +101,7 @@ def _require_switching_index(i: int, genus: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(i="switching index", genus="genus")
 def pillar_switching_action(i: int, genus: int) -> FreeEndomorphism:
     """The action of sigma_i on the xy free group, images fully expanded."""
     _require_switching_index(i, genus)
@@ -131,7 +131,7 @@ def pillar_switching_action(i: int, genus: int) -> FreeEndomorphism:
     return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(i="switching index", genus="genus")
 def pillar_switching_twist_word(i: int, genus: int) -> TwistWord:
     """The twist factorization of sigma_i (rightmost twist acts first)."""
     _require_switching_index(i, genus)
@@ -148,7 +148,7 @@ def pillar_switching_twist_word(i: int, genus: int) -> TwistWord:
     return parse_twist_word(text, genus)
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(i="switching index", genus="genus")
 def pillar_switching_inverse(i: int, genus: int) -> FreeEndomorphism:
     """Inverse of sigma_i, evaluated from the reversed twist factorization.
 
@@ -226,7 +226,7 @@ def conjugate_to_yz(
     return FreeEndomorphism(yz, _code_table(yz, images))
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(i="switching index", genus="genus")
 def pillar_switching_yz(i: int, genus: int) -> FreeEndomorphism:
     """The substitution form of sigma_i (1 <= i <= g-1) on the yz basis.
 

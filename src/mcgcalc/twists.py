@@ -31,7 +31,7 @@ from typing import Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
-from .words import Basis, Word, _join_tokens, _letter_error, _tokenize, parse_word
+from .words import Basis, Word, _int_keyed, _join_tokens, _letter_error, _tokenize, parse_word
 
 
 class TwistKind(Enum):
@@ -150,7 +150,7 @@ def format_twist_word(tw: TwistWord) -> str:
     return _join_tokens(str(sym) for sym in tw.symbols)
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(i="z index", genus="genus")
 def z_loop(i: int, genus: int) -> Word:
     """The loop z_i = x_i^-1 y_{i+1} x_{i+1} y_{i+1}^-1 over the xy basis.
 
@@ -201,7 +201,7 @@ def word_with_z(text: str, genus: int) -> Word:
     return Word._reduced(Basis.xy(genus), _wordops.reduce_letters(codes))
 
 
-@lru_cache(maxsize=None)
+@_int_keyed(genus="genus")
 def dehn_twist_action(sym: TwistSymbol, genus: int) -> FreeEndomorphism:
     """The action of one signed twist on the xy free group."""
     sym.validate_for_genus(genus)

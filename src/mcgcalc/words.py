@@ -39,8 +39,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property, partial
-from operator import itemgetter, neg
+from functools import cached_property, lru_cache, partial, wraps
+from operator import neg
 from random import Random
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
@@ -215,6 +215,37 @@ _YZ_BASES = _BASES[BasisKind.YZ]
 _ABSTRACT_BASES = _BASES[BasisKind.ABSTRACT]
 
 
+def _int_keyed(**labels: str) -> Callable[[Callable], Callable]:
+    """``lru_cache(maxsize=None)`` for a function keyed by a genus or index,
+    which refuses a value that is not an ``int`` before the cache is read.
+
+    ``True`` and ``2.0`` hash and compare like 1 and 2, so the cache alone
+    would serve them the int's entry. Each parameter named in ``labels``
+    must be an ``int`` (``bool`` refused), or ``ValueError`` is raised,
+    worded like ``Basis``'s with the label as its name. The wrapper keeps
+    the cache's ``cache_info`` and ``cache_clear``.
+    """
+
+    def decorate(fn: Callable) -> Callable:
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        checks = [(params.index(name), name, label) for name, label in labels.items()]
+        cached = lru_cache(maxsize=None)(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            for k, name, label in checks:
+                # a missing argument passes here and is the cache's TypeError
+                value = args[k] if k < len(args) else kwargs.get(name, 0)
+                if type(value) is not int:
+                    raise ValueError(f"{label} must be an int, got {value!r}")
+            return cached(*args, **kwargs)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
+
+
 @dataclass(frozen=True, repr=False)
 class Word:
     """A freely reduced word; the empty word is the group identity.
@@ -300,22 +331,20 @@ def _tokenize(
     grammar passes ``table``, a cached map from its canonical token
     spellings to their values and its one rule for the tokens it admits.
     When every token is in it, the values come straight from it, read by
-    one ``itemgetter`` call. Otherwise each token is read by
-    ``_split_token`` and looked up in ``table`` by its canonical spelling
-    (``x1`` for ``x01``); a token still missing is a ``WordSyntaxError`` at
-    its offset, with the message ``reject(token, name, index, sign)``. The
-    text ``1`` alone gives no values (the identity); text without tokens is
-    an error naming ``what``.
+    one call of the kernel's ``read_tokens``, which looks each distinct
+    token up once. Otherwise (a token it lacks, or no token at all) each
+    token is read by ``_split_token`` and looked up in ``table`` by its
+    canonical spelling (``x1`` for ``x01``); a token still missing is a
+    ``WordSyntaxError`` at its offset, with the message
+    ``reject(token, name, index, sign)``. The text ``1`` alone gives no
+    values (the identity); text without tokens is an error naming ``what``.
     """
-    tokens = text.split()
-    if tokens:
-        try:
-            values = itemgetter(*tokens)(table)
-        except KeyError:
-            pass
-        else:
-            # an itemgetter of one key returns the bare value
-            return values if len(tokens) > 1 else (values,)
+    try:
+        values = _wordops.read_tokens(text, table)
+    except KeyError:
+        values = ()
+    if values:
+        return values
     if text.strip() == "1":
         return []
     values = []
@@ -381,6 +410,8 @@ def _letter_error(basis: Basis, token: str, name: str, index: int, sign: int) ->
 def parse_word(text: str, basis: Basis) -> Word:
     """Parse word text over ``basis``; the result is freely reduced.
 
+    Canonical text is two kernel calls: ``read_tokens`` looks its tokens
+    up in ``basis._codes``, and ``reduce_letters`` reduces the codes.
     Raises ``WordSyntaxError`` (with the character offset) for malformed
     tokens or indices the basis does not admit.
     """

@@ -330,6 +330,50 @@ def test_braid_letters_are_plain_ints(letter):
     assert parsed == BraidWord(3, (1, -2, 1))
 
 
+@pytest.mark.parametrize(
+    "text, strands, letters",
+    [
+        ("1", 1, ()),
+        ("b1", 2, (1,)),
+        ("b1 b2^-1 b1", 3, (1, -2, 1)),
+        ("b01\tb003^-1 b1 b1^-1", 4, (1, -3, 1, -1)),
+        (" ".join(["b7 b6^-1"] * 1000), 8, (7, -6) * 1000),
+    ],
+    ids=["identity", "one-letter", "mixed", "other-spellings", "long"],
+)
+def test_parsed_braid_words_equal_constructed_ones(text, strands, letters):
+    parse_braid_word(text, strands)  # the strand count's table is cached
+    # the token table admitted every letter, so the constructor's checks are skipped
+    with mock.patch.object(BraidWord, "__post_init__", side_effect=AssertionError):
+        parsed = parse_braid_word(text, strands)
+    built = BraidWord(strands, letters)
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert type(parsed.letters) is tuple and {type(k) for k in parsed.letters} <= {int}
+    assert parsed.free_reduce() == built.free_reduce() and parsed.inverse() == built.inverse()
+
+
+@pytest.mark.parametrize(
+    "text, strands, error, message",
+    [
+        ("b3", 3, WordSyntaxError, "braid index 3 out of range for 3 strands (at position 0)"),
+        ("b1 b0", 3, WordSyntaxError, "braid index 0 out of range for 3 strands (at position 3)"),
+        ("b1 x1", 3, WordSyntaxError, "bad braid token 'x1' (at position 3)"),
+        ("", 3, WordSyntaxError, 'empty braid text (use "1" for the identity) (at position 0)'),
+        ("b1", 0, ValueError, "strand count must be >= 1, got 0"),
+        ("b1", 3.0, ValueError, "strand count must be an int, got 3.0"),
+        ("b1", True, ValueError, "strand count must be an int, got True"),
+        ("1", "3", ValueError, "strand count must be an int, got '3'"),
+    ],
+    ids=repr,
+)
+def test_parse_braid_word_keeps_its_error_messages(text, strands, error, message):
+    parse_braid_word("b1", 3)  # a strand count equal to 3.0 is cached
+    parse_braid_word("1", 1)  # and one equal to True
+    with pytest.raises(error) as excinfo:
+        parse_braid_word(text, strands)
+    assert type(excinfo.value) is error and str(excinfo.value) == message
+
+
 def test_braid_inverse_and_product():
     b = parse_braid_word("b1 b2^-1", 3)
     assert b.inverse().letters == (2, -1)

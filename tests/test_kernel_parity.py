@@ -10,6 +10,7 @@ place.
 import ast
 import ctypes
 import enum
+import gc
 import hashlib
 import inspect
 import json
@@ -33,6 +34,7 @@ from conftest import (
 )
 from mcgcalc import _wordops_py as py
 from mcgcalc.errors import ImageBudgetError
+from mcgcalc.words import Basis
 
 RANK = 6
 LONG_MIN = -(1 << (8 * ctypes.sizeof(ctypes.c_long) - 1))
@@ -263,6 +265,103 @@ def test_formatting_keeps_the_reference_count(compiled_kernel):
     assert counts() == baseline
 
 
+# Word text for read_tokens: tokens of a grammar, other spellings, a non-ASCII
+# and a long token, between runs of every kind of whitespace, or any text.
+TOKEN_TABLE = dict(Basis.xy(3)._codes, **{"\xe9": 99, "abcdefghij": 10, "x1\x00": 7})
+SEPARATORS = [
+    " ", "\t", "\n", "\v", "\f", "\r", "\x1c", "\x1f", "\xa0", "\x85", "\u2003", "\u3000"
+]
+token_texts = st.lists(
+    st.tuples(
+        st.sampled_from([*TOKEN_TABLE, "x01", "x4", "q", "abcdefghi", "\u03c8", "1"]),
+        st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3),
+    ),
+    max_size=40,
+).map(lambda pairs: "".join(token + gap for token, gap in pairs))
+
+
+def token_outcome(kernel, text, table):
+    """``outcome`` of ``read_tokens``; a KeyError also gives the missing token."""
+    try:
+        result = kernel.read_tokens(text, table)
+    except KeyError as exc:
+        return KeyError, exc.args
+    except Exception as exc:  # the exception type is what both kernels must share
+        return type(exc)
+    return type(result), result, [type(s) for s in result]
+
+
+@given(
+    text=st.one_of(token_texts, st.text(max_size=30)),
+    table=st.sampled_from([TOKEN_TABLE, Basis.xy(3)._codes, {" ": 0}, {}]),
+)
+def test_kernels_agree_on_tokens(compiled_kernel, text, table):
+    assert token_outcome(compiled_kernel, text, table) == token_outcome(py, text, table)
+
+
+class Fresh:
+    """A value made anew by every lookup; ``alive`` counts those not freed."""
+
+    alive = 0
+
+    def __init__(self):
+        Fresh.alive += 1
+
+    def __del__(self):
+        Fresh.alive -= 1
+
+
+class Collecting(dict):
+    """A table that collects garbage and gives a fresh value for ``new``, while
+    the kernel holds a result it has partly filled, and raises ValueError for
+    ``bad``."""
+
+    def __getitem__(self, key):
+        if key == "new":
+            gc.collect()
+            return Fresh()
+        if key == "bad":
+            raise ValueError(key)
+        return super().__getitem__(key)
+
+
+def test_read_tokens_keeps_the_reference_count(compiled_kernel):
+    # Tokens and values made at run time, so only this test and the tables
+    # hold them: the kernel must hold the values it looks up for the call
+    # only, and release them on failure too, on both its paths.
+    values = [int(str(3000 + k)) for k in range(40)]
+    names = ["".join(["t", str(k)]) for k in range(40)]
+    table = dict(zip(names, values))
+    ascii_text = " ".join(names * 3)
+    wide_text = "\u3000".join(names * 3)
+
+    def counts():
+        return [sys.getrefcount(obj) for obj in (table, ascii_text, wide_text, *values)]
+
+    baseline = counts()
+    texts = (ascii_text, wide_text) * 1000
+    results = [compiled_kernel.read_tokens(text, table) for text in texts]
+    assert set(results) == {tuple(values * 3)}
+    del results, texts
+    for text in (ascii_text + " t40", wide_text + "\u3000t40"):
+        for _ in range(2000):
+            with pytest.raises(KeyError):
+                compiled_kernel.read_tokens(text, table)
+    assert counts() == baseline
+    # one lookup per distinct token of ASCII text, one per token of other text
+    collecting = Collecting(table)
+    for text, looked_up in ((ascii_text + " new new", 1), (wide_text + "\u3000new new", 2)):
+        result = compiled_kernel.read_tokens(text, collecting)
+        assert result[:120] == tuple(values * 3) and Fresh.alive == looked_up
+        del result
+        assert Fresh.alive == 0
+        with pytest.raises(ValueError):
+            compiled_kernel.read_tokens(text + " bad", collecting)
+        assert Fresh.alive == 0
+    del collecting
+    assert counts() == baseline
+
+
 def public_ops(module):
     """The functions a kernel module defines itself, by name."""
     return {
@@ -277,7 +376,8 @@ def test_kernels_expose_the_same_ops(compiled_kernel):
     ops = public_ops(py)
     assert ops == public_ops(compiled_kernel)
     assert ops == {
-        "reduce_letters", "concat_reduced", "substitute", "draw_letters", "format_letters"
+        "reduce_letters", "concat_reduced", "substitute", "draw_letters", "format_letters",
+        "read_tokens",
     }
     from mcgcalc import _wordops
 
@@ -677,6 +777,98 @@ CONTRACT += [
 ]
 
 
+# read_tokens: the values of the tokens of ``str.split()``, one lookup per
+# token, so a token the table lacks raises its KeyError. The compiled kernel
+# reads ASCII text in place through a memo that grows past 32 distinct tokens
+# and compares a token's first 8 bytes at once and the rest with memcmp;
+# other text, any of whose whitespace may part the tokens, takes str.split.
+TOKENS = {"x1": 1, "x1^-1": -1, "y1": 2, "y1^-1": -2}
+LONG_TOKENS = {"abcdefgh": 8, "abcdefgh1": 9, "abcdefgh12": 10, "abcdefgh2": 11}
+# 100 tokens of one length that share their first 8 bytes, so that probes meet
+SHARED_HEADS = {f"abcdefgh{k:02}": k for k in range(100)}
+XY60 = Basis.xy(60)._codes
+OBJ = object()
+
+
+class Refusing(dict):
+    """A table whose lookups raise ValueError for every token but ``x1``."""
+
+    def __getitem__(self, key):
+        if key == "x1":
+            return 1
+        raise ValueError(key)
+
+
+class OtherSplit(str):
+    """Text whose own ``split`` lies; the kernels split the str itself."""
+
+    def split(self, *args):
+        return ["y1"]
+
+
+CONTRACT += [
+    pytest.param("read_tokens", ("", TOKENS), (),
+                 id="read_tokens-no-text"),
+    pytest.param("read_tokens", (" \t\n\v\f\r\x1c\x1d\x1e\x1f ", TOKENS), (),
+                 id="read_tokens-whitespace-only"),
+    pytest.param("read_tokens", ("", None), (),
+                 id="read_tokens-no-text-reads-no-table"),
+    pytest.param("read_tokens", ("y1^-1", TOKENS), (-2,),
+                 id="read_tokens-one-token"),
+    pytest.param("read_tokens", ("\tx1 y1^-1  x1\n", TOKENS), (1, -2, 1),
+                 id="read_tokens-repeated-token-between-spaces"),
+    pytest.param("read_tokens", ("x1\x1cy1\x1dx1^-1\x1ey1^-1\x1fx1\vy1\fx1\ry1", TOKENS),
+                 (1, 2, -1, -2, 1, 2, 1, 2),
+                 id="read_tokens-ascii-separators"),
+    pytest.param("read_tokens", ("x1\xa0y1\x85x1^-1\u2003y1^-1\u3000x1", TOKENS),
+                 (1, 2, -1, -2, 1),
+                 id="read_tokens-unicode-separators"),
+    pytest.param("read_tokens", ("x1 y1 \xe9", TOKENS), KeyError,
+                 id="read_tokens-non-ascii-token-missing"),
+    pytest.param("read_tokens", ("\xe9 x1　\xe9", {"x1": 1, "\xe9": 3}), (3, 1, 3),
+                 id="read_tokens-non-ascii-token-found"),
+    pytest.param("read_tokens", ("abcdefgh12 abcdefgh1 abcdefgh abcdefgh2 abcdefgh1", LONG_TOKENS),
+                 (10, 9, 8, 11, 9),
+                 id="read_tokens-tokens-past-8-bytes"),
+    pytest.param("read_tokens", ("abcdefgh3", LONG_TOKENS), KeyError,
+                 id="read_tokens-missing-token-sharing-8-bytes"),
+    pytest.param("read_tokens", (" ".join([*SHARED_HEADS, *reversed(SHARED_HEADS)]), SHARED_HEADS),
+                 (*range(100), *reversed(range(100))),
+                 id="read_tokens-100-tokens-sharing-8-bytes"),
+    pytest.param("read_tokens", ("x1\x00 x1 x1\x00", {"x1": 1, "x1\x00": 7}), (7, 1, 7),
+                 id="read_tokens-nul-is-no-space"),
+    pytest.param("read_tokens", (" ".join(list(XY60) * 2), dict(XY60)), tuple(XY60.values()) * 2,
+                 id="read_tokens-240-distinct-tokens-grow-the-memo"),
+    pytest.param("read_tokens", ("x1 y2^-1 x60", XY60), (1, -6, 237),
+                 id="read_tokens-mappingproxy-table"),
+    pytest.param("read_tokens", ("x1 x2", TOKENS), KeyError,
+                 id="read_tokens-missing-token"),
+    pytest.param("read_tokens", ("x1 " * 500 + "x01", TOKENS), KeyError,
+                 id="read_tokens-missing-token-last"),
+    pytest.param("read_tokens", (b"x1", TOKENS), TypeError,
+                 id="read_tokens-bytes-text"),
+    pytest.param("read_tokens", (None, TOKENS), TypeError,
+                 id="read_tokens-none-text"),
+    pytest.param("read_tokens", (OtherSplit("x1 x1"), TOKENS), (1, 1),
+                 id="read_tokens-str-subclass-text"),
+    pytest.param("read_tokens", ("x1 x1 y1", Refusing()), ValueError,
+                 id="read_tokens-table-raises-value-error"),
+    pytest.param("read_tokens", ("x1", None), TypeError,
+                 id="read_tokens-table-none"),
+    pytest.param("read_tokens", ("x1", [1, 2]), TypeError,
+                 id="read_tokens-table-list"),
+    pytest.param("read_tokens", ("z1 x1 z1^-1", {"z1": (1, 2), "z1^-1": (-2, -1), "x1": (1,)}),
+                 ((1, 2), (1,), (-2, -1)),
+                 id="read_tokens-tuple-values"),
+    pytest.param("read_tokens", ("a b a", {"a": OBJ, "b": BAD}), (OBJ, BAD, OBJ),
+                 id="read_tokens-object-values"),
+    pytest.param("read_tokens", ("x1",), TypeError,
+                 id="read_tokens-one-argument"),
+    pytest.param("read_tokens", ("x1", TOKENS, TOKENS), TypeError,
+                 id="read_tokens-three-arguments"),
+]
+
+
 def test_contract_ids_are_unique():
     ids = [row.id for row in CONTRACT]
     assert len(set(ids)) == len(ids)
@@ -842,15 +1034,18 @@ def plain(value):
     """True iff ``repr(value)`` reads back as an equal value of the same types."""
     if type(value) in (tuple, list):
         return all(map(plain, value))
+    if type(value) is dict:
+        return plain(list(value.items()))
     return type(value) in (int, bool, float, str, type(None))
 
 
-# The substitute and format_letters rows of CONTRACT and the rows of
-# BUDGET_CASES that hold plain values, as (id, op, args, kwargs); another
-# interpreter reads them back with literal_eval.
+# The substitute, format_letters and read_tokens rows of CONTRACT and the
+# rows of BUDGET_CASES that hold plain values, as (id, op, args, kwargs);
+# another interpreter reads them back with literal_eval.
 PLAIN_ROWS = [
     (row.id, row.values[0], row.values[1], {}) for row in CONTRACT
-    if row.values[0] in ("substitute", "format_letters") and plain(row.values[1])
+    if row.values[0] in ("substitute", "format_letters", "read_tokens")
+    and plain(row.values[1])
 ] + [
     (row.id, "substitute", row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES
     if plain(row.values[:3])
@@ -944,6 +1139,13 @@ def test_stale_build_by_hand_is_found_by_mtime(tmp_path):
 # --- both kernels end to end ----------------------------------------------------
 
 LONG_TARGET = " ".join(["x1 y2 x3^-1 y1"] * 1200)
+# 10,000 letters parted by tabs, newlines and no-break spaces (text that is not
+# ASCII), and 2,000 braid letters, blocks that the braid relation makes trivial
+SPACED_TARGET = "".join(
+    token + gap
+    for token, gap in zip(["x1", "y2", "x3^-1", "y1"] * 2500, ["\t", "\n", "\xa0", " "] * 2500)
+)
+LONG_BRAID = " ".join(["b1 b2 b1 b2^-1 b1^-1 b2^-1"] * 333 + ["b3 b3^-1"])
 CLI_RUNS = {
     "verify": ["verify", "--genus", "2..4", "--all", "--json", "--seed", "1"],
     "braid-trivial": ["braid-trivial", "--strands", "4", "b1 b2 b1 b3 b2^-1 b1^-1 b2^-1 b3^-1"],
@@ -953,6 +1155,9 @@ CLI_RUNS = {
                        "--on", LONG_TARGET],
     "act-one-letter-image": ["act", "twist-word", "a1 b2", "--genus", "2", "--on", "x1"],
     "act-identity-image": ["act", "twist-word", "a1", "--genus", "2", "--on", "1"],
+    "act-spaced-long-word": ["act", "twist-word", "a1 b2 w1^-1 a3", "--genus", "3",
+                             "--on", SPACED_TARGET],
+    "braid-trivial-long-word": ["braid-trivial", "--strands", "4", LONG_BRAID],
     "export": ["export", "twist-word", "a1 b2^-1 w1 a2", "--genus", "3", "--json"],
 }
 
@@ -967,6 +1172,10 @@ def test_cli_output_is_kernel_independent(run_cli, name, argv):
     assert compiled.stdout == pure.stdout.replace('"kernel": "py"', '"kernel": "c"')
     if name == "act-long-image":
         assert len(compiled.stdout.split()) >= 10_000
+    if name == "act-spaced-long-word":
+        assert len(SPACED_TARGET.split()) == 10_000 and not SPACED_TARGET.isascii()
+    if name == "braid-trivial-long-word":
+        assert len(LONG_BRAID.split()) == 2000 and compiled.returncode == 0
 
 
 # sha256 of json.dumps(payload["results"], sort_keys=True) of

@@ -83,6 +83,36 @@ def test_switching_inverses_certified():
             ), (g, i)
 
 
+# The genus-keyed caches: True and 2.0 hash and compare like 1 and 2, so each
+# cached map checks its arguments before its cache serves the int's entry.
+@pytest.mark.parametrize(
+    "fn, args, k, bad, label",
+    [
+        (fundamental_relator, (1,), 0, True, "genus"),
+        (fundamental_relator, (2,), 0, 2.0, "genus"),
+        (pillar_switching_action, (0, 2), 0, 0.0, "switching index"),
+        (pillar_switching_action, (0, 2), 0, False, "switching index"),
+        (pillar_switching_action, (0, 2), 1, 2.0, "genus"),
+        (pillar_switching_twist_word, (1, 3), 0, True, "switching index"),
+        (pillar_switching_twist_word, (1, 3), 1, 3.0, "genus"),
+        (pillar_switching_inverse, (0, 2), 0, 0.0, "switching index"),
+        (pillar_switching_inverse, (0, 2), 1, 2.0, "genus"),
+        (pillar_switching_yz, (1, 2), 0, True, "switching index"),
+        (pillar_switching_yz, (1, 2), 1, 2.0, "genus"),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_cached_maps_refuse_a_genus_or_index_that_only_equals_an_int(fn, args, k, bad, label):
+    fn(*args)  # the int entry is cached
+    cached = fn.cache_info().currsize
+    bad_args = list(args)
+    bad_args[k] = bad
+    with pytest.raises(ValueError) as excinfo:
+        fn(*bad_args)
+    assert str(excinfo.value) == f"{label} must be an int, got {bad!r}"
+    assert fn.cache_info().currsize == cached
+
+
 # --- relator ----------------------------------------------------------------------
 
 

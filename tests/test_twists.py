@@ -97,6 +97,30 @@ def test_a_twist_word_refuses_a_genus_that_is_not_an_int(genus):
         parse_twist_word("a1", genus)
 
 
+# The genus-keyed caches: True and 2.0 hash and compare like 1 and 2, so each
+# cached map checks its arguments before its cache serves the int's entry.
+@pytest.mark.parametrize(
+    "fn, args, k, bad, label",
+    [
+        (z_loop, (1, 2), 0, True, "z index"),
+        (z_loop, (1, 2), 0, 1.0, "z index"),
+        (z_loop, (1, 2), 1, 2.0, "genus"),
+        (dehn_twist_action, (twist("a", 1), 1), 1, True, "genus"),
+        (dehn_twist_action, (twist("b", 2), 2), 1, 2.0, "genus"),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_cached_maps_refuse_a_genus_or_index_that_only_equals_an_int(fn, args, k, bad, label):
+    fn(*args)  # the int entry is cached
+    cached = fn.cache_info().currsize
+    bad_args = list(args)
+    bad_args[k] = bad
+    with pytest.raises(ValueError) as excinfo:
+        fn(*bad_args)
+    assert str(excinfo.value) == f"{label} must be an int, got {bad!r}"
+    assert fn.cache_info().currsize == cached
+
+
 def test_z_loop_values():
     assert z_loop(1, 2) == parse_word("x1^-1 y2 x2 y2^-1", XY2)
     assert z_loop(2, 2) == parse_word("x2^-1", XY2)

@@ -397,8 +397,9 @@ def parse_outcome(parse, text, arg):
 
 
 class MissingTable(dict):
-    """A token table whose ``[]`` always misses: ``_tokenize``'s one-``itemgetter``
-    path fails on every text, so the offset path reads it, with ``get``."""
+    """A token table whose ``[]`` always misses: ``_tokenize``'s one
+    ``read_tokens`` call fails on every text, so the offset path reads it,
+    with ``get``."""
 
     def __getitem__(self, key):
         raise KeyError(key)
@@ -428,7 +429,7 @@ def test_tokenizer_table_matches_the_offset_path_on_every_listed_token(grammar):
 
 
 def test_tokenizer_reads_one_token_as_one_value():
-    # an itemgetter of one key returns the bare value, here a tuple itself
+    # one token gives one value, here a tuple itself
     table = {"t1": (1, 2), "t2": (3,), "t2^-1": (-3,)}
 
     def reject(token, name, index, sign):
@@ -446,6 +447,43 @@ def test_tokenizer_reads_one_token_as_one_value():
     with pytest.raises(WordSyntaxError) as excinfo:
         tokenize("t1 t03^-1")
     assert str(excinfo.value) == "no t 3 -1 in 't03^-1' (at position 3)"
+
+
+# 20,000 tokens over xy(2), whose table has the spellings ``x01`` and ``x3``
+# never: the kernel's read fails on them and the offset path reads the text.
+LONG_TEXT = " ".join(["x1 y2^-1", "y1\tx2"] * 5000)
+LONG_CODES = (1, -6, 2, 5) * 5000
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_the_offset_path_stays_exact_on_long_text(compiled_kernel, backend):
+    kernel = {"py": py, "c": compiled_kernel}[backend]
+    with mock.patch.object(_wordops, "read_tokens", kernel.read_tokens):
+        assert parse_word(LONG_TEXT, XY2).data == LONG_CODES
+        # a bad token at the end, with its offset
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse_word(LONG_TEXT + " x3", XY2)
+        end = len(LONG_TEXT) + 1
+        assert excinfo.value.position == end
+        assert str(excinfo.value) == f"symbol x3 is out of range for xy(2) (at position {end})"
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse_word(LONG_TEXT + "\xa0x1^-2", XY2)
+        assert excinfo.value.position == end
+        assert str(excinfo.value) == f"bad token 'x1^-2' (at position {end})"
+        # another spelling inside a long text reads as its canonical token
+        text = LONG_TEXT + " x01 " + LONG_TEXT
+        assert parse_word(text, XY2).data == LONG_CODES + (1,) + LONG_CODES
+        assert parse_word(LONG_TEXT + "\u3000x01", XY2).data == LONG_CODES + (1,)
+        # the identity, and text without a token
+        assert parse_word("1", XY2) == parse_word(" \t1\n", XY2) == Word.identity(XY2)
+        for empty in ("", " \t\n\x1c", "\xa0\u3000"):
+            with pytest.raises(WordSyntaxError) as excinfo:
+                parse_word(empty, XY2)
+            message = 'empty word text (use "1" for the identity) (at position 0)'
+            assert str(excinfo.value) == message
+        with pytest.raises(WordSyntaxError) as excinfo:
+            parse_word("1 1", XY2)
+        assert str(excinfo.value) == "bad token '1' (at position 0)"
 
 
 def admitted(token, indices):
