@@ -28,6 +28,7 @@ substitute = _impl.substitute
 draw_letters = _impl.draw_letters
 format_letters = _impl.format_letters
 read_tokens = _impl.read_tokens
+format_image = _impl.format_image
 
 
 def kernel_backend() -> str:

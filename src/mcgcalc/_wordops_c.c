@@ -1,29 +1,37 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same six functions with the same results,
+ * Twin of ``_wordops_py``: the same seven functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel. Three ops reduce, join and
  * substitute words; ``draw_letters`` calls a uniform source, such as a
  * bound ``Random.random``, and turns its draws into the letters of a
  * random reduced word; ``format_letters`` writes the names of a word's
  * letters into one new string, sized by a first pass over the letters;
+ * ``format_image`` writes the names of the letters of a word's image, as
+ * ``format_letters(substitute(...), names)`` does, straight from the
+ * reduction stack, so the image is never boxed into a tuple;
  * ``read_tokens`` reads word text: it splits the text at the whitespace
  * of ``str.split()`` and looks every token up in a table. ASCII text is
  * scanned in place, and each distinct token is looked up once, through a
  * memo keyed by the token's bytes, so a str is made only for a token not
  * seen before in that call; other text is split by ``PyUnicode_Split``.
+ * There is one substitution routine, ``reduce_images``, which
+ * ``substitute`` and ``format_image`` share, and one name writer,
+ * ``write_names``, which ``format_letters`` and ``format_image`` share:
+ * it reads letters as objects or as C longs.
  *
- * ``substitute`` also checks a letter budget, given by keyword only: a
- * first pass sums the lengths of the images the word uses and raises
- * ``mcgcalc.errors.ImageBudgetError``, looked up when it is raised, past
- * the budget, before any image letter is read or the result allocated.
+ * ``substitute`` and ``format_image`` also check a letter budget, given by
+ * keyword only: a first pass sums the lengths of the images the word uses
+ * and raises ``mcgcalc.errors.ImageBudgetError``, looked up when it is
+ * raised, past the budget, before any image letter is read or the result
+ * allocated.
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
  * one outside that range raises OverflowError; ``format_letters`` reads a
  * letter as a tuple index instead, so one outside the tuple raises
  * IndexError. Only ints and strs are read inside the word loops of the
- * four word ops, so no Python code runs there and borrowed items stay
+ * five word ops, so no Python code runs there and borrowed items stay
  * valid. ``read_tokens`` is the one op that calls ``__getitem__``: the
  * table's, once per distinct token (every token, for text that is not
  * ASCII), and that may run Python code. So its memo holds owned
@@ -47,6 +55,7 @@
  * exceptions. Results take their letters from a table of boxed ints for
  * [-SHARED_EDGE, SHARED_EDGE], filled when the module is executed and
  * released with it (module state); a letter outside it is boxed anew.
+ * ``format_image`` boxes no letter of its result at all.
  *
  * ``setup.py build_ext --inplace`` builds it and defines SOURCE_SHA256,
  * the sha256 of this file, which the test suite compares with the source
@@ -63,6 +72,16 @@
 /* A build by hand does not know its source's hash. */
 #ifndef SOURCE_SHA256
 #define SOURCE_SHA256 "unknown"
+#endif
+
+/* Keeps a helper that a loop calls rarely out of that loop, which then
+ * holds its state in registers (Py_NO_INLINE is not in every 3.10+). */
+#if defined(__GNUC__) || defined(__clang__)
+#define NOINLINE __attribute__((noinline))
+#elif defined(_MSC_VER)
+#define NOINLINE __declspec(noinline)
+#else
+#define NOINLINE
 #endif
 
 /* Results share the boxed letters in [-SHARED_EDGE, SHARED_EDGE]. */
@@ -402,44 +421,57 @@ check_budget(PyObject *word, PyObject *images, PyObject *budget)
     return 0;
 }
 
-static PyObject *
-substitute(PyObject *module, PyObject *const *args,
-           Py_ssize_t nargs, PyObject *kwnames)
+/* Reads the keyword arguments of an op that takes ``npos`` positional
+ * arguments and a keyword-only ``budget`` into *budget, borrowed and NULL
+ * when absent; returns -1 with TypeError set for other arguments. */
+static int
+budget_keyword(const char *name, PyObject *const *args, Py_ssize_t nargs,
+               PyObject *kwnames, Py_ssize_t npos, PyObject **budget)
 {
-    Stack st = {NULL, 0, 0};
-    PyObject *word, *images, *budget = NULL;
-    Py_ssize_t i, k, m;
-    long s, t;
+    Py_ssize_t i;
 
-    /* ``budget`` is keyword-only, so a third positional argument is refused. */
-    if (check_nargs("substitute", nargs, 2) < 0) {
-        return NULL;
+    /* ``budget`` is keyword-only, so a further positional argument is refused. */
+    if (check_nargs(name, nargs, npos) < 0) {
+        return -1;
     }
+    *budget = NULL;
     for (i = 0; kwnames != NULL && i < PyTuple_GET_SIZE(kwnames); i++) {
         PyObject *key = PyTuple_GET_ITEM(kwnames, i);
 
         if (!PyUnicode_Check(key) || PyUnicode_CompareWithASCIIString(key, "budget") != 0) {
             PyErr_Format(PyExc_TypeError,
-                         "substitute() got an unexpected keyword argument '%S'", key);
-            return NULL;
+                         "%s() got an unexpected keyword argument '%S'", name, key);
+            return -1;
         }
-        budget = args[nargs + i];
+        *budget = args[nargs + i];
     }
-    images = args[1];
+    return 0;
+}
+
+/* The substitution routine of ``substitute`` and ``format_image``: reduces
+ * the images of the letters of ``word`` into *st, within ``budget`` (None
+ * or NULL for none); returns -1 with an exception set, and *st freed, on
+ * failure. */
+static int
+reduce_images(Stack *st, PyObject *word, PyObject *images, PyObject *budget)
+{
+    Py_ssize_t i, k, m;
+    long s, t;
+
     if (!PyTuple_Check(images) && !PyList_Check(images)) {
         PyErr_SetString(PyExc_TypeError, "substitute expects a tuple or list of images");
-        return NULL;
+        return -1;
     }
     if (budget == Py_None) {
         budget = NULL;
     }
     if (budget != NULL && (budget = PyNumber_Index(budget)) == NULL) {
-        return NULL;
+        return -1;
     }
-    word = PySequence_Fast(args[0], "substitute expects an iterable word");
+    word = PySequence_Fast(word, "substitute expects an iterable word");
     if (word == NULL) {
         Py_XDECREF(budget);
-        return NULL;
+        return -1;
     }
     if (budget != NULL) {
         int over = check_budget(word, images, budget);
@@ -458,7 +490,7 @@ substitute(PyObject *module, PyObject *const *args,
         }
         m = PySequence_Fast_GET_SIZE(img);
         items = PySequence_Fast_ITEMS(img);
-        if (stack_reserve(&st, m) < 0) {
+        if (stack_reserve(st, m) < 0) {
             goto fail;
         }
         if (s > 0) {
@@ -466,7 +498,7 @@ substitute(PyObject *module, PyObject *const *args,
                 if (read_letter(items[k], &t) < 0) {
                     goto fail;
                 }
-                stack_push(&st, t);
+                stack_push(st, t);
             }
         }
         else {
@@ -474,16 +506,31 @@ substitute(PyObject *module, PyObject *const *args,
                 if (read_letter(items[k], &t) < 0) {
                     goto fail;
                 }
-                stack_push(&st, -t);
+                stack_push(st, -t);
             }
         }
     }
     Py_DECREF(word);
-    return stack_finish(PyModule_GetState(module), &st);
+    return 0;
 fail:
     Py_DECREF(word);
-    PyMem_Free(st.items);
-    return NULL;
+    PyMem_Free(st->items);
+    st->items = NULL;
+    return -1;
+}
+
+static PyObject *
+substitute(PyObject *module, PyObject *const *args,
+           Py_ssize_t nargs, PyObject *kwnames)
+{
+    Stack st = {NULL, 0, 0};
+    PyObject *budget;
+
+    if (budget_keyword("substitute", args, nargs, kwnames, 2, &budget) < 0
+        || reduce_images(&st, args[0], args[1], budget) < 0) {
+        return NULL;
+    }
+    return stack_finish(PyModule_GetState(module), &st);
 }
 
 PyDoc_STRVAR(draw_letters_doc,
@@ -591,16 +638,21 @@ PyDoc_STRVAR(format_letters_doc,
 "then, as the join does, at a name that is no str (TypeError). A second\n"
 "pass copies the names into the one new string.");
 
-/* The index in a tuple of ``n`` names that the letter ``code`` picks; -1
- * with an exception set for a letter that is no int or picks no name. */
+/* The index in a tuple of ``n`` names that the i-th letter picks, read
+ * from ``codes``, objects, when that is given, else from ``letters``, C
+ * longs; -1 with an exception set for a letter that is no int or picks no
+ * name. */
 static inline Py_ssize_t
-name_index(PyObject *code, Py_ssize_t n)
+letter_name(PyObject *const *codes, const long *letters, Py_ssize_t i, Py_ssize_t n)
 {
     Py_ssize_t k;
-    int overflow = 0;
     long s = 0;
+    int overflow = 0;
 
-    if (!fast_letter(code, &s) && slow_letter(code, &s, &overflow) < 0) {
+    if (codes == NULL) {
+        s = letters[i];
+    }
+    else if (!fast_letter(codes[i], &s) && slow_letter(codes[i], &s, &overflow) < 0) {
         return -1;
     }
     /* A negative code counts from the end, as a tuple index does. Random
@@ -624,65 +676,102 @@ typedef struct {
     int short_name;
 } NameSlot;
 
-static PyObject *
-format_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
-               Py_ssize_t nargs)
+/* Returns -1 with TypeError set unless ``names`` is a tuple. */
+static int
+check_names(PyObject *names)
 {
-    PyObject *letters, *names, *name, *bad = NULL, *out = NULL;
-    PyObject **codes;
-    NameSlot *slots = NULL, *slot;
-    Py_ssize_t i, j, k, m, n, count, size = 0, pos = 0;
-    Py_UCS4 maxchar = ' ';
-    char *data = NULL;
-    int kind = 0;
-
-    if (check_nargs("format_letters", nargs, 2) < 0) {
-        return NULL;
-    }
-    names = args[1];
     if (!PyTuple_Check(names)) {
         PyErr_SetString(PyExc_TypeError, "format_letters expects a tuple of names");
-        return NULL;
+        return -1;
     }
-    letters = PySequence_Fast(args[0], "format_letters expects an iterable of letters");
-    if (letters == NULL) {
-        return NULL;
+    return 0;
+}
+
+/* Fills the slot of a name the first pass meets for the first time, and
+ * widens *maxchar to its characters; returns 1 for a name that is no str
+ * and -1 with an exception set on failure. */
+static NOINLINE int
+meet_name(NameSlot *slot, PyObject *name, Py_UCS4 *maxchar)
+{
+    Py_ssize_t m;
+
+    if (!PyUnicode_Check(name)) {
+        return 1;
     }
-    n = PySequence_Fast_GET_SIZE(letters);
-    codes = PySequence_Fast_ITEMS(letters);
+    if (PyUnicode_READY(name) < 0) {
+        return -1;
+    }
+    m = PyUnicode_GET_LENGTH(name);
+    slot->span = m + 1;
+    if (PyUnicode_KIND(name) == PyUnicode_1BYTE_KIND && m < 8) {
+        memcpy(slot->text, PyUnicode_1BYTE_DATA(name), (size_t)m);
+        slot->text[m] = ' ';
+        slot->short_name = 1;
+    }
+    if (PyUnicode_MAX_CHAR_VALUE(name) > *maxchar) {
+        *maxchar = PyUnicode_MAX_CHAR_VALUE(name);
+    }
+    return 0;
+}
+
+/* Writes ``name``, of ``m`` characters, at ``pos`` of the text ``data`` of
+ * ``size`` characters of ``kind``, with a space after it unless it ends
+ * the text. */
+static NOINLINE void
+copy_name(void *data, int kind, Py_ssize_t pos, Py_ssize_t size, PyObject *name, Py_ssize_t m)
+{
+    Py_ssize_t j;
+
+    if ((int)PyUnicode_KIND(name) == kind) {
+        memcpy((char *)data + pos * kind, PyUnicode_DATA(name), (size_t)(m * kind));
+    }
+    else {
+        for (j = 0; j < m; j++) {
+            PyUnicode_WRITE(kind, data, pos + j, PyUnicode_READ_CHAR(name, j));
+        }
+    }
+    if (pos + m < size) {
+        PyUnicode_WRITE(kind, data, pos + m, ' ');
+    }
+}
+
+/* The name writer of ``format_letters`` and ``format_image``: the names
+ * in the tuple ``names`` of ``n`` letters, one space apart, as one new
+ * string. The letters are ``codes``, objects, when that is given, else
+ * ``letters``, C longs. */
+static PyObject *
+write_names(PyObject *names, Py_ssize_t n, PyObject *const *codes, const long *letters)
+{
+    PyObject *bad = NULL, *out = NULL;
+    NameSlot *slots = NULL, *slot;
+    Py_ssize_t i, k, count, size = 0, pos = 0;
+    Py_UCS4 maxchar = ' ';
+    char *data = NULL;
+    int kind, one_byte, met;
+
     count = PyTuple_GET_SIZE(names);
     slots = PyMem_Calloc(count > 0 ? (size_t)count : 1, sizeof(NameSlot));
     if (slots == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return NULL;
     }
     /* The length of the text with a space after every name, which
      * saturates at PY_SSIZE_T_MAX (too long for PyUnicode_New), and the
      * widest kind of character it holds. */
     for (i = 0; i < n; i++) {
-        k = name_index(codes[i], count);
+        k = letter_name(codes, letters, i, count);
         if (k < 0) {
             goto done;
         }
         slot = &slots[k];
         if (slot->span == 0) {
-            name = PyTuple_GET_ITEM(names, k);
-            if (!PyUnicode_Check(name)) {
-                bad = bad != NULL ? bad : name;
-                continue;
-            }
-            if (PyUnicode_READY(name) < 0) {
+            met = meet_name(slot, PyTuple_GET_ITEM(names, k), &maxchar);
+            if (met < 0) {
                 goto done;
             }
-            m = PyUnicode_GET_LENGTH(name);
-            slot->span = m + 1;
-            if (PyUnicode_KIND(name) == PyUnicode_1BYTE_KIND && m < 8) {
-                memcpy(slot->text, PyUnicode_1BYTE_DATA(name), (size_t)m);
-                slot->text[m] = ' ';
-                slot->short_name = 1;
-            }
-            if (PyUnicode_MAX_CHAR_VALUE(name) > maxchar) {
-                maxchar = PyUnicode_MAX_CHAR_VALUE(name);
+            if (met > 0) {
+                bad = bad != NULL ? bad : PyTuple_GET_ITEM(names, k);
+                continue;
             }
         }
         size = size > PY_SSIZE_T_MAX - slot->span ? PY_SSIZE_T_MAX : size + slot->span;
@@ -697,41 +786,76 @@ format_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
         goto done;
     }
     kind = (int)PyUnicode_KIND(out);
+    one_byte = kind == PyUnicode_1BYTE_KIND;
     data = PyUnicode_DATA(out);
     size = PyUnicode_GET_LENGTH(out);
     /* No Python code has run since the first pass, so every letter picks the
      * name it picked there. An 8-byte store stays within the text (never on
      * its closing NUL); later names overwrite its padding. */
     for (i = 0; i < n; i++) {
-        k = name_index(codes[i], count);
+        k = letter_name(codes, letters, i, count);
         if (k < 0) {
             Py_CLEAR(out);
             goto done;
         }
         slot = &slots[k];
-        if (slot->short_name && kind == PyUnicode_1BYTE_KIND && pos + 8 <= size) {
+        if ((slot->short_name & one_byte) && pos + 8 <= size) {
             memcpy(data + pos, slot->text, 8);
         }
         else {
-            name = PyTuple_GET_ITEM(names, k);
-            m = slot->span - 1;
-            if ((int)PyUnicode_KIND(name) == kind) {
-                memcpy(data + pos * kind, PyUnicode_DATA(name), (size_t)(m * kind));
-            }
-            else {
-                for (j = 0; j < m; j++) {
-                    PyUnicode_WRITE(kind, data, pos + j, PyUnicode_READ_CHAR(name, j));
-                }
-            }
-            if (pos + m < size) {
-                PyUnicode_WRITE(kind, data, pos + m, ' ');
-            }
+            copy_name(data, kind, pos, size, PyTuple_GET_ITEM(names, k), slot->span - 1);
         }
         pos += slot->span;
     }
 done:
     PyMem_Free(slots);
+    return out;
+}
+
+static PyObject *
+format_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
+               Py_ssize_t nargs)
+{
+    PyObject *letters, *out;
+
+    if (check_nargs("format_letters", nargs, 2) < 0 || check_names(args[1]) < 0) {
+        return NULL;
+    }
+    letters = PySequence_Fast(args[0], "format_letters expects an iterable of letters");
+    if (letters == NULL) {
+        return NULL;
+    }
+    out = write_names(args[1], PySequence_Fast_GET_SIZE(letters),
+                      PySequence_Fast_ITEMS(letters), NULL);
     Py_DECREF(letters);
+    return out;
+}
+
+PyDoc_STRVAR(format_image_doc,
+"format_image(word, images, names, /, *, budget=None)\n--\n\n"
+"The text of the image of ``word``:\n"
+"``format_letters(substitute(word, images, budget=budget), names)``.\n\n"
+"The images are reduced into the one stack, as ``substitute`` reduces\n"
+"them, and the names are written from that stack, as ``format_letters``\n"
+"writes them, so no tuple of the image's letters is made. It raises what\n"
+"that composition raises: first the budget and substitution faults,\n"
+"then the name faults.");
+
+static PyObject *
+format_image(PyObject *Py_UNUSED(module), PyObject *const *args,
+             Py_ssize_t nargs, PyObject *kwnames)
+{
+    Stack st = {NULL, 0, 0};
+    PyObject *budget, *out = NULL;
+
+    if (budget_keyword("format_image", args, nargs, kwnames, 3, &budget) < 0
+        || reduce_images(&st, args[0], args[1], budget) < 0) {
+        return NULL;
+    }
+    if (check_names(args[2]) == 0) {
+        out = write_names(args[2], st.top, NULL, st.items);
+    }
+    PyMem_Free(st.items);
     return out;
 }
 
@@ -978,6 +1102,8 @@ static PyMethodDef methods[] = {
      format_letters_doc},
     {"read_tokens", (PyCFunction)(void (*)(void))read_tokens, METH_FASTCALL,
      read_tokens_doc},
+    {"format_image", (PyCFunction)(void (*)(void))format_image,
+     METH_FASTCALL | METH_KEYWORDS, format_image_doc},
     {NULL, NULL, 0, NULL},
 };
 

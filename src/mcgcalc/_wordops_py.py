@@ -1,19 +1,20 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same six functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same seven functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
 words, ``substitute`` within a letter budget given by keyword;
 ``draw_letters`` calls a uniform source, such as a bound
 ``Random.random``, once per letter, in the compiled kernel's order, and
 turns its draws into the letters of a random reduced word;
-``format_letters`` writes the names of a word's letters, and
-``read_tokens`` reads the values of the tokens of word text. Letters are
-nonzero signed integers; a letter and its negative cancel. Every letter
-the compiled kernel reads as a C long is read here too, in
-[-LONG_MAX, LONG_MAX], and results hold plain ints; ``concat_reduced``
-joins its arguments' own letters in both. ``format_letters`` reads a
-letter as a tuple index in both.
+``format_letters`` writes the names of a word's letters, ``format_image``
+the names of the letters of a word's image (the composition of
+``substitute`` and ``format_letters``), and ``read_tokens`` reads the
+values of the tokens of word text. Letters are nonzero signed integers; a
+letter and its negative cancel. Every letter the compiled kernel reads as
+a C long is read here too, in [-LONG_MAX, LONG_MAX], and results hold
+plain ints; ``concat_reduced`` joins its arguments' own letters in both.
+``format_letters`` reads a letter as a tuple index in both.
 """
 
 import struct
@@ -225,6 +226,13 @@ def draw_letters(random, length, letters):
     return tuple(out)
 
 
+def _join_names(letters, names):
+    """The names of ``letters``, a tuple of ints, one space apart."""
+    # an itemgetter of one key returns the bare name, and of none is refused
+    picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
+    return " ".join(picked)
+
+
 def format_letters(letters, names, /):
     """The names of ``letters``, one space apart: ``" ".join(names[c] for c in letters)``.
 
@@ -232,16 +240,33 @@ def format_letters(letters, names, /):
     letter counts from its end; no letters give "". Every letter is read
     before the join sees a name: the first letter that is no int raises
     TypeError, the first that picks no name IndexError, and only then a
-    name that is no str TypeError. A letter is read as a tuple index, so
-    an object that is no int but has ``__index__`` is read here where the
-    compiled kernel refuses it; a ``Word``'s letters are always ints.
+    name that is no str TypeError. A letter is an int, as the compiled
+    kernel reads it: an object with ``__index__`` that is no int is
+    refused, and a bool is read as 0 or 1.
     """
     if not isinstance(names, tuple):
         raise TypeError("format_letters expects a tuple of names")
     letters = tuple(letters)
-    # an itemgetter of one key returns the bare name, and of none is refused
-    picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
-    return " ".join(picked)
+    if not all(map(isinstance, letters, repeat(int))):
+        for c in letters:
+            if not isinstance(c, int):
+                raise TypeError(f"letters are ints, not {type(c).__name__}")
+            names[c]  # IndexError for a letter that picks no name, before a later non-int
+    return _join_names(letters, names)
+
+
+def format_image(word, images, names, /, *, budget=None):
+    """The text of the image of ``word``:
+    ``format_letters(substitute(word, images, budget=budget), names)``.
+
+    It raises what that composition raises, in its order: first the budget
+    and substitution faults, then the name faults. ``substitute`` gives
+    plain ints, so they are joined without ``format_letters``' letter check.
+    """
+    letters = substitute(word, images, budget=budget)
+    if not isinstance(names, tuple):
+        raise TypeError("format_letters expects a tuple of names")
+    return _join_names(letters, names)
 
 
 def read_tokens(text, table, /):

@@ -40,7 +40,7 @@ from .pillars import (
 )
 from .reports import VerificationReport
 from .twists import evaluate_twist_word, parse_twist_word
-from .words import Basis, format_word, parse_word
+from .words import Basis, parse_word
 
 def _parse_genus_range(text: str) -> range:
     try:
@@ -137,7 +137,7 @@ def _make_endo(args: argparse.Namespace) -> FreeEndomorphism:
 def _cmd_act(args: argparse.Namespace) -> int:
     endo = _make_endo(args)
     target = parse_word(args.on, Basis.xy(args.genus))
-    print(format_word(endo.apply(target, budget=args.budget)))
+    print(endo.image_text(target, budget=args.budget))
     return 0
 
 

@@ -19,7 +19,9 @@ total after each step. A row that a generator only renames, as each braid
 generator renames one of its two moved rows, is reused there, not copied.
 Each map computes the rows it moves and its letter total once, the first
 time ``product`` reads them, so a step costs what its factor moves. A
-product of one factor is that factor.
+product of one factor is that factor. ``image_text`` prints the image of
+a word with one call of the kernel's ``format_image``, which substitutes
+and writes the names without building the image word.
 """
 
 from __future__ import annotations
@@ -143,15 +145,28 @@ class FreeEndomorphism:
         code = self.basis.generator(name_or_symbol).data[0]
         return Word._reduced(self.basis, self.table[code])
 
-    def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
-        """Image of ``w``: substitute letterwise and reduce."""
+    def _check_word(self, w: Word) -> None:
         if w.basis is not self.basis:
             raise BasisMismatchError(
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
+
+    def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
+        """Image of ``w``: substitute letterwise and reduce."""
+        self._check_word(w)
         return Word._reduced(
             self.basis, _wordops.substitute(w.data, self.table, budget=budget)
         )
+
+    def image_text(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> str:
+        """``format_word(self.apply(w, budget=budget))``, ``1`` for the identity.
+
+        One call of the kernel's ``format_image`` substitutes and writes the
+        names, so the image is never built as a ``Word``; the word's basis
+        and the budget are checked as ``apply`` checks them.
+        """
+        self._check_word(w)
+        return _wordops.format_image(w.data, self.table, self.basis._names, budget=budget) or "1"
 
     def compose(
         self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET

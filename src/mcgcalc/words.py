@@ -36,6 +36,7 @@ an optional ``^-1``, and ``_split_token`` is its one reader.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -222,23 +223,28 @@ def _int_keyed(**labels: str) -> Callable[[Callable], Callable]:
     ``True`` and ``2.0`` hash and compare like 1 and 2, so the cache alone
     would serve them the int's entry. Each parameter named in ``labels``
     must be an ``int`` (``bool`` refused), or ``ValueError`` is raised,
-    worded like ``Basis``'s with the label as its name. The wrapper keeps
-    the cache's ``cache_info`` and ``cache_clear``.
+    worded like ``Basis``'s with the label as its name. Arguments passed
+    by keyword are bound to their positions first, so ``f(i=0, genus=2)``
+    is the cache entry of ``f(0, 2)``. The wrapper keeps the cache's
+    ``cache_info`` and ``cache_clear``.
     """
 
     def decorate(fn: Callable) -> Callable:
-        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        checks = [(params.index(name), name, label) for name, label in labels.items()]
+        signature = inspect.signature(fn)
+        params = list(signature.parameters)
+        checks = [(params.index(name), label) for name, label in labels.items()]
         cached = lru_cache(maxsize=None)(fn)
 
         @wraps(fn)
         def checked(*args, **kwargs):
-            for k, name, label in checks:
+            if kwargs:
+                args = signature.bind(*args, **kwargs).args
+            for k, label in checks:
                 # a missing argument passes here and is the cache's TypeError
-                value = args[k] if k < len(args) else kwargs.get(name, 0)
+                value = args[k] if k < len(args) else 0
                 if type(value) is not int:
                     raise ValueError(f"{label} must be an int, got {value!r}")
-            return cached(*args, **kwargs)
+            return cached(*args)
 
         checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
         return checked
@@ -425,8 +431,10 @@ def format_word(w: Word) -> str:
 
     Every other word is one call of the kernel's ``format_letters`` on its
     letters and the basis's name tuple, which writes the names one space
-    apart. Every printer goes through here: ``act``, ``export``, reports
-    and ``repr``.
+    apart. ``export``, reports and ``repr`` print through here; ``act``
+    prints with ``FreeEndomorphism.image_text``, whose one call of the
+    kernel's ``format_image`` gives this text for the image without
+    building it.
     """
     if not w.data:
         return "1"

@@ -87,6 +87,33 @@ def test_apply_is_a_homomorphism(u, v):
     assert f.apply(Word.identity(XY2)) == Word.identity(XY2)
 
 
+# --- image_text ----------------------------------------------------------------
+
+
+@given(words(XY2))
+def test_image_text_is_the_printed_image(w):
+    for f in (A1, W1, pillar_switching_action(0, 2), FreeEndomorphism.identity(XY2)):
+        assert f.image_text(w) == format_word(f.apply(w))
+
+
+def test_image_text_of_the_identity_is_1():
+    assert A1.image_text(Word.identity(XY2)) == "1"
+    kills_x1 = FreeEndomorphism.from_images(XY2, {"x1": "1"}, fix_unlisted=True)
+    assert kills_x1.image_text(parse_word("x1 x1", XY2)) == "1"
+    assert kills_x1.image_text(parse_word("x1 y1 x1", XY2)) == "y1"
+
+
+def test_image_text_refuses_what_apply_refuses():
+    w = parse_word("y1 x2 y1", XY2)
+    for call in (A1.apply, A1.image_text):
+        with pytest.raises(BasisMismatchError, match=r"a word over yz\(2\)"):
+            call(parse_word("y1", Basis.yz(2)))
+        with pytest.raises(ImageBudgetError) as excinfo:
+            call(w, budget=4)
+        assert (excinfo.value.needed, excinfo.value.budget) == (5, 4)
+    assert A1.image_text(w, budget=5) == "y1 x1^-1 x2 y1 x1^-1"
+
+
 # --- compose / power ----------------------------------------------------------
 
 

@@ -265,6 +265,78 @@ def test_formatting_keeps_the_reference_count(compiled_kernel):
     assert counts() == baseline
 
 
+# format_image is format_letters(substitute(...)) in one call: on any word,
+# table, names and budget, each kernel's op gives what the pure composition
+# gives, a budget error with its figures.
+image_names = st.one_of(
+    name_tables,
+    st.lists(st.text(max_size=9), min_size=2 * RANK + 1, max_size=2 * RANK + 1).map(tuple),
+    st.sampled_from([None, ["x1"]]),
+)
+
+
+def image_outcome(kernel, word, images, names, budget, composed=False):
+    """The text ``format_image`` gives, or what it raises; with ``composed``,
+    that of ``format_letters(substitute(...))`` instead."""
+    try:
+        if composed:
+            result = kernel.format_letters(kernel.substitute(word, images, budget=budget), names)
+        else:
+            result = kernel.format_image(word, images, names, budget=budget)
+    except ImageBudgetError as exc:
+        return type(exc), exc.needed, exc.budget
+    except Exception as exc:  # the exception type is what both kernels must share
+        return type(exc)
+    return type(result), result
+
+
+@given(
+    word=st.one_of(unreduced, faulty_words),
+    table=st.one_of(tables, faulty_tables),
+    names=image_names,
+    budget=st.one_of(st.none(), st.integers(-1, 400), st.sampled_from([True, 1.0])),
+)
+def test_kernels_agree_on_images(compiled_kernel, word, table, names, budget):
+    expected = image_outcome(py, word, table, names, budget, composed=True)
+    assert image_outcome(py, word, table, names, budget) == expected
+    assert image_outcome(compiled_kernel, word, table, names, budget) == expected
+    assert image_outcome(compiled_kernel, word, table, names, budget, composed=True) == expected
+
+
+def test_format_image_keeps_the_reference_count(compiled_kernel):
+    # Words, names, images and a budget made at run time, so only the test
+    # holds them: the kernel borrows them all, on failure too.
+    names = ("", *("".join(["x", str(k)]) for k in range(1, 4)), 7)
+    images = [(), (1, 2), (3,), (4,), (int("2000"),)]
+    budget = int("333")
+    calls = [
+        (tuple([1, 2]), names, None),
+        (tuple([1] * 200), names, ImageBudgetError),  # past the budget
+        (tuple([5]), names, IndexError),  # a letter with no image
+        (tuple([1, "x1"]), names, TypeError),  # a word letter that is no int
+        (tuple([4]), names, IndexError),  # an image letter with no name
+        (tuple([3]), names, TypeError),  # a name that is no str
+        (tuple([1]), list(names), TypeError),  # names that are no tuple
+    ]
+
+    def counts():
+        held = (names, images, budget, *names[1:4], *images, *(word for word, _, _ in calls))
+        return [sys.getrefcount(obj) for obj in held]
+
+    baseline = counts()
+    for word, these_names, fault in calls:
+        for _ in range(10**4):
+            if fault is None:
+                assert compiled_kernel.format_image(word, images, names, budget=budget) == (
+                    "x1 x2 x3"
+                )
+            else:
+                with pytest.raises(fault):
+                    compiled_kernel.format_image(word, images, these_names, budget=budget)
+    del word, these_names  # the loop variables hold the last call's objects
+    assert counts() == baseline
+
+
 # Word text for read_tokens: tokens of a grammar, other spellings, a non-ASCII
 # and a long token, between runs of every kind of whitespace, or any text.
 TOKEN_TABLE = dict(Basis.xy(3)._codes, **{"\xe9": 99, "abcdefghij": 10, "x1\x00": 7})
@@ -377,7 +449,7 @@ def test_kernels_expose_the_same_ops(compiled_kernel):
     assert ops == public_ops(compiled_kernel)
     assert ops == {
         "reduce_letters", "concat_reduced", "substitute", "draw_letters", "format_letters",
-        "read_tokens",
+        "read_tokens", "format_image",
     }
     from mcgcalc import _wordops
 
@@ -777,6 +849,104 @@ CONTRACT += [
 ]
 
 
+class Index:
+    """No int, but read as the tuple index 1; the kernels refuse it as a letter."""
+
+    def __index__(self):
+        return 1
+
+
+CONTRACT += [
+    pytest.param("format_letters", ((True,), NAMES), "x1",
+                 id="format_letters-true-letter"),
+    pytest.param("format_letters", ((Index(),), NAMES), TypeError,
+                 id="format_letters-index-object"),
+    pytest.param("format_letters", ((Index(), 9), NAMES), TypeError,
+                 id="format_letters-index-object-before-range"),
+    pytest.param("format_letters", ((9, Index()), NAMES), IndexError,
+                 id="format_letters-range-before-index-object"),
+    pytest.param("format_letters", ((slice(1, 2), 9), NAMES), TypeError,
+                 id="format_letters-slice-letter-before-range"),
+]
+
+
+class Kw(dict):
+    """The keyword arguments of a row's call, after its positional ones."""
+
+
+def split_kwargs(args):
+    """A row's positional arguments and its keyword arguments."""
+    if args and isinstance(args[-1], Kw):
+        return args[:-1], dict(args[-1])
+    return args, {}
+
+
+# format_image: format_letters(substitute(word, images, budget=budget), names)
+# in one call, with that composition's faults in its order: the budget and
+# the substitution's faults first, then the names' faults.
+IMAGES = [(), (1, 2), (-1,)]  # x1 -> x1 y1, y1 -> x1^-1
+CONTRACT += [
+    pytest.param("format_image", ((), IMAGES, NAMES), "",
+                 id="format_image-empty-word"),
+    pytest.param("format_image", ((), [()], ()), "",
+                 id="format_image-empty-word-reads-no-name"),
+    pytest.param("format_image", ((1, 2), IMAGES, NAMES), "x1 y1 x1^-1",
+                 id="format_image-word"),
+    pytest.param("format_image", ((-1, -2), IMAGES, NAMES), "y1^-1",
+                 id="format_image-inverse-letters"),
+    pytest.param("format_image", ((1, -1, 2, -2), IMAGES, NAMES), "",
+                 id="format_image-cancelling-word"),
+    pytest.param("format_image", ([2, 1], [(), [1, 2], [-1]], NAMES), "y1",
+                 id="format_image-list-word-and-images"),
+    pytest.param("format_image", ((True,), [(), (True, 2)], NAMES), "x1 y1",
+                 id="format_image-bool-letters"),
+    pytest.param("format_image", ((1,), [(), (1, 2, 3, -1)], WIDE),
+                 " ".join(["\xe9", "\u03c8", "\U0001d535", "abcdefgh"]),
+                 id="format_image-non-ascii-names"),
+    pytest.param("format_image", ((1, 2), IMAGES, NAMES, Kw(budget=3)), "x1 y1 x1^-1",
+                 id="format_image-needed-equals-budget"),
+    pytest.param("format_image", ((1,), IMAGES, NAMES, Kw(budget=None)), "x1 y1",
+                 id="format_image-budget-none"),
+    pytest.param("format_image", (("x1",), IMAGES, ()), TypeError,
+                 id="format_image-bad-word-letter-before-names"),
+    pytest.param("format_image", ((3,), IMAGES, None), IndexError,
+                 id="format_image-missing-image-before-names"),
+    pytest.param("format_image", ((1,), [(), "ab"], ()), TypeError,
+                 id="format_image-image-not-a-tuple-before-names"),
+    pytest.param("format_image", ((1, 1), [(), ("a", 1.5)], None, Kw(budget=3)),
+                 ImageBudgetError,
+                 id="format_image-budget-before-image-letters"),
+    pytest.param("format_image", ((1, 1), [(), ("a", 1.5)], (), Kw(budget=4)), TypeError,
+                 id="format_image-bad-image-letter-within-budget"),
+    pytest.param("format_image", ((1,), [(), (1 << 80,)], ()), OverflowError,
+                 id="format_image-image-letter-past-a-long"),
+    pytest.param("format_image", ((1,), [(), (1, 9)], NAMES), IndexError,
+                 id="format_image-letter-with-no-name"),
+    pytest.param("format_image", ((-1,), [(), (LONG_MAX,)], NAMES), IndexError,
+                 id="format_image-long-max-picks-no-name"),
+    pytest.param("format_image", ((1,), [(), (2, 9)], ("", "x1", 7)), IndexError,
+                 id="format_image-letter-with-no-name-before-bad-name"),
+    pytest.param("format_image", ((1,), [(), (1, 2)], ("", "x1", 7)), TypeError,
+                 id="format_image-bad-name-after-the-first-pass"),
+    pytest.param("format_image", ((1,), IMAGES, list(NAMES)), TypeError,
+                 id="format_image-names-not-a-tuple"),
+    pytest.param("format_image", ((1, -1), IMAGES, None), TypeError,
+                 id="format_image-names-none-for-the-identity"),
+    pytest.param("format_image", ((3,), IMAGES, list(NAMES)), IndexError,
+                 id="format_image-names-not-a-tuple-after-substitution"),
+    pytest.param("format_image", (5, IMAGES, NAMES), TypeError,
+                 id="format_image-word-not-iterable"),
+    pytest.param("format_image", ((1,), None, NAMES), TypeError,
+                 id="format_image-images-none"),
+    pytest.param("format_image", ((1,), IMAGES), TypeError,
+                 id="format_image-two-arguments"),
+    pytest.param("format_image", ((1,), IMAGES, NAMES, 5), TypeError,
+                 id="format_image-budget-by-position"),
+    pytest.param("format_image", ((1,), IMAGES, NAMES, Kw(limit=5)), TypeError,
+                 id="format_image-unknown-keyword"),
+]
+
+
 # read_tokens: the values of the tokens of ``str.split()``, one lookup per
 # token, so a token the table lacks raises its KeyError. The compiled kernel
 # reads ASCII text in place through a memo that grows past 32 distinct tokens
@@ -877,15 +1047,16 @@ def test_contract_ids_are_unique():
 @pytest.mark.parametrize("name, args, expected", CONTRACT)
 def test_kernel_contract(compiled_kernel, name, args, expected):
     unused = []  # the draws each kernel left, so both must call random as often
+    args, kwargs = split_kwargs(args)
     for kernel in (py, compiled_kernel):
         fn = getattr(kernel, name)
         streams = [iter(a) if isinstance(a, Uniforms) else None for a in args]
         call = [a if it is None else it.__next__ for a, it in zip(args, streams)]
         if isinstance(expected, type):
             with pytest.raises(expected):
-                fn(*call)
+                fn(*call, **kwargs)
         else:
-            result = fn(*call)
+            result = fn(*call, **kwargs)
             assert result == expected and type(result) is type(expected)
             assert [type(s) for s in result] == [type(s) for s in expected]
         unused.append([len(list(it)) for it in streams if it is not None])
@@ -968,12 +1139,19 @@ BUDGET_CASES = [
 ]
 
 
+# The names of the letters of SIZES, for format_image.
+BUDGET_NAMES = ("", "a", "b", "c", "C", "B", "A")
+
+
 @pytest.mark.parametrize("word, images, budget, expected", BUDGET_CASES)
 def test_kernel_budget(compiled_kernel, word, images, budget, expected):
+    text = expected  # format_image's outcome
     if isinstance(expected, tuple) and expected[:1] != (OVER,):
+        text = (str, " ".join(BUDGET_NAMES[c] for c in expected))
         expected = (tuple, expected, [int] * len(expected))
     for kernel in (py, compiled_kernel):
         assert budget_outcome(kernel, word, images, budget) == expected, kernel.BACKEND
+        assert image_outcome(kernel, word, images, BUDGET_NAMES, budget) == text, kernel.BACKEND
 
 
 budgets = st.one_of(
@@ -1039,16 +1217,21 @@ def plain(value):
     return type(value) in (int, bool, float, str, type(None))
 
 
-# The substitute, format_letters and read_tokens rows of CONTRACT and the
-# rows of BUDGET_CASES that hold plain values, as (id, op, args, kwargs);
-# another interpreter reads them back with literal_eval.
+# The substitute, format_letters, format_image and read_tokens rows of
+# CONTRACT and the rows of BUDGET_CASES, through substitute and format_image,
+# that hold plain values, as (id, op, args, kwargs); another interpreter reads
+# them back with literal_eval.
 PLAIN_ROWS = [
-    (row.id, row.values[0], row.values[1], {}) for row in CONTRACT
-    if row.values[0] in ("substitute", "format_letters", "read_tokens")
-    and plain(row.values[1])
+    (row.id, row.values[0], *split_kwargs(row.values[1])) for row in CONTRACT
+    if row.values[0] in ("substitute", "format_letters", "format_image", "read_tokens")
+    and plain(split_kwargs(row.values[1]))
 ] + [
     (row.id, "substitute", row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES
     if plain(row.values[:3])
+] + [
+    (f"{row.id}-format_image", "format_image", (*row.values[:2], BUDGET_NAMES),
+     {"budget": row.values[2]})
+    for row in BUDGET_CASES if plain(row.values[:3])
 ]
 
 
@@ -1155,6 +1338,8 @@ CLI_RUNS = {
                        "--on", LONG_TARGET],
     "act-one-letter-image": ["act", "twist-word", "a1 b2", "--genus", "2", "--on", "x1"],
     "act-identity-image": ["act", "twist-word", "a1", "--genus", "2", "--on", "1"],
+    "act-cancelling-word": ["act", "braid-psi", "b1 b2^-1", "--genus", "3",
+                            "--on", "x1 y2 y2^-1 x3 x3^-1 x1^-1 y1 x2 x2^-1"],
     "act-spaced-long-word": ["act", "twist-word", "a1 b2 w1^-1 a3", "--genus", "3",
                              "--on", SPACED_TARGET],
     "braid-trivial-long-word": ["braid-trivial", "--strands", "4", LONG_BRAID],
@@ -1178,6 +1363,23 @@ def test_cli_output_is_kernel_independent(run_cli, name, argv):
         assert len(LONG_BRAID.split()) == 2000 and compiled.returncode == 0
 
 
+# An act request that --budget refuses: a1 moves 5 letters of xy(2), within
+# the budget, but the image of the word needs 30. It exits 2 with the
+# ImageBudgetError's message on stderr.
+ACT_PAST_BUDGET = ["act", "twist-word", "a1", "--genus", "2",
+                   "--on", " ".join(["x1 y1"] * 10), "--budget", "10"]
+
+
+def test_cli_refusal_is_kernel_independent(run_cli):
+    pure = run_cli("py", ACT_PAST_BUDGET)
+    compiled = run_cli("c", ACT_PAST_BUDGET)
+    assert (compiled.returncode, compiled.stdout, compiled.stderr) == (
+        pure.returncode, pure.stdout, pure.stderr
+    )
+    assert pure.returncode == 2 and pure.stdout == ""
+    assert pure.stderr == "error: image of size 30 exceeds the letter budget 10\n"
+
+
 # sha256 of json.dumps(payload["results"], sort_keys=True) of
 # `verify --all --genus 2..8 --json --seed 0`. The results name no kernel, so
 # both kernels must give these bytes.
@@ -1193,8 +1395,9 @@ def test_verify_all_results_are_pinned(run_cli, backend):
     assert digest == VERIFY_ALL_RESULTS
 
 
-# Requests of every kind, a parse error and a usage error among them, sent
-# through one process the way the benchmark and the tests send them.
+# Requests of every kind, a parse error, usage errors and a budget refusal
+# among them, sent through one process the way the benchmark and the tests
+# send them.
 MIXED_REQUESTS = [
     CLI_RUNS["act"],
     ["export", "sigma", "1", "--genus", "2", "--json"],
@@ -1204,13 +1407,14 @@ MIXED_REQUESTS = [
     ["verify", "--genus", "5..2", "--which", "thm22"],
     ["verify", "--genus", "2", "--which", "thm22", "--jobs", "0"],
     ["export", "sigma", "1", "--genus", "2", "--json"],
+    ACT_PAST_BUDGET,
 ]
 
 
 @pytest.mark.parametrize("backend", ["py", "c"])
 def test_one_process_matches_fresh_processes(run_cli, run_cli_many, backend):
     results = run_cli_many(backend, MIXED_REQUESTS)
-    assert [code for code, _, _ in results] == [0, 0, 0, 1, 0, 2, 2, 0]
+    assert [code for code, _, _ in results] == [0, 0, 0, 1, 0, 2, 2, 0, 2]
     for argv, (code, out, err) in zip(MIXED_REQUESTS, results):
         fresh = run_cli(backend, argv)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

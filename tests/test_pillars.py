@@ -7,6 +7,8 @@ from mcgcalc import (
     BasisKind,
     BasisMismatchError,
     FreeEndomorphism,
+    TwistKind,
+    TwistSymbol,
     Word,
     WordSyntaxError,
     commutator,
@@ -24,6 +26,7 @@ from mcgcalc import (
     verify_relator_invariance,
     verify_theorem_2_2,
     word_with_z,
+    z_loop,
 )
 from mcgcalc.reports import CheckCase, case_from_endos
 from mcgcalc.twists import _all_twist_symbols
@@ -110,6 +113,27 @@ def test_cached_maps_refuse_a_genus_or_index_that_only_equals_an_int(fn, args, k
     with pytest.raises(ValueError) as excinfo:
         fn(*bad_args)
     assert str(excinfo.value) == f"{label} must be an int, got {bad!r}"
+    assert fn.cache_info().currsize == cached
+
+
+# A keyword call is bound to its positions before the cache is read, so it
+# returns the map the positional call cached and stores nothing new.
+@pytest.mark.parametrize(
+    "fn, args, kwargs",
+    [
+        (pillar_switching_action, (0, 2), {"i": 0, "genus": 2}),
+        (pillar_switching_action, (1, 3), {"genus": 3}),
+        (dehn_twist_action, (TwistSymbol(TwistKind.W, 1), 2),
+         {"sym": TwistSymbol(TwistKind.W, 1), "genus": 2}),
+        (z_loop, (1, 3), {"genus": 3, "i": 1}),
+    ],
+    ids=["switching", "switching-genus-by-keyword", "twist", "z-loop"],
+)
+def test_cached_maps_key_a_keyword_call_as_the_positional_one(fn, args, kwargs):
+    first = fn(*args)
+    cached = fn.cache_info().currsize
+    positional = args[: len(args) - len(kwargs)]
+    assert fn(*positional, **kwargs) is first
     assert fn.cache_info().currsize == cached
 
 
