@@ -166,9 +166,76 @@ class _UsageError(Exception):
     pass
 
 
-# Built on the first request and shared by the later ones: parse_args fills a
-# fresh Namespace each call, the one append action (--which) has no mutable
-# default, and errors and help read stderr and the terminal width when printed.
+def _declare_verify(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", type=_parse_genus_range, required=True, metavar="G[..H]")
+    p.add_argument(
+        "--which",
+        action="append",
+        metavar="CHECKS",
+        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}",
+    )
+    p.add_argument("--all", action="store_true", help="run every check")
+    p.add_argument("--json", action="store_true")
+    p.add_argument(
+        "--jobs", type=int, default=1, metavar="N", help="ignored: checks run serially"
+    )
+    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _declare_mapping_class(p: argparse.ArgumentParser) -> None:
+    p.add_argument("object", choices=("twist-word", "sigma", "braid-psi"))
+    p.add_argument("spec", help="twist word, sigma index, or braid word")
+    p.add_argument("--genus", type=int, required=True)
+
+
+def _declare_act(p: argparse.ArgumentParser) -> None:
+    _declare_mapping_class(p)
+    p.add_argument("--on", required=True, metavar="WORD")
+    p.set_defaults(func=_cmd_act)
+
+
+def _declare_export(p: argparse.ArgumentParser) -> None:
+    _declare_mapping_class(p)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_export)
+
+
+def _declare_braid_trivial(p: argparse.ArgumentParser) -> None:
+    p.add_argument("word")
+    p.add_argument("--strands", type=int, required=True)
+    p.set_defaults(func=_cmd_braid_trivial)
+
+
+# Each command by name, in the order the top-level help lists them: its help
+# line there and the function that declares its arguments.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "verify": ("run certification checks", _declare_verify),
+    "act": ("apply a mapping class to a word", _declare_act),
+    "export": ("print a mapping class's images", _declare_export),
+    "braid-trivial": ("decide the braid word problem", _declare_braid_trivial),
+}
+
+
+def _declare_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Declare the arguments of command ``name`` on ``p``, its own parser or
+    its entry under the top-level one; returns ``p``."""
+    _COMMANDS[name][1](p)
+    p.add_argument("--budget", type=int, default=DEFAULT_IMAGE_BUDGET, metavar="N")
+    # Usage errors found after parsing print this command's usage.
+    p.set_defaults(subparser=p)
+    return p
+
+
+# Both parsers are built on the first request that needs them and shared by
+# the later ones: parse_args fills a fresh Namespace each call, the one append
+# action (--which) has no mutable default, and errors and help read stderr and
+# the terminal width when printed.
+@lru_cache(maxsize=None)
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    return _declare_command(argparse.ArgumentParser(prog=f"mcgcalc {name}"), name)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -179,57 +246,41 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run certification checks")
-    p_verify.add_argument(
-        "--genus", type=_parse_genus_range, required=True, metavar="G[..H]"
-    )
-    p_verify.add_argument(
-        "--which",
-        action="append",
-        metavar="CHECKS",
-        help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}",
-    )
-    p_verify.add_argument("--all", action="store_true", help="run every check")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="ignored: checks run serially"
-    )
-    p_verify.add_argument("--seed", type=int, default=0, metavar="N")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_act = sub.add_parser("act", help="apply a mapping class to a word")
-    p_export = sub.add_parser("export", help="print a mapping class's images")
-    for p in (p_act, p_export):
-        p.add_argument("object", choices=("twist-word", "sigma", "braid-psi"))
-        p.add_argument("spec", help="twist word, sigma index, or braid word")
-        p.add_argument("--genus", type=int, required=True)
-    p_act.add_argument("--on", required=True, metavar="WORD")
-    p_act.set_defaults(func=_cmd_act)
-    p_export.add_argument("--json", action="store_true")
-    p_export.set_defaults(func=_cmd_export)
-
-    p_braid = sub.add_parser("braid-trivial", help="decide the braid word problem")
-    p_braid.add_argument("word")
-    p_braid.add_argument("--strands", type=int, required=True)
-    p_braid.set_defaults(func=_cmd_braid_trivial)
-
-    for p in (p_verify, p_act, p_export, p_braid):
-        p.add_argument("--budget", type=int, default=DEFAULT_IMAGE_BUDGET, metavar="N")
-        # Usage errors found after parsing print this subcommand's usage.
-        p.set_defaults(subparser=p)
+    for name, (help_text, _) in _COMMANDS.items():
+        _declare_command(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_request(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """The arguments of one request, as the top-level parser reads them.
+
+    A request that starts with a command's name goes to that command's own
+    parser, with the ``parse_known_args`` call that argparse's subparsers
+    action makes; the namespace lacks only ``command``. Any other request,
+    and one that leaves arguments over, goes to the top-level parser, which
+    prints the help and errors that belong to it.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one CLI request; returns its exit status.
 
     It can be called many times in one process, as the tests and the
-    benchmark do. The parser is built on the first call and reused; nothing
-    else is kept between calls, and ``--budget`` applies to its own call
-    only. Usage errors raise ``SystemExit(2)``.
+    benchmark do. A request is parsed by its command's own parser, built on
+    the first request of that command and reused; help, a missing or
+    unknown command and leftover arguments go to the top-level parser,
+    built on first use too. Nothing else is kept between calls, and
+    ``--budget`` applies to its own call only. Usage errors raise
+    ``SystemExit(2)``.
     """
-    args = _build_parser().parse_args(argv)
+    args = _parse_request(argv)
     subparser = args.subparser
     if getattr(args, "jobs", 1) < 1:
         subparser.error("--jobs must be >= 1")

@@ -129,6 +129,19 @@ def python_includes(candidates):
     return None, "; ".join(reasons)
 
 
+def python_interpreter(candidates):
+    """The first interpreter beside a ``python3.X-config`` candidate that
+    starts, or None."""
+    for script in dict.fromkeys(candidates):
+        interpreter = script.removesuffix("-config")
+        if not os.access(interpreter, os.X_OK):
+            continue
+        proc = subprocess.run([interpreter, "-c", ""], capture_output=True, timeout=60)
+        if proc.returncode == 0:
+            return interpreter
+    return None
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The compiled kernel: the in-place build, else one compiled once per test run."""

@@ -1,6 +1,16 @@
+import ast
+import inspect
+import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+
+from conftest import SRC, python_interpreter
+from test_kernel_parity import FUZZ_ARGVS, OTHER_PYTHONS
 
 from mcgcalc import (
     Basis,
@@ -11,7 +21,7 @@ from mcgcalc import (
     pillar_switching_inverse,
     product,
 )
-from mcgcalc.cli import _build_parser, main
+from mcgcalc.cli import _build_parser, _command_parser, _parse_request, main
 
 
 def run(capsys, *argv):
@@ -338,14 +348,39 @@ def test_usage_error_prints_the_subcommand_usage(capsys, monkeypatch, argv, usag
 # --- many requests in one process ---------------------------------------------------
 
 
+# Prints the exit code of a well-formed braid-trivial request, then how many
+# top-level and command parsers it built, and that count again after asking
+# for braid-trivial's parser: one more build would mean it built another's.
+FRESH_REQUEST = """\
+from mcgcalc.cli import _build_parser, _command_parser, main
+code = main(["braid-trivial", "b1", "--strands", "3"])
+built = _command_parser.cache_info().misses
+_command_parser("braid-trivial")
+print(code, _build_parser.cache_info().misses, built, _command_parser.cache_info().misses)
+"""
+
+
 def test_parser_is_built_once_per_process(capsys):
-    for argv in (
+    for argv in [
+        ["verify", "--genus", "2", "--which", "relator"],
         ["braid-trivial", "b1", "--strands", "3"],
         ["act", "sigma", "0", "--genus", "2", "--on", "y1"],
         ["export", "sigma", "1", "--genus", "2"],
-    ):
+    ] * 2:
         main(argv)
-    assert _build_parser.cache_info().misses == 1
+    info = _command_parser.cache_info()
+    assert info.currsize == 4 and info.misses == info.currsize
+    assert _build_parser.cache_info().misses <= 1
+    # a well-formed request builds its command's parser and not the top-level one
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_REQUEST],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, MCGCALC_KERNEL="py", PYTHONPATH=os.pathsep.join(path)),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "nontrivial\n1 0 1 1\n", "")
 
 
 def test_repeated_requests_are_independent(capsys):
@@ -374,3 +409,164 @@ def test_help_is_the_same_on_every_call(capsys):
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1]
     assert texts[0].startswith("usage: mcgcalc verify [-h]")
+
+
+# --- the top-level parser --------------------------------------------------------------
+
+TOP_USAGE = "usage: mcgcalc [-h] {verify,act,export,braid-trivial} ..."
+TOP_HELP = (
+    f"{TOP_USAGE}\n"
+    "\n"
+    "Pillar switchings, Dehn-twist factorizations and the Artin representation,"
+    " verified as exact free-group identities.\n"
+    "\n"
+    "positional arguments:\n"
+    "  {verify,act,export,braid-trivial}\n"
+    "    verify              run certification checks\n"
+    "    act                 apply a mapping class to a word\n"
+    "    export              print a mapping class's images\n"
+    "    braid-trivial       decide the braid word problem\n"
+    "\n"
+    "options:\n"
+    "  -h, --help            show this help message and exit\n"
+)
+
+
+def top_level_error(message):
+    return f"{TOP_USAGE}\nmcgcalc: error: {message}\n"
+
+
+def unknown_command(token):
+    """The error for an unknown command ``token`` in both of argparse's
+    wordings: CPython 3.11.7 quotes the choices, 3.13.13 lists them bare."""
+    return tuple(
+        top_level_error(f"argument command: invalid choice: {token!r} (choose from {choices})")
+        for choices in (
+            "'verify', 'act', 'export', 'braid-trivial'",
+            "verify, act, export, braid-trivial",
+        )
+    )
+
+
+BRAID_B1 = ["braid-trivial", "b1", "--strands", "3"]
+# argv, exit code, stdout, and the stderr texts accepted
+TOP_LEVEL = {
+    "no-arguments": (
+        [], 2, "", (top_level_error("the following arguments are required: command"),)
+    ),
+    "-h": (["-h"], 0, TOP_HELP, ("",)),
+    "--help": (["--help"], 0, TOP_HELP, ("",)),
+    "unknown-command": (["nope"], 2, "", unknown_command("nope")),
+    "option-before-command": (["--budget", "3", *BRAID_B1], 2, "", unknown_command("3")),
+    "unknown-option-after-command": (
+        [*BRAID_B1, "--bogus"], 2, "", (top_level_error("unrecognized arguments: --bogus"),)
+    ),
+    "second-positional": (
+        ["braid-trivial", "b1", "b2", "--strands", "3"],
+        2,
+        "",
+        (top_level_error("unrecognized arguments: b2"),),
+    ),
+    "double-dash-before-positional": (
+        ["braid-trivial", "--strands", "3", "--", "b1"], 1, "nontrivial\n", ("",)
+    ),
+    "abbreviated-option": (["braid-trivial", "b1", "--str", "3"], 1, "nontrivial\n", ("",)),
+    "option-with-equals": (["braid-trivial", "b1", "--strands=3"], 1, "nontrivial\n", ("",)),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, errs", TOP_LEVEL.values(), ids=TOP_LEVEL.keys()
+)
+def test_top_level_requests_print_what_they_printed(capsys, monkeypatch, argv, code, out, errs):
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, whatever the terminal
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out) == (code, out)
+    assert captured.err in errs
+
+
+def parse_outcomes(argv):
+    """What ``_parse_request(argv)`` and the top-level parser's
+    ``parse_args(argv)`` give, each as plain values with what it printed:
+    the namespace's items but ``command``, with the subparser by its prog and
+    the command function by its name, or the code of the SystemExit raised."""
+    outcomes = []
+    for parse in (_parse_request, _build_parser().parse_args):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                args = parse(argv)
+            except SystemExit as exc:
+                result = exc.code
+            else:
+                items = dict(vars(args), subparser=args.subparser.prog, func=args.func.__name__)
+                items.pop("command", None)
+                result = repr(sorted(items.items()))
+        outcomes.append((result, out.getvalue(), err.getvalue()))
+    return tuple(outcomes)
+
+
+# The generated requests of the kernel parity sweep, the top-level cases
+# above, and help and errors of one command.
+PARSE_ARGVS = FUZZ_ARGVS + [argv for argv, *_ in TOP_LEVEL.values()] + [
+    ["verify", "-h"],
+    ["act", "--help"],
+    ["export", "-h"],
+    ["braid-trivial", "-h"],
+    ["verify"],
+    ["export", "sigma"],
+    ["braid-trivial", "b1", "--strands", "3", "-h"],
+    ["--", "braid-trivial", "b1", "--strands", "3"],
+    ["braid-trivial", "--", "-b1", "--strands", "3"],
+    ["verify", "--genus", "2", "--which", "thm22", "--which", "relator", "--jobs", "-1"],
+]
+
+
+def test_each_command_parses_as_under_the_top_level_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    outcomes = [parse_outcomes(argv) for argv in PARSE_ARGVS]
+    for argv, (dispatched, full) in zip(PARSE_ARGVS, outcomes):
+        assert dispatched == full, argv
+    # the sweep reaches namespaces, usage errors and help alike
+    assert {type(result) for (result, _, _), _ in outcomes} == {str, int}
+    assert {result for (result, _, _), _ in outcomes if type(result) is int} == {0, 2}
+
+
+# Prints the parse outcomes of every argv read from stdin.
+PARSE_IN_ANOTHER_PYTHON = f"""\
+import ast, io, sys
+from contextlib import redirect_stderr, redirect_stdout
+from mcgcalc.cli import _build_parser, _parse_request
+{inspect.getsource(parse_outcomes)}
+print(repr([parse_outcomes(argv) for argv in ast.literal_eval(sys.stdin.read())]))
+"""
+
+
+# The dispatch repeats what argparse's subparsers action does, and that code
+# differs between CPython versions.
+@pytest.mark.parametrize(
+    "version", sorted(OTHER_PYTHONS, key=lambda v: int(v.split(".")[1])) or [None]
+)
+def test_each_command_parses_as_under_the_top_level_parser_in_other_pythons(version):
+    if version is None:
+        pytest.skip("no python3.X-config for another CPython 3.10+ on PATH")
+    interpreter = python_interpreter(OTHER_PYTHONS[version])
+    if interpreter is None:
+        pytest.skip(f"no interpreter for CPython {version} starts")
+    proc = subprocess.run(
+        [interpreter, "-c", PARSE_IN_ANOTHER_PYTHON],
+        input=repr(PARSE_ARGVS),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, MCGCALC_KERNEL="py", PYTHONPATH=str(SRC), COLUMNS="200"),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcomes = ast.literal_eval(proc.stdout)
+    assert len(outcomes) == len(PARSE_ARGVS)
+    for argv, (dispatched, full) in zip(PARSE_ARGVS, outcomes):
+        assert dispatched == full, argv
