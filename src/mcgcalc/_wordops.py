@@ -26,7 +26,6 @@ reduce_letters = _impl.reduce_letters
 concat_reduced = _impl.concat_reduced
 substitute = _impl.substitute
 draw_letters = _impl.draw_letters
-format_letters = _impl.format_letters
 read_tokens = _impl.read_tokens
 format_image = _impl.format_image
 

@@ -1,24 +1,21 @@
 /* Compiled word kernel.
  *
- * Twin of ``_wordops_py``: the same seven functions with the same results,
+ * Twin of ``_wordops_py``: the same six functions with the same results,
  * with the reduction stack held in a C array. Letters are nonzero signed
  * integers; a letter and its negative cancel. Three ops reduce, join and
  * substitute words; ``draw_letters`` calls a uniform source, such as a
  * bound ``Random.random``, and turns its draws into the letters of a
- * random reduced word; ``format_letters`` writes the names of a word's
- * letters into one new string, sized by a first pass over the letters;
- * ``format_image`` writes the names of the letters of a word's image, as
- * ``format_letters(substitute(...), names)`` does, straight from the
- * reduction stack, so the image is never boxed into a tuple;
- * ``read_tokens`` reads word text: it splits the text at the whitespace
- * of ``str.split()`` and looks every token up in a table. ASCII text is
- * scanned in place, and each distinct token is looked up once, through a
- * memo keyed by the token's bytes, so a str is made only for a token not
- * seen before in that call; other text is split by ``PyUnicode_Split``.
- * There is one substitution routine, ``reduce_images``, which
- * ``substitute`` and ``format_image`` share, and one name writer,
- * ``write_names``, which ``format_letters`` and ``format_image`` share:
- * it reads letters as objects or as C longs.
+ * random reduced word; ``format_image`` writes the names of the letters of
+ * a word's image straight from the reduction stack into one new string,
+ * sized by a first pass over the letters, so the image is never boxed into
+ * a tuple; ``read_tokens`` reads word text: it splits the text at the
+ * whitespace of ``str.split()`` and looks every token up in a table. ASCII
+ * text is scanned in place, and each distinct token is looked up once,
+ * through a memo keyed by the token's bytes, so a str is made only for a
+ * token not seen before in that call; other text is split by
+ * ``PyUnicode_Split``. There is one substitution routine,
+ * ``reduce_images``, which ``substitute`` and ``format_image`` share, and
+ * one name writer, ``write_names``, which reads the stack's C longs.
  *
  * ``substitute`` and ``format_image`` also check a letter budget, given by
  * keyword only: a first pass sums the lengths of the images the word uses
@@ -28,16 +25,14 @@
  *
  * Invalid input raises the pure kernel's exception type. Letters are read
  * as C longs in [-LONG_MAX, LONG_MAX], so negating one is always defined;
- * one outside that range raises OverflowError; ``format_letters`` reads a
- * letter as a tuple index instead, so one outside the tuple raises
- * IndexError. Only ints and strs are read inside the word loops of the
- * five word ops, so no Python code runs there and borrowed items stay
- * valid. ``read_tokens`` is the one op that calls ``__getitem__``: the
- * table's, once per distinct token (every token, for text that is not
- * ASCII), and that may run Python code. So its memo holds owned
- * references to the values, lives only for the call (no module state) and
- * keys on bytes of the text, which is immutable, and the result tuple
- * holds only values it owns. ``draw_letters`` runs Python code once per
+ * one outside that range raises OverflowError. Only ints and strs are read
+ * inside the word loops of the four word ops, so no Python code runs there
+ * and borrowed items stay valid. ``read_tokens`` is the one op that calls
+ * ``__getitem__``: the table's, once per distinct token (every token, for
+ * text that is not ASCII), and that may run Python code. So its memo
+ * holds owned references to the values, lives only for the call (no module
+ * state) and keys on bytes of the text, which is immutable, and the result
+ * tuple holds only values it owns. ``draw_letters`` runs Python code once per
  * letter: its loop calls ``random`` with ``PyObject_CallNoArgs``. It
  * copies the letters into a C array before the first call and keeps the
  * drawn letters in a C array until the last, so that call sees none of
@@ -628,37 +623,16 @@ fail:
     return NULL;
 }
 
-PyDoc_STRVAR(format_letters_doc,
-"format_letters(letters, names, /)\n--\n\n"
-"The names of ``letters``, one space apart: ``\" \".join(names[c] for c in letters)``.\n\n"
-"``names`` is a tuple of str indexed by the letter itself, so a negative\n"
-"letter counts from its end; no letters give \"\". A first pass reads every\n"
-"letter and sums the lengths of the names it picks, raising at the first\n"
-"letter that is no int (TypeError) or picks no name (IndexError), and only\n"
-"then, as the join does, at a name that is no str (TypeError). A second\n"
-"pass copies the names into the one new string.");
-
-/* The index in a tuple of ``n`` names that the i-th letter picks, read
- * from ``codes``, objects, when that is given, else from ``letters``, C
- * longs; -1 with an exception set for a letter that is no int or picks no
- * name. */
+/* The index in a tuple of ``n`` names that the letter ``s`` picks; -1
+ * with IndexError set for a letter that picks no name. */
 static inline Py_ssize_t
-letter_name(PyObject *const *codes, const long *letters, Py_ssize_t i, Py_ssize_t n)
+letter_name(long s, Py_ssize_t n)
 {
-    Py_ssize_t k;
-    long s = 0;
-    int overflow = 0;
-
-    if (codes == NULL) {
-        s = letters[i];
-    }
-    else if (!fast_letter(codes[i], &s) && slow_letter(codes[i], &s, &overflow) < 0) {
-        return -1;
-    }
     /* A negative code counts from the end, as a tuple index does. Random
      * signs defeat a branch on the sign, so the index is found without one. */
-    k = (Py_ssize_t)s + (s < 0) * n;
-    if (overflow || (size_t)k >= (size_t)n) {
+    Py_ssize_t k = (Py_ssize_t)s + (s < 0) * n;
+
+    if ((size_t)k >= (size_t)n) {
         PyErr_SetString(PyExc_IndexError, "letter code has no name");
         return -1;
     }
@@ -675,17 +649,6 @@ typedef struct {
     char text[8];
     int short_name;
 } NameSlot;
-
-/* Returns -1 with TypeError set unless ``names`` is a tuple. */
-static int
-check_names(PyObject *names)
-{
-    if (!PyTuple_Check(names)) {
-        PyErr_SetString(PyExc_TypeError, "format_letters expects a tuple of names");
-        return -1;
-    }
-    return 0;
-}
 
 /* Fills the slot of a name the first pass meets for the first time, and
  * widens *maxchar to its characters; returns 1 for a name that is no str
@@ -735,12 +698,10 @@ copy_name(void *data, int kind, Py_ssize_t pos, Py_ssize_t size, PyObject *name,
     }
 }
 
-/* The name writer of ``format_letters`` and ``format_image``: the names
- * in the tuple ``names`` of ``n`` letters, one space apart, as one new
- * string. The letters are ``codes``, objects, when that is given, else
- * ``letters``, C longs. */
+/* The name writer of ``format_image``: the names in the tuple ``names``
+ * of the ``n`` letters at ``letters``, one space apart, as one new string. */
 static PyObject *
-write_names(PyObject *names, Py_ssize_t n, PyObject *const *codes, const long *letters)
+write_names(PyObject *names, const long *letters, Py_ssize_t n)
 {
     PyObject *bad = NULL, *out = NULL;
     NameSlot *slots = NULL, *slot;
@@ -759,7 +720,7 @@ write_names(PyObject *names, Py_ssize_t n, PyObject *const *codes, const long *l
      * saturates at PY_SSIZE_T_MAX (too long for PyUnicode_New), and the
      * widest kind of character it holds. */
     for (i = 0; i < n; i++) {
-        k = letter_name(codes, letters, i, count);
+        k = letter_name(letters[i], count);
         if (k < 0) {
             goto done;
         }
@@ -789,15 +750,11 @@ write_names(PyObject *names, Py_ssize_t n, PyObject *const *codes, const long *l
     one_byte = kind == PyUnicode_1BYTE_KIND;
     data = PyUnicode_DATA(out);
     size = PyUnicode_GET_LENGTH(out);
-    /* No Python code has run since the first pass, so every letter picks the
-     * name it picked there. An 8-byte store stays within the text (never on
-     * its closing NUL); later names overwrite its padding. */
+    /* Every letter picked a name in the first pass, and no Python code has
+     * run since. An 8-byte store stays within the text (never on its
+     * closing NUL); later names overwrite its padding. */
     for (i = 0; i < n; i++) {
-        k = letter_name(codes, letters, i, count);
-        if (k < 0) {
-            Py_CLEAR(out);
-            goto done;
-        }
+        k = letter_name(letters[i], count);
         slot = &slots[k];
         if ((slot->short_name & one_byte) && pos + 8 <= size) {
             memcpy(data + pos, slot->text, 8);
@@ -812,34 +769,19 @@ done:
     return out;
 }
 
-static PyObject *
-format_letters(PyObject *Py_UNUSED(module), PyObject *const *args,
-               Py_ssize_t nargs)
-{
-    PyObject *letters, *out;
-
-    if (check_nargs("format_letters", nargs, 2) < 0 || check_names(args[1]) < 0) {
-        return NULL;
-    }
-    letters = PySequence_Fast(args[0], "format_letters expects an iterable of letters");
-    if (letters == NULL) {
-        return NULL;
-    }
-    out = write_names(args[1], PySequence_Fast_GET_SIZE(letters),
-                      PySequence_Fast_ITEMS(letters), NULL);
-    Py_DECREF(letters);
-    return out;
-}
-
 PyDoc_STRVAR(format_image_doc,
 "format_image(word, images, names, /, *, budget=None)\n--\n\n"
-"The text of the image of ``word``:\n"
-"``format_letters(substitute(word, images, budget=budget), names)``.\n\n"
+"The text of the image of ``word``, its letters' names one space apart:\n"
+"``\" \".join(names[c] for c in substitute(word, images, budget=budget))``.\n\n"
 "The images are reduced into the one stack, as ``substitute`` reduces\n"
-"them, and the names are written from that stack, as ``format_letters``\n"
-"writes them, so no tuple of the image's letters is made. It raises what\n"
-"that composition raises: first the budget and substitution faults,\n"
-"then the name faults.");
+"them, so no tuple of the image's letters is made. ``names`` is a tuple\n"
+"of str indexed by the letter itself, so a negative letter counts from\n"
+"its end; an empty image gives \"\". It raises the budget and substitution\n"
+"faults first, then TypeError for names that are no tuple. A first pass\n"
+"over the image sums the lengths of the names its letters pick, raising\n"
+"at the first letter that picks no name (IndexError), and only then, as\n"
+"the join does, at a name that is no str (TypeError). A second pass\n"
+"copies the names into the one new string.");
 
 static PyObject *
 format_image(PyObject *Py_UNUSED(module), PyObject *const *args,
@@ -852,8 +794,11 @@ format_image(PyObject *Py_UNUSED(module), PyObject *const *args,
         || reduce_images(&st, args[0], args[1], budget) < 0) {
         return NULL;
     }
-    if (check_names(args[2]) == 0) {
-        out = write_names(args[2], st.top, NULL, st.items);
+    if (!PyTuple_Check(args[2])) {
+        PyErr_SetString(PyExc_TypeError, "format_image expects a tuple of names");
+    }
+    else {
+        out = write_names(args[2], st.items, st.top);
     }
     PyMem_Free(st.items);
     return out;
@@ -1098,8 +1043,6 @@ static PyMethodDef methods[] = {
      METH_FASTCALL | METH_KEYWORDS, substitute_doc},
     {"draw_letters", (PyCFunction)(void (*)(void))draw_letters, METH_FASTCALL,
      draw_letters_doc},
-    {"format_letters", (PyCFunction)(void (*)(void))format_letters, METH_FASTCALL,
-     format_letters_doc},
     {"read_tokens", (PyCFunction)(void (*)(void))read_tokens, METH_FASTCALL,
      read_tokens_doc},
     {"format_image", (PyCFunction)(void (*)(void))format_image,

@@ -1,20 +1,18 @@
 """Pure-Python word kernel.
 
-Twin of the compiled kernel in ``_wordops_c.c``: same seven functions,
+Twin of the compiled kernel in ``_wordops_c.c``: same six functions,
 same results, used when the extension is not built or when
 ``MCGCALC_KERNEL=py`` asks for it. Three ops reduce, join and substitute
 words, ``substitute`` within a letter budget given by keyword;
 ``draw_letters`` calls a uniform source, such as a bound
 ``Random.random``, once per letter, in the compiled kernel's order, and
 turns its draws into the letters of a random reduced word;
-``format_letters`` writes the names of a word's letters, ``format_image``
-the names of the letters of a word's image (the composition of
-``substitute`` and ``format_letters``), and ``read_tokens`` reads the
-values of the tokens of word text. Letters are nonzero signed integers; a
-letter and its negative cancel. Every letter the compiled kernel reads as
-a C long is read here too, in [-LONG_MAX, LONG_MAX], and results hold
-plain ints; ``concat_reduced`` joins its arguments' own letters in both.
-``format_letters`` reads a letter as a tuple index in both.
+``format_image`` writes the names of the letters of a word's image, and
+``read_tokens`` reads the values of the tokens of word text. Letters are
+nonzero signed integers; a letter and its negative cancel. Every letter
+the compiled kernel reads as a C long is read here too, in [-LONG_MAX,
+LONG_MAX], and results hold plain ints; ``concat_reduced`` joins its
+arguments' own letters in both.
 """
 
 import struct
@@ -226,47 +224,22 @@ def draw_letters(random, length, letters):
     return tuple(out)
 
 
-def _join_names(letters, names):
-    """The names of ``letters``, a tuple of ints, one space apart."""
-    # an itemgetter of one key returns the bare name, and of none is refused
-    picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
-    return " ".join(picked)
-
-
-def format_letters(letters, names, /):
-    """The names of ``letters``, one space apart: ``" ".join(names[c] for c in letters)``.
+def format_image(word, images, names, /, *, budget=None):
+    """The text of the image of ``word``, its letters' names one space apart:
+    ``" ".join(names[c] for c in substitute(word, images, budget=budget))``.
 
     ``names`` is a tuple of str indexed by the letter itself, so a negative
-    letter counts from its end; no letters give "". Every letter is read
-    before the join sees a name: the first letter that is no int raises
-    TypeError, the first that picks no name IndexError, and only then a
-    name that is no str TypeError. A letter is an int, as the compiled
-    kernel reads it: an object with ``__index__`` that is no int is
-    refused, and a bool is read as 0 or 1.
-    """
-    if not isinstance(names, tuple):
-        raise TypeError("format_letters expects a tuple of names")
-    letters = tuple(letters)
-    if not all(map(isinstance, letters, repeat(int))):
-        for c in letters:
-            if not isinstance(c, int):
-                raise TypeError(f"letters are ints, not {type(c).__name__}")
-            names[c]  # IndexError for a letter that picks no name, before a later non-int
-    return _join_names(letters, names)
-
-
-def format_image(word, images, names, /, *, budget=None):
-    """The text of the image of ``word``:
-    ``format_letters(substitute(word, images, budget=budget), names)``.
-
-    It raises what that composition raises, in its order: first the budget
-    and substitution faults, then the name faults. ``substitute`` gives
-    plain ints, so they are joined without ``format_letters``' letter check.
+    letter counts from its end; an empty image gives "". It raises the
+    budget and substitution faults first, then TypeError for names that
+    are no tuple, then IndexError at the first letter that picks no name,
+    and only then, as the join does, TypeError at a name that is no str.
     """
     letters = substitute(word, images, budget=budget)
     if not isinstance(names, tuple):
-        raise TypeError("format_letters expects a tuple of names")
-    return _join_names(letters, names)
+        raise TypeError("format_image expects a tuple of names")
+    # an itemgetter of one key returns the bare name, and of none is refused
+    picked = itemgetter(*letters)(names) if len(letters) > 1 else [names[c] for c in letters]
+    return " ".join(picked)
 
 
 def read_tokens(text, table, /):

@@ -21,7 +21,8 @@ Each map computes the rows it moves and its letter total once, the first
 time ``product`` reads them, so a step costs what its factor moves. A
 product of one factor is that factor. ``image_text`` prints the image of
 a word with one call of the kernel's ``format_image``, which substitutes
-and writes the names without building the image word.
+and writes the names without building the image word; ``format_word``
+prints a word with the same op, through a one-row table.
 """
 
 from __future__ import annotations

@@ -429,16 +429,14 @@ def parse_word(text: str, basis: Basis) -> Word:
 def format_word(w: Word) -> str:
     """Render a word in the text grammar; the identity renders as ``1``.
 
-    Every other word is one call of the kernel's ``format_letters`` on its
-    letters and the basis's name tuple, which writes the names one space
-    apart. ``export``, reports and ``repr`` print through here; ``act``
-    prints with ``FreeEndomorphism.image_text``, whose one call of the
-    kernel's ``format_image`` gives this text for the image without
-    building it.
+    The text is one call of the kernel's ``format_image``, its one name
+    writer: the word is the image of the one-letter word ``(1,)`` under the
+    one-row table ``((), w.data)``, so each letter is read once, and the
+    basis's name tuple gives the names, one space apart. ``export``,
+    reports and ``repr`` print through here; ``act`` prints with
+    ``FreeEndomorphism.image_text``, the same call on its map's table.
     """
-    if not w.data:
-        return "1"
-    return _wordops.format_letters(w.data, w.basis._names)
+    return _wordops.format_image((1,), ((), w.data), w.basis._names) or "1"
 
 
 def random_word(basis: Basis, length: int, rng: Random) -> Word:

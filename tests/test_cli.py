@@ -133,6 +133,25 @@ def test_export_sigma_json(capsys):
     assert payload["images"]["y1"] == "y1 y2"
 
 
+def test_export_json_is_pinned(capsys):
+    code, out, _ = run(capsys, "export", "twist-word", "a1 b2^-1 w1", "--genus", "2", "--json")
+    assert code == 0
+    assert out == """\
+{
+  "basis": {
+    "genus_or_rank": 2,
+    "kind": "xy"
+  },
+  "images": {
+    "x1": "y2 y2 x2^-1 y2^-1 x1 y2 x2 y2^-1 y2^-1",
+    "x2": "x2 y2^-1",
+    "y1": "y1 x1^-1 x1^-1 y2 x2 y2^-1 y2^-1",
+    "y2": "y2 y2 x2^-1 y2^-1 x1 y2"
+  }
+}
+"""
+
+
 def test_export_twist_word_composed(capsys):
     code, out, _ = run(capsys, "export", "twist-word", "a1 b1", "--genus", "2", "--json")
     assert code == 0

@@ -96,6 +96,15 @@ def test_image_text_is_the_printed_image(w):
         assert f.image_text(w) == format_word(f.apply(w))
 
 
+def test_repr_is_pinned():
+    f = FreeEndomorphism.from_images(
+        Basis.abstract(3), {"al1": "al2 al3^-1 al2", "al2": "1", "al3": "al3^-1"}
+    )
+    assert repr(f) == (
+        "FreeEndomorphism(abstract(3): al1 -> al2 al3^-1 al2, al2 -> 1, al3 -> al3^-1)"
+    )
+
+
 def test_image_text_of_the_identity_is_1():
     assert A1.image_text(Word.identity(XY2)) == "1"
     kills_x1 = FreeEndomorphism.from_images(XY2, {"x1": "1"}, fix_unlisted=True)

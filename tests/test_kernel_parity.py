@@ -238,36 +238,41 @@ name_tables = st.lists(
     as_tuple=st.booleans(),
 )
 def test_kernels_agree_on_names(compiled_kernel, letters, names, as_tuple):
+    # a word's own letters, written as format_word writes them: the image of
+    # the one-letter word (1,) under the one-row table ((), letters)
     if as_tuple:
         letters = tuple(letters)
-    assert outcome(compiled_kernel.format_letters, letters, names) == outcome(
-        py.format_letters, letters, names
+    assert outcome(compiled_kernel.format_image, (1,), ((), letters), names) == outcome(
+        py.format_image, (1,), ((), letters), names
     )
 
 
 def test_formatting_keeps_the_reference_count(compiled_kernel):
-    # Names made at run time, so only the tuple holds them: the kernel borrows
-    # the names and the tuple, on failure too.
+    # Names and rows made at run time, so only the test holds them: the
+    # kernel borrows the names, the tuple and the one-row table, on failure
+    # too. A negative letter counts from the end of the names.
     names = ("", *("".join(["x", str(k)]) for k in range(1, 4)), 7)
-    letters = (1, 2, -2)
+    letters = (2, 1, -2)
+    word = tuple([1])
+    row = ((), letters)
 
     def counts():
-        return [sys.getrefcount(obj) for obj in (names, letters, *names[1:4])]
+        return [sys.getrefcount(obj) for obj in (names, letters, word, row, *names[1:4])]
 
     baseline = counts()
-    texts = [compiled_kernel.format_letters(letters, names) for _ in range(10**4)]
-    assert set(texts) == {"x1 x2 x3"}
-    for bad, fault in (((1, 9), IndexError), ((1, -1), TypeError), ((1, "x1"), TypeError)):
+    texts = [compiled_kernel.format_image(word, row, names) for _ in range(10**4)]
+    assert set(texts) == {"x2 x1 x3"}
+    for bad, fault in (((1, 9), IndexError), ((2, -1), TypeError), ((1, "x1"), TypeError)):
         for _ in range(10**4):
             with pytest.raises(fault):
-                compiled_kernel.format_letters(bad, names)
+                compiled_kernel.format_image(word, ((), bad), names)
     del texts
     assert counts() == baseline
 
 
-# format_image is format_letters(substitute(...)) in one call: on any word,
-# table, names and budget, each kernel's op gives what the pure composition
-# gives, a budget error with its figures.
+# format_image writes the names of what substitute gives: on any word, table,
+# names and budget, each kernel's op gives what the pure composition gives, a
+# budget error with its figures.
 image_names = st.one_of(
     name_tables,
     st.lists(st.text(max_size=9), min_size=2 * RANK + 1, max_size=2 * RANK + 1).map(tuple),
@@ -277,10 +282,14 @@ image_names = st.one_of(
 
 def image_outcome(kernel, word, images, names, budget, composed=False):
     """The text ``format_image`` gives, or what it raises; with ``composed``,
-    that of ``format_letters(substitute(...))`` instead."""
+    that of ``" ".join(names[c] for c in substitute(...))`` for a tuple of
+    names instead."""
     try:
         if composed:
-            result = kernel.format_letters(kernel.substitute(word, images, budget=budget), names)
+            letters = kernel.substitute(word, images, budget=budget)
+            if not isinstance(names, tuple):
+                raise TypeError("names are a tuple")
+            result = " ".join(names[c] for c in letters)
         else:
             result = kernel.format_image(word, images, names, budget=budget)
     except ImageBudgetError as exc:
@@ -448,8 +457,8 @@ def test_kernels_expose_the_same_ops(compiled_kernel):
     ops = public_ops(py)
     assert ops == public_ops(compiled_kernel)
     assert ops == {
-        "reduce_letters", "concat_reduced", "substitute", "draw_letters", "format_letters",
-        "read_tokens", "format_image",
+        "reduce_letters", "concat_reduced", "substitute", "draw_letters", "read_tokens",
+        "format_image",
     }
     from mcgcalc import _wordops
 
@@ -785,87 +794,96 @@ CONTRACT += [
 ]
 
 
-# format_letters: a letter is an index into the name tuple, so a negative one
-# counts from its end; every letter is read before a name that is no str is
+# A word's own letters, written as format_word writes them: the image of the
+# one-letter word (1,) under the one-row table ((), letters). A negative
+# letter counts from the end of the names; every letter is read, as
+# substitute reads it, and every name picked before a name that is no str is
 # refused, as the join does. Names of up to 7 one-byte characters and longer
-# or wider ones are written on different paths of the compiled kernel.
+# or wider ones are written on different paths of the compiled kernel. The
+# rows keep the ids they had when an op of their own, format_letters, wrote
+# letters read as tuple indices; where it read a letter otherwise (a bool,
+# an int past a C long, an object with __index__ before a bad index), the
+# row now pins what substitute makes of it.
 NAMES = ("", "x1", "y1", "y1^-1", "x1^-1")
 WIDE = ("", "\xe9", "\u03c8", "\U0001d535", "abcdefg", "abcdefgh")
-CONTRACT += [
-    pytest.param("format_letters", ((), NAMES), "",
-                 id="format_letters-no-letters"),
-    pytest.param("format_letters", ((2,), NAMES), "y1",
-                 id="format_letters-one-letter"),
-    pytest.param("format_letters", ([1, -2, -1, 2],), TypeError,
-                 id="format_letters-one-argument"),
-    pytest.param("format_letters", ((1,), NAMES, 1), TypeError,
-                 id="format_letters-three-arguments"),
-    pytest.param("format_letters", ([1, -2, -1, 2], NAMES), "x1 y1^-1 x1^-1 y1",
-                 id="format_letters-negative-codes"),
-    pytest.param("format_letters", ((True, -True, 0), NAMES), "x1 x1^-1 ",
-                 id="format_letters-bool-reads-as-1"),
-    pytest.param("format_letters", ((Gen.B, Gen.A), NAMES), "y1 x1",
-                 id="format_letters-int-enum"),
-    pytest.param("format_letters", ((1, "x1"), NAMES), TypeError,
-                 id="format_letters-str-letter"),
-    pytest.param("format_letters", ((1.0,), NAMES), TypeError,
-                 id="format_letters-float-letter"),
-    pytest.param("format_letters", ((None, 9), NAMES), TypeError,
-                 id="format_letters-none-letter-before-range"),
-    pytest.param("format_letters", ((1, 5), NAMES), IndexError,
-                 id="format_letters-code-past-the-end"),
-    pytest.param("format_letters", ((-6,), NAMES), IndexError,
-                 id="format_letters-code-before-the-start"),
-    pytest.param("format_letters", ((1 << 80,), NAMES), IndexError,
-                 id="format_letters-code-past-ssize"),
-    pytest.param("format_letters", ((LONG_MIN,), NAMES), IndexError,
-                 id="format_letters-long-min"),
-    pytest.param("format_letters", ((1,), ()), IndexError,
-                 id="format_letters-no-names"),
-    pytest.param("format_letters", ((), ()), "",
-                 id="format_letters-no-letters-no-names"),
-    pytest.param("format_letters", ((1, 2), ("", "x1", 7)), TypeError,
-                 id="format_letters-int-name"),
-    pytest.param("format_letters", ((2, 1), ("", "x1", b"y1")), TypeError,
-                 id="format_letters-bytes-name"),
-    pytest.param("format_letters", ((2, 3), ("", "x1", 7)), IndexError,
-                 id="format_letters-bad-letter-before-bad-name"),
-    pytest.param("format_letters", ((1,), None), TypeError,
-                 id="format_letters-names-none"),
-    pytest.param("format_letters", ((), None), TypeError,
-                 id="format_letters-no-letters-names-none"),
-    pytest.param("format_letters", ((1,), list(NAMES)), TypeError,
-                 id="format_letters-names-list"),
-    pytest.param("format_letters", (5, NAMES), TypeError,
-                 id="format_letters-letters-not-iterable"),
-    pytest.param("format_letters", ((1, 2, 3, -1), WIDE),
-                 " ".join(["\xe9", "\u03c8", "\U0001d535", "abcdefgh"]),
-                 id="format_letters-non-ascii-names-as-str-join"),
-    pytest.param("format_letters", ((1, 4, 1), WIDE), " ".join(["\xe9", "abcdefg", "\xe9"]),
-                 id="format_letters-latin-1-names-as-str-join"),
-    pytest.param("format_letters", ((5, 4, 5, 4, 4), WIDE),
-                 " ".join(["abcdefgh", "abcdefg"] * 2 + ["abcdefg"]),
-                 id="format_letters-seven-and-eight-character-names"),
-]
+
+
+def one_row(letters, *rest):
+    """format_image's arguments that write the names of ``letters``."""
+    return ((1,), ((), letters), *rest)
 
 
 class Index:
-    """No int, but read as the tuple index 1; the kernels refuse it as a letter."""
+    """No int, though it has ``__index__``; the kernels refuse it as a letter."""
 
     def __index__(self):
         return 1
 
 
 CONTRACT += [
-    pytest.param("format_letters", ((True,), NAMES), "x1",
+    pytest.param("format_image", one_row((), NAMES), "",
+                 id="format_letters-no-letters"),
+    pytest.param("format_image", one_row((2,), NAMES), "y1",
+                 id="format_letters-one-letter"),
+    pytest.param("format_image", ((1,),), TypeError,
+                 id="format_letters-one-argument"),
+    pytest.param("format_image", one_row((1,), NAMES, 1), TypeError,
+                 id="format_letters-three-arguments"),
+    pytest.param("format_image", one_row([1, -2, -1, 2], NAMES), "x1 y1^-1 x1^-1 y1",
+                 id="format_letters-negative-codes"),
+    pytest.param("format_image", one_row((True, 2, -True, 0), NAMES), "x1 y1 x1^-1 ",
+                 id="format_letters-bool-reads-as-1"),
+    pytest.param("format_image", one_row((Gen.B, Gen.A), NAMES), "y1 x1",
+                 id="format_letters-int-enum"),
+    pytest.param("format_image", one_row((1, "x1"), NAMES), TypeError,
+                 id="format_letters-str-letter"),
+    pytest.param("format_image", one_row((1.0,), NAMES), TypeError,
+                 id="format_letters-float-letter"),
+    pytest.param("format_image", one_row((None, 9), NAMES), TypeError,
+                 id="format_letters-none-letter-before-range"),
+    pytest.param("format_image", one_row((1, 5), NAMES), IndexError,
+                 id="format_letters-code-past-the-end"),
+    pytest.param("format_image", one_row((-6,), NAMES), IndexError,
+                 id="format_letters-code-before-the-start"),
+    pytest.param("format_image", one_row((1 << 80,), NAMES), OverflowError,
+                 id="format_letters-code-past-ssize"),
+    pytest.param("format_image", one_row((LONG_MIN,), NAMES), OverflowError,
+                 id="format_letters-long-min"),
+    pytest.param("format_image", one_row((1,), ()), IndexError,
+                 id="format_letters-no-names"),
+    pytest.param("format_image", one_row((), ()), "",
+                 id="format_letters-no-letters-no-names"),
+    pytest.param("format_image", one_row((1, 2), ("", "x1", 7)), TypeError,
+                 id="format_letters-int-name"),
+    pytest.param("format_image", one_row((2, 1), ("", "x1", b"y1")), TypeError,
+                 id="format_letters-bytes-name"),
+    pytest.param("format_image", one_row((2, 3), ("", "x1", 7)), IndexError,
+                 id="format_letters-bad-letter-before-bad-name"),
+    pytest.param("format_image", one_row((1,), None), TypeError,
+                 id="format_letters-names-none"),
+    pytest.param("format_image", one_row((), None), TypeError,
+                 id="format_letters-no-letters-names-none"),
+    pytest.param("format_image", one_row((1,), list(NAMES)), TypeError,
+                 id="format_letters-names-list"),
+    pytest.param("format_image", one_row(5, NAMES), TypeError,
+                 id="format_letters-letters-not-iterable"),
+    pytest.param("format_image", one_row((1, 2, 3, -1), WIDE),
+                 " ".join(["\xe9", "\u03c8", "\U0001d535", "abcdefgh"]),
+                 id="format_letters-non-ascii-names-as-str-join"),
+    pytest.param("format_image", one_row((1, 4, 1), WIDE), " ".join(["\xe9", "abcdefg", "\xe9"]),
+                 id="format_letters-latin-1-names-as-str-join"),
+    pytest.param("format_image", one_row((5, 4, 5, 4, 4), WIDE),
+                 " ".join(["abcdefgh", "abcdefg"] * 2 + ["abcdefg"]),
+                 id="format_letters-seven-and-eight-character-names"),
+    pytest.param("format_image", one_row((True,), NAMES), "x1",
                  id="format_letters-true-letter"),
-    pytest.param("format_letters", ((Index(),), NAMES), TypeError,
+    pytest.param("format_image", one_row((Index(),), NAMES), TypeError,
                  id="format_letters-index-object"),
-    pytest.param("format_letters", ((Index(), 9), NAMES), TypeError,
+    pytest.param("format_image", one_row((Index(), 9), NAMES), TypeError,
                  id="format_letters-index-object-before-range"),
-    pytest.param("format_letters", ((9, Index()), NAMES), IndexError,
+    pytest.param("format_image", one_row((9, Index()), NAMES), TypeError,
                  id="format_letters-range-before-index-object"),
-    pytest.param("format_letters", ((slice(1, 2), 9), NAMES), TypeError,
+    pytest.param("format_image", one_row((slice(1, 2), 9), NAMES), TypeError,
                  id="format_letters-slice-letter-before-range"),
 ]
 
@@ -881,9 +899,9 @@ def split_kwargs(args):
     return args, {}
 
 
-# format_image: format_letters(substitute(word, images, budget=budget), names)
-# in one call, with that composition's faults in its order: the budget and
-# the substitution's faults first, then the names' faults.
+# format_image: " ".join(names[c] for c in substitute(word, images,
+# budget=budget)) in one call, with that composition's faults in its order:
+# the budget and the substitution's faults first, then the names' faults.
 IMAGES = [(), (1, 2), (-1,)]  # x1 -> x1 y1, y1 -> x1^-1
 CONTRACT += [
     pytest.param("format_image", ((), IMAGES, NAMES), "",
@@ -1217,13 +1235,13 @@ def plain(value):
     return type(value) in (int, bool, float, str, type(None))
 
 
-# The substitute, format_letters, format_image and read_tokens rows of
+# The substitute, format_image and read_tokens rows of
 # CONTRACT and the rows of BUDGET_CASES, through substitute and format_image,
 # that hold plain values, as (id, op, args, kwargs); another interpreter reads
 # them back with literal_eval.
 PLAIN_ROWS = [
     (row.id, row.values[0], *split_kwargs(row.values[1])) for row in CONTRACT
-    if row.values[0] in ("substitute", "format_letters", "format_image", "read_tokens")
+    if row.values[0] in ("substitute", "format_image", "read_tokens")
     and plain(split_kwargs(row.values[1]))
 ] + [
     (row.id, "substitute", row.values[:2], {"budget": row.values[2]}) for row in BUDGET_CASES

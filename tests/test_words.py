@@ -225,6 +225,24 @@ def test_parse_format_roundtrip(w):
     assert parse_word(format_word(w), w.basis) == w
 
 
+# Names of up to 7 bytes (all of xy(300), al1 to al150 and al1^-1 to al99^-1)
+# and of 8 (al100^-1 to al150^-1), which the compiled kernel writes on
+# different paths.
+PRINT_BASES = (Basis.abstract(150), Basis.xy(300))
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+@given(basis=st.sampled_from(PRINT_BASES), length=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_every_print_path_writes_the_joined_names(compiled_kernel, backend, basis, length, seed):
+    kernel = {"py": py, "c": compiled_kernel}[backend]
+    w = random_word(basis, length, Random(seed))
+    expected = " ".join(basis._names[c] for c in w.data) or "1"
+    with mock.patch.object(_wordops, "format_image", kernel.format_image):
+        assert format_word(w) == str(w) == expected
+        assert repr(w) == f"Word({expected!r}, basis={basis})"
+        assert endos.FreeEndomorphism.identity(basis).image_text(w) == expected
+
+
 def test_parse_accepts_leading_zeros():
     expected = parse_word("x1 y2^-1", XY2)
     assert parse_word("x01 y002^-1", XY2) == word_with_z("x01 y002^-1", 2) == expected
