@@ -24,11 +24,10 @@ regions of beta_i and beta_j are disjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from random import Random
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, _code_table, product
@@ -40,15 +39,18 @@ from .pillars import (
     pillar_switching_yz,
 )
 from .reports import CheckCase, Mismatch, VerificationReport, case_from_endos, identity_report
-from .words import Basis, BasisKind, Word, _int_keyed, _join_tokens, _tokenize
+from .words import Basis, BasisKind, Word, _int_keyed, _join_tokens, _tokenize, _Value
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """A word in the braid generators: signed indices, |k| < strands."""
 
     strands: int
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...]
+
+    def __init__(self, strands: int, letters: Iterable[int] = ()):
+        self.__dict__.update(strands=strands, letters=tuple(letters))
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.strands) is not int:  # no bool or float either
@@ -68,8 +70,7 @@ class BraidWord:
     def _trusted(cls, strands: int, letters: tuple[int, ...]) -> "BraidWord":
         # trusted fast path for letters a strand count's token table admitted
         b = object.__new__(cls)
-        object.__setattr__(b, "strands", strands)
-        object.__setattr__(b, "letters", letters)
+        b.__dict__.update(strands=strands, letters=letters)
         return b
 
     def inverse(self) -> "BraidWord":

@@ -28,14 +28,13 @@ prints a word with the same op, through a one-row table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _wordops
 from .errors import BasisMismatchError, ImageBudgetError
 from .words import (
-    Basis, BasisKind, Symbol, Word, format_word, parse_word
+    Basis, BasisKind, Symbol, Word, _Value, format_word, parse_word
 )
 
 DEFAULT_IMAGE_BUDGET = 10**7
@@ -51,8 +50,7 @@ def _code_table(
     return tuple(table)
 
 
-@dataclass(frozen=True, repr=False)
-class FreeEndomorphism:
+class FreeEndomorphism(_Value):
     """A map of the free group over ``basis``, held as its code table.
 
     ``table[code]`` is the image of the generator with that code, as
@@ -65,6 +63,10 @@ class FreeEndomorphism:
 
     basis: Basis
     table: tuple[tuple[int, ...], ...]
+
+    def __init__(self, basis: Basis, table: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(basis=basis, table=table)
+        self.__post_init__()
 
     def __post_init__(self):
         rows = len(self.basis._identity_table)

@@ -6,22 +6,23 @@ cases hold exactly when their mismatch lists are empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
 from .errors import BasisMismatchError
-from .words import Basis, Word, format_word
+from .words import Basis, Word, _Value, format_word
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(_Value):
     """One failed comparison: what was produced (lhs) vs expected (rhs)."""
 
     generator: str
     lhs: Word
     rhs: Optional[Word]
+
+    def __init__(self, generator: str, lhs: Word, rhs: Optional[Word]):
+        self.__dict__.update(generator=generator, lhs=lhs, rhs=rhs)
 
     def to_json_item(self) -> list:
         return [
@@ -31,10 +32,12 @@ class Mismatch:
         ]
 
 
-@dataclass(frozen=True)
-class CheckCase:
+class CheckCase(_Value):
     name: str
-    mismatches: tuple[Mismatch, ...] = ()
+    mismatches: tuple[Mismatch, ...]
+
+    def __init__(self, name: str, mismatches: Iterable[Mismatch] = ()):
+        self.__dict__.update(name=name, mismatches=tuple(mismatches))
 
     @property
     def holds(self) -> bool:
@@ -48,10 +51,12 @@ class CheckCase:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     genus: int
     cases: tuple[CheckCase, ...]
+
+    def __init__(self, genus: int, cases: Iterable[CheckCase]):
+        self.__dict__.update(genus=genus, cases=tuple(cases))
 
     @property
     def all_hold(self) -> bool:

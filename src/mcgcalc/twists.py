@@ -23,15 +23,16 @@ tokens ``a<k>``, ``b<k>``, ``w<k>``, optional ``^-1`` suffix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import _wordops
 from .endos import DEFAULT_IMAGE_BUDGET, FreeEndomorphism, product
-from .words import Basis, Word, _int_keyed, _join_tokens, _letter_error, _tokenize, parse_word
+from .words import (
+    Basis, Word, _int_keyed, _join_tokens, _letter_error, _Ordered, _tokenize, _Value, parse_word
+)
 
 
 class TwistKind(Enum):
@@ -40,15 +41,20 @@ class TwistKind(Enum):
     W = "w"
 
 
-@dataclass(frozen=True, order=True)
-class TwistSymbol:
+class TwistSymbol(_Ordered):
     """One signed Dehn twist: a_i, b_i or w_i, or an inverse thereof."""
 
     kind: TwistKind
     index: int
-    sign: int = 1
+    sign: int
+
+    def __init__(self, kind: TwistKind, index: int, sign: int = 1):
+        self.__dict__.update(kind=kind, index=index, sign=sign)
+        self.__post_init__()
 
     def __post_init__(self):
+        if not isinstance(self.kind, TwistKind):
+            raise ValueError(f"twist kind must be a TwistKind, got {self.kind!r}")
         for field, value in (("index", self.index), ("sign", self.sign)):
             if type(value) is not int:  # no bool or float either
                 raise ValueError(f"twist {field} must be an int, got {value!r}")
@@ -72,12 +78,15 @@ class TwistSymbol:
         return f"{self.kind.value}{self.index}" + ("" if self.sign > 0 else "^-1")
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(_Value):
     """A product of signed twists over a fixed genus, rightmost acting first."""
 
     genus: int
-    symbols: tuple[TwistSymbol, ...] = ()
+    symbols: tuple[TwistSymbol, ...]
+
+    def __init__(self, genus: int, symbols: Iterable[TwistSymbol] = ()):
+        self.__dict__.update(genus=genus, symbols=tuple(symbols))
+        self.__post_init__()
 
     def __post_init__(self):
         if type(self.genus) is not int:  # no bool or float either

@@ -12,10 +12,18 @@ kinds cover all uses downstream:
 
 There is one basis per kind and rank, and no twin: the constructor
 interns, so ``Basis(kind, rank)``, the factories, ``pickle``,
-``copy.deepcopy`` and ``dataclasses.replace`` all return the one object in
+``copy.copy`` and ``copy.deepcopy`` all return the one object in
 ``_BASES``, and bases compare and hash by identity. A basis computes its
 symbols and tables once. A rank that is not an ``int`` (``True``, ``2.0``,
 ``"2"``) is refused before anything is stored.
+
+The value classes of the package (``Symbol``, ``Word`` and the twist,
+braid, map and report classes) are plain classes on ``_Value``, not
+dataclasses, so importing the package generates no code. ``_Value``
+gives each the semantics of a frozen dataclass: ``==``, ``hash`` and
+``repr`` by its fields, and fields that can be neither assigned nor
+deleted; a ``Basis`` compares and hashes by identity instead.
+``dataclasses.replace``, ``fields`` and ``asdict`` do not apply.
 
 Words are always stored freely reduced, so equality is a plain sequence
 comparison. A letter is one signed integer code: positive for the
@@ -36,12 +44,10 @@ an optional ``^-1``, and ``_split_token`` is its one reader.
 
 from __future__ import annotations
 
-import inspect
 import re
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache, partial, wraps
-from operator import neg
+from operator import attrgetter, eq, ge, gt, le, lt, neg
 from random import Random
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
@@ -63,14 +69,77 @@ _FAMILY_PREFIX = {Family.X: "x", Family.Y: "y", Family.Z: "z", Family.ALPHA: "al
 _LETTER_PREFIXES = frozenset(_FAMILY_PREFIX.values())
 
 
-@dataclass(frozen=True, order=True)
-class Symbol:
+def _compare(op: Callable[[Any, Any], bool]) -> Callable[[Any, Any], Any]:
+    """The comparison ``op`` of two values' field tuples, for values of one class."""
+
+    def compare(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return op(self._values(self), self._values(other))
+
+    return compare
+
+
+class _Frozen:
+    """An object of named fields that can be neither assigned nor deleted.
+
+    A subclass's fields are the names its own class body annotates, in
+    order; ``_values`` reads them as one tuple, and ``repr`` reads
+    ``Symbol(family=<Family.X: 0>, index=1)``, as for a dataclass. Each
+    ``__init__`` stores its fields with ``self.__dict__.update``, as
+    ``pickle`` and ``copy`` do (two ``object.__setattr__`` calls take
+    twice as long), and a class with checks runs them in
+    ``__post_init__``, which its ``__init__`` calls next.
+    ``cached_property`` writes to ``__dict__`` too.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(cls.__annotations__)
+        if fields:
+            cls._fields, cls._values = fields, attrgetter(*fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Value(_Frozen):
+    """An immutable value: two are equal when they are of one class and
+    their field tuples are equal, and ``hash`` is the tuple's, as for a
+    frozen dataclass."""
+
+    __eq__ = _compare(eq)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class _Ordered(_Value):
+    """A value that also sorts by its field tuple."""
+
+    __lt__, __le__, __gt__, __ge__ = map(_compare, (lt, le, gt, ge))
+
+
+class Symbol(_Ordered):
     """One generator: a family plus a positive index."""
 
     family: Family
     index: int
 
+    def __init__(self, family: Family, index: int):
+        self.__dict__.update(family=family, index=index)
+        self.__post_init__()
+
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise ValueError(f"symbol family must be a Family, got {self.family!r}")
         if type(self.index) is not int:  # no bool or float either
             raise ValueError(f"symbol index must be an int, got {self.index!r}")
         if self.index < 1:
@@ -105,8 +174,7 @@ class BasisKind(Enum):
     ABSTRACT = "abstract"
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Basis:
+class Basis(_Frozen):
     """A free generating set: a kind plus its genus (xy, yz) or rank, one
     object per kind and rank (see the module docstring), compared by
     identity. Its cached tables are not pickled."""
@@ -225,20 +293,30 @@ def _int_keyed(**labels: str) -> Callable[[Callable], Callable]:
     must be an ``int`` (``bool`` refused), or ``ValueError`` is raised,
     worded like ``Basis``'s with the label as its name. Arguments passed
     by keyword are bound to their positions first, so ``f(i=0, genus=2)``
-    is the cache entry of ``f(0, 2)``. The wrapper keeps the cache's
-    ``cache_info`` and ``cache_clear``.
+    is the cache entry of ``f(0, 2)``. Binding stops at the first
+    parameter not given; a keyword left over (unknown, repeating a
+    positional argument, or after a missing one) goes on to the call,
+    which raises Python's own ``TypeError`` and stores nothing. The
+    functions it wraps take positional parameters without defaults. The
+    wrapper keeps the cache's ``cache_info`` and ``cache_clear``.
     """
 
     def decorate(fn: Callable) -> Callable:
-        signature = inspect.signature(fn)
-        params = list(signature.parameters)
+        params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
         checks = [(params.index(name), label) for name, label in labels.items()]
         cached = lru_cache(maxsize=None)(fn)
 
         @wraps(fn)
         def checked(*args, **kwargs):
             if kwargs:
-                args = signature.bind(*args, **kwargs).args
+                bound = list(args)
+                for name in params[len(args):]:
+                    if name not in kwargs:
+                        break
+                    bound.append(kwargs.pop(name))
+                if kwargs:  # the call cannot bind: Python's TypeError
+                    return cached(*bound, **kwargs)
+                args = tuple(bound)
             for k, label in checks:
                 # a missing argument passes here and is the cache's TypeError
                 value = args[k] if k < len(args) else 0
@@ -252,8 +330,7 @@ def _int_keyed(**labels: str) -> Callable[[Callable], Callable]:
     return decorate
 
 
-@dataclass(frozen=True, repr=False)
-class Word:
+class Word(_Value):
     """A freely reduced word; the empty word is the group identity.
 
     ``data`` holds the signed letter codes. Direct construction
@@ -262,11 +339,13 @@ class Word:
     """
 
     basis: Basis
-    data: tuple[int, ...] = ()
+    data: tuple[int, ...]
+
+    def __init__(self, basis: Basis, data: Iterable[int] = ()):
+        self.__dict__.update(basis=basis, data=tuple(data))
+        self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.data, tuple):
-            object.__setattr__(self, "data", tuple(self.data))
         prev = 0
         for code in self.data:
             _admitted(self.basis, code)
@@ -278,8 +357,7 @@ class Word:
     def _reduced(cls, basis: Basis, data: tuple[int, ...]) -> "Word":
         # trusted fast path for kernel output (already reduced and admitted)
         w = object.__new__(cls)
-        object.__setattr__(w, "basis", basis)
-        object.__setattr__(w, "data", data)
+        w.__dict__.update(basis=basis, data=data)
         return w
 
     @classmethod

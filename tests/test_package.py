@@ -6,7 +6,8 @@ import types
 import pytest
 
 import mcgcalc
-from conftest import SRC
+from conftest import SRC, python_interpreter
+from test_kernel_parity import OTHER_PYTHONS
 
 
 def test_all_is_exactly_the_public_names_the_package_binds():
@@ -62,3 +63,37 @@ def test_the_kernel_is_selected_as_the_readme_says(requested, extension, expecte
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == expected
+
+
+# Imports the CLI in a fresh isolated interpreter, as a cold CLI process does,
+# and prints which of the costly stdlib modules the import loaded (a ``.pth``
+# file that ``site`` ran may have loaded them before).
+COLD_IMPORT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import mcgcalc.cli
+print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+"""
+
+
+# The value classes are plain classes, so starting the CLI generates no code
+# and pulls in neither ``dataclasses`` nor the ``inspect`` it imports.
+@pytest.mark.parametrize(
+    "version", ["running", *sorted(OTHER_PYTHONS, key=lambda v: int(v.split(".")[1]))]
+)
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(version):
+    env = dict(os.environ)
+    if version == "running":
+        interpreter = sys.executable
+    else:
+        interpreter = python_interpreter(OTHER_PYTHONS[version])
+        if interpreter is None:
+            pytest.skip(f"no interpreter for CPython {version} starts")
+        env["MCGCALC_KERNEL"] = "py"  # the compiled kernel is built for this interpreter
+    proc = subprocess.run(
+        [interpreter, "-I", "-c", COLD_IMPORT, str(SRC)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

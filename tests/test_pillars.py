@@ -137,6 +137,30 @@ def test_cached_maps_key_a_keyword_call_as_the_positional_one(fn, args, kwargs):
     assert fn.cache_info().currsize == cached
 
 
+# Keywords are bound up to the first parameter not given; one left over is
+# Python's own TypeError, and the cache stores nothing for it.
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((), {"genus": 2}, "missing 1 required positional argument: 'i'"),
+        ((), {"genus": 2, "sym": 1}, "unexpected keyword argument 'sym'"),
+        ((1,), {}, "missing 1 required positional argument: 'genus'"),
+        ((0,), {"i": 0}, "multiple values for argument 'i'"),
+        ((0, 2), {"genus": 2}, "multiple values for argument 'genus'"),
+        ((0, 2), {"g": 2}, "unexpected keyword argument 'g'"),
+        ((0,), {"genus": 2, "g": 2}, "unexpected keyword argument 'g'"),
+    ],
+    ids=["missing-first", "missing-first-and-unknown", "missing-last", "duplicate-first",
+         "duplicate-last", "unknown", "unknown-after-bound"],
+)
+def test_cached_maps_refuse_keywords_they_cannot_bind(args, kwargs, message):
+    pillar_switching_action(0, 2)
+    cached = pillar_switching_action.cache_info().currsize
+    with pytest.raises(TypeError, match=message):
+        pillar_switching_action(*args, **kwargs)
+    assert pillar_switching_action.cache_info().currsize == cached
+
+
 # --- relator ----------------------------------------------------------------------
 
 

@@ -773,8 +773,6 @@ ROUTES = {
     "pickle": lambda kind, n: pickle.loads(pickle.dumps(Basis(kind, n))),
     "deepcopy": lambda kind, n: copy.deepcopy(Basis(kind, n)),
     "copy": lambda kind, n: copy.copy(Basis(kind, n)),
-    "replace-rank": lambda kind, n: dataclasses.replace(Basis(kind, n + 1), genus_or_rank=n),
-    "replace-kind": lambda kind, n: dataclasses.replace(Basis(_other_kind(kind), n), kind=kind),
     "from-json": lambda kind, n: _json_loaded(Basis(kind, n)),
 }
 
@@ -785,6 +783,22 @@ def test_every_route_to_a_basis_lands_on_the_shared_one(route):
         for n in (2, 5):
             assert route(kind, n) is factory(n), kind
             _works_as(route(kind, n), factory(n))
+
+
+# A basis is no dataclass, so ``dataclasses.replace`` is no route to a second one.
+REPLACES = {
+    "replace-rank": lambda kind, n: dataclasses.replace(Basis(kind, n + 1), genus_or_rank=n),
+    "replace-kind": lambda kind, n: dataclasses.replace(Basis(_other_kind(kind), n), kind=kind),
+}
+
+
+@pytest.mark.parametrize("replace", REPLACES.values(), ids=REPLACES.keys())
+def test_dataclasses_replace_cannot_make_a_basis(replace):
+    for factory, kind in FACTORIES:
+        stored = dict(words_module._BASES[kind])
+        with pytest.raises(TypeError):
+            replace(kind, 2)
+        assert words_module._BASES[kind] == stored and factory(2).genus_or_rank == 2
 
 
 class _SlowLookups(dict):
