@@ -133,14 +133,18 @@ def format_braid_word(b: BraidWord) -> str:
 
 @lru_cache(maxsize=None)
 def _artin_generator(k: int, strands: int) -> FreeEndomorphism:
-    """The Artin action of the braid letter ``k``: beta_k, or beta_{-k}^-1 for k < 0."""
+    """The Artin action of the braid letter ``k``: beta_k, or beta_{-k}^-1 for k < 0.
+
+    Built from its two moved rows (``FreeEndomorphism._moving``).
+    """
     basis = Basis.abstract(strands)
-    a, b = f"al{abs(k)}", f"al{abs(k) + 1}"
+    codes = basis._codes
+    a, b = codes[f"al{abs(k)}"], codes[f"al{abs(k) + 1}"]
     if k > 0:
-        images = {a: b, b: f"{b}^-1 {a} {b}"}
+        rows = {a: (b,), b: (-b, a, b)}
     else:
-        images = {a: f"{a} {b} {a}^-1", b: a}
-    return FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
+        rows = {a: (a, b, -a), b: (a,)}
+    return FreeEndomorphism._moving(basis, rows)
 
 
 def _evaluate(b: BraidWord, basis: Basis, factor: Callable, budget: int) -> FreeEndomorphism:
@@ -208,7 +212,7 @@ def restrict_to_z(f: FreeEndomorphism) -> FreeEndomorphism:
             images.append(tuple([al_of[code] for code in image]))
         except KeyError:
             raise NotZStableError(z.name, Word._reduced(f.basis, image)) from None
-    return FreeEndomorphism(abstract, _code_table(abstract, images))
+    return FreeEndomorphism._trusted(abstract, _code_table(abstract, images))
 
 
 def verify_psi_relations(

@@ -18,8 +18,19 @@ image lengths before it substitutes; ``product`` also checks its running
 total after each step. A row that a generator only renames, as each braid
 generator renames one of its two moved rows, is reused there, not copied.
 Each map computes the rows it moves and its letter total once, the first
-time ``product`` reads them, so a step costs what its factor moves. A
-product of one factor is that factor. ``image_text`` prints the image of
+time ``product`` reads them, so a step costs what its factor moves; a map
+built from its moved rows (``FreeEndomorphism._moving``) records them as
+it is built and never scans the rank. A product of one factor is that
+factor.
+
+The public constructor ``FreeEndomorphism(basis, table)`` checks every
+row: it refuses a letter the basis does not admit, an unreduced row and a
+nonempty row at a code the basis does not use. The package's own
+builders (``identity``, ``from_images``, ``_moving``, ``product`` and the
+basis-change and restriction maps of ``pillars`` and ``braids``) build
+rows that hold already and take the trusted path, ``_trusted``, which
+skips that check; every path still runs ``__post_init__``, which checks
+the table's length. ``image_text`` prints the image of
 a word with one call of the kernel's ``format_image``, which substitutes
 and writes the names without building the image word; ``format_word``
 prints a word with the same op, through a one-row table.
@@ -50,23 +61,38 @@ def _code_table(
     return tuple(table)
 
 
+def _moved_rows(
+    table: tuple[tuple[int, ...], ...], codes: Iterable[int]
+) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The ``(code, image, renamed)`` rows of ``table`` at ``codes`` that are
+    not ``(code,)``, in the order of ``codes``; ``renamed`` is c for an image
+    ``(c,)`` with c > 0, else 0."""
+    return tuple(
+        (code, img, img[0] if len(img) == 1 and img[0] > 0 else 0)
+        for code in codes
+        if (img := table[code]) != (code,)
+    )
+
+
 class FreeEndomorphism(_Value):
     """A map of the free group over ``basis``, held as its code table.
 
     ``table[code]`` is the image of the generator with that code, as
     signed letter codes; build maps with ``from_images``, ``identity`` or
-    ``product``. Instances are immutable values; composition materializes
-    all images eagerly. A map computes the rows it moves and its letter
-    total once, when ``product`` first asks for them; like the basis's
-    tables they stay out of equality and out of the pickled state.
+    ``product``. ``FreeEndomorphism(basis, table)`` checks every row (see
+    the module docstring). Instances are immutable values; composition
+    materializes all images eagerly. A map computes the rows it moves and
+    its letter total once, when ``product`` first asks for them; like the
+    basis's tables they stay out of equality and out of the pickled state.
     """
 
     basis: Basis
     table: tuple[tuple[int, ...], ...]
 
-    def __init__(self, basis: Basis, table: tuple[tuple[int, ...], ...]):
-        self.__dict__.update(basis=basis, table=table)
+    def __init__(self, basis: Basis, table: Iterable[Iterable[int]]):
+        self.__dict__.update(basis=basis, table=tuple(map(tuple, table)))
         self.__post_init__()
+        self._check_rows()
 
     def __post_init__(self):
         rows = len(self.basis._identity_table)
@@ -74,6 +100,49 @@ class FreeEndomorphism(_Value):
             raise ValueError(
                 f"expected a table of {rows} rows for {self.basis}, got {len(self.table)}"
             )
+
+    def _check_rows(self) -> None:
+        """Refuse a row the trusted builders never make: one that is no reduced
+        word of admitted letters (``Word``'s check), or a nonempty row at an
+        unused code."""
+        basis = self.basis
+        for code, (row, used) in enumerate(zip(self.table, basis._identity_table)):
+            if not used:
+                if row:
+                    raise ValueError(
+                        f"code {code} is no generator of {basis}, but its row is {row}"
+                    )
+                continue
+            try:
+                Word(basis, row)
+            except ValueError as exc:  # BasisMismatchError too, keeping its type
+                raise type(exc)(f"image of {basis._names[code]}: {exc}") from None
+
+    @classmethod
+    def _trusted(cls, basis: Basis, table: tuple[tuple[int, ...], ...]) -> "FreeEndomorphism":
+        # the builders' path: rows they made hold, so only __post_init__ runs
+        f = object.__new__(cls)
+        f.__dict__.update(basis=basis, table=table)
+        f.__post_init__()
+        return f
+
+    @classmethod
+    def _moving(
+        cls, basis: Basis, rows: Mapping[int, tuple[int, ...]]
+    ) -> "FreeEndomorphism":
+        """The map sending each code of ``rows`` to its reduced row of admitted
+        letters and fixing every other generator.
+
+        It takes the trusted path and records ``_moved`` from ``rows``, in
+        code order, which is basis order on xy and abstract bases (not on
+        yz), so the rank is never scanned.
+        """
+        table = list(basis._identity_table)
+        for code, row in rows.items():
+            table[code] = row
+        f = cls._trusted(basis, tuple(table))
+        f.__dict__["_moved"] = _moved_rows(f.table, sorted(rows))
+        return f
 
     def __getstate__(self) -> dict:
         # the fields alone: the cached rows and total are not part of the value
@@ -85,12 +154,7 @@ class FreeEndomorphism(_Value):
 
         ``renamed`` is c for an image ``(c,)`` with c > 0, else 0.
         """
-        table = self.table
-        return tuple(
-            (code, img, img[0] if len(img) == 1 and img[0] > 0 else 0)
-            for code in (sym.code for sym in self.basis.symbols)
-            if (img := table[code]) != (code,)
-        )
+        return _moved_rows(self.table, [sym.code for sym in self.basis.symbols])
 
     @cached_property
     def _letter_total(self) -> int:
@@ -106,7 +170,7 @@ class FreeEndomorphism(_Value):
 
     @classmethod
     def identity(cls, basis: Basis) -> "FreeEndomorphism":
-        return cls(basis, basis._identity_table)
+        return cls._trusted(basis, basis._identity_table)
 
     @classmethod
     def from_images(
@@ -142,7 +206,7 @@ class FreeEndomorphism(_Value):
             table[code] = value.data
         if unknown:
             raise ValueError(f"unknown generators in mapping: {sorted(unknown)}")
-        return cls(basis, tuple(table))
+        return cls._trusted(basis, tuple(table))
 
     def image_of(self, name_or_symbol: Union[str, Symbol]) -> Word:
         code = self.basis.generator(name_or_symbol).data[0]
@@ -265,7 +329,7 @@ def product(
         table = tuple(step)
         if total > budget:
             raise ImageBudgetError(total, budget)
-    return FreeEndomorphism(basis, table)
+    return FreeEndomorphism._trusted(basis, table)
 
 
 def verify_inverse_pair(

@@ -29,7 +29,10 @@ Dehn twists (products read right to left, rightmost twist first):
 ``verify_theorem_2_2`` certifies (1)-(3) through ``identity_report``, as exact
 reduced-word equalities (thm-2.2-case-<k>-sigma<i>), and ``replay_proof_chains``
 re-derives them one twist at a time against the tabulated intermediate
-images in ``chains``. In the {y, z} basis the switchings sigma_1 ..
+images in ``chains``. The switchings, like the twists, are built from their
+moved rows (``FreeEndomorphism._moving``), and the chain and relator
+checks substitute and compare letter codes, building ``Word`` values only
+for a mismatch. In the {y, z} basis the switchings sigma_1 ..
 sigma_{g-1} take the substitution form returned by
 ``pillar_switching_yz`` (check names cor-2.1-*); sigma_0 has no such
 form and is only reachable through ``conjugate_to_yz``.
@@ -51,10 +54,11 @@ from .reports import CheckCase, Mismatch, VerificationReport, identity_report
 from .twists import (
     TwistWord,
     _all_twist_symbols,
+    _z_codes,
+    _z_map,
     dehn_twist_action,
     evaluate_twist_word,
     parse_twist_word,
-    word_with_z,
     z_loop,
 )
 from .words import Basis, BasisKind, Word, _int_keyed, _random_codes, parse_word
@@ -127,8 +131,7 @@ def pillar_switching_action(i: int, genus: int) -> FreeEndomorphism:
             f"y{j}": f"z{j}^-1 y{j}^-1 z{j}",
             f"y{j + 1}": f"z{j}^-1 y{j} z{j} y{j + 1}",
         }
-    expanded = {name: word_with_z(text, genus) for name, text in images.items()}
-    return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
+    return _z_map(images, genus)
 
 
 @_int_keyed(i="switching index", genus="genus")
@@ -165,7 +168,7 @@ def pillar_switching_inverse(i: int, genus: int) -> FreeEndomorphism:
 def _yz_to_xy_table(genus: int) -> tuple[tuple[int, ...], ...]:
     """The code table of the yz generators' images in the xy free group."""
     yz = Basis.yz(genus)
-    return _code_table(yz, (word_with_z(sym.name, genus).data for sym in yz.symbols))
+    return _code_table(yz, (_z_codes(sym.name, genus) for sym in yz.symbols))
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +226,7 @@ def conjugate_to_yz(
         )
         for sym in yz.symbols
     )
-    return FreeEndomorphism(yz, _code_table(yz, images))
+    return FreeEndomorphism._trusted(yz, _code_table(yz, images))
 
 
 @_int_keyed(i="switching index", genus="genus")
@@ -295,12 +298,16 @@ def replay_proof_chains(
     The twists are those of ``pillar_switching_twist_word``, rightmost
     first, so this replays the very factorizations ``verify_theorem_2_2``
     certifies. Every tabulated intermediate image must match the engine
-    exactly. The extra case-1 check compares the final z_1 line with what
-    the sigma_0 action itself does to z_1: the tabulated line is derivable
-    from the x/y images, and any inconsistency is reported, never patched.
+    exactly: each step substitutes the current codes through the twist's
+    table (within ``budget``, as ``apply`` does) and compares them with the
+    template's codes. The extra case-1 check compares the final z_1 line
+    with what the sigma_0 action itself does to z_1: the tabulated line is
+    derivable from the x/y images, and any inconsistency is reported, never
+    patched.
     """
     if genus < 2:
         raise ValueError(f"the factorizations need genus >= 2, got {genus}")
+    xy = Basis.xy(genus)
     cases = []
     for i in range(genus):
         case = _case_number(i, genus)
@@ -313,23 +320,25 @@ def replay_proof_chains(
         else:
             table, subs = chains.CASE_3_CHAINS, {"g": genus, "gm1": genus - 1}
         factors = pillar_switching_twist_word(i, genus).symbols[::-1]
-        actions = [dehn_twist_action(sym, genus) for sym in factors]
+        tables = [dehn_twist_action(sym, genus).table for sym in factors]
         for start_template, step_templates in table.items():
             start_name = start_template.format(**subs)
-            current = word_with_z(start_name, genus)
+            current = _z_codes(start_name, genus)
             mismatches = []
-            for step, (sym, action, template) in enumerate(
-                zip(factors, actions, step_templates, strict=True), start=1
+            for step, (sym, twist, template) in enumerate(
+                zip(factors, tables, step_templates, strict=True), start=1
             ):
-                current = action.apply(current, budget=budget)
-                expected = word_with_z(template.format(**subs), genus)
+                current = _wordops.substitute(current, twist, budget=budget)
+                expected = _z_codes(template.format(**subs), genus)
                 if current != expected:
-                    mismatches.append(
-                        Mismatch(f"{start_name} after step {step} ({sym})", current, expected)
-                    )
+                    mismatches.append(Mismatch(
+                        f"{start_name} after step {step} ({sym})",
+                        Word._reduced(xy, current),
+                        Word._reduced(xy, expected),
+                    ))
             cases.append(CheckCase(f"{prefix}-{start_name}", tuple(mismatches)))
         if case == 1:
-            final_z1 = word_with_z(table["z1"][-1], genus)
+            final_z1 = Word._reduced(xy, _z_codes(table["z1"][-1], genus))
             z1 = pillar_switching_action(0, genus).apply(z_loop(1, genus), budget=budget)
             wrong = () if z1 == final_z1 else (Mismatch("z1", z1, final_z1),)
             cases.append(CheckCase("thm-2.2-chain-case-1-z1-vs-action", wrong))
@@ -339,25 +348,31 @@ def replay_proof_chains(
 def verify_relator_invariance(
     genus: int, *, budget: int = DEFAULT_IMAGE_BUDGET
 ) -> VerificationReport:
-    """Check that every shipped action fixes the boundary relator exactly."""
+    """Check that every shipped action fixes the boundary relator exactly.
+
+    Each map's table substitutes the relator's codes (within ``budget``),
+    and a ``Word`` is built only for an image that differs.
+    """
     if genus < 2:
         raise ValueError(f"pillar switchings need genus >= 2, got {genus}")
     relator = fundamental_relator(genus)
-    twist_mm = []
-    for sym in _all_twist_symbols(genus):
-        image = dehn_twist_action(sym, genus).apply(relator, budget=budget)
-        if image != relator:
-            twist_mm.append(Mismatch(str(sym), image, relator))
-    sigma_mm = []
-    for i in range(genus):
-        image = pillar_switching_action(i, genus).apply(relator, budget=budget)
-        if image != relator:
-            sigma_mm.append(Mismatch(f"sigma{i}", image, relator))
+    codes, basis = relator.data, relator.basis
+
+    def mismatches(named_maps):
+        found = []
+        for name, f in named_maps:
+            image = _wordops.substitute(codes, f.table, budget=budget)
+            if image != codes:
+                found.append(Mismatch(name, Word._reduced(basis, image), relator))
+        return tuple(found)
+
+    twists = ((str(sym), dehn_twist_action(sym, genus)) for sym in _all_twist_symbols(genus))
+    sigmas = ((f"sigma{i}", pillar_switching_action(i, genus)) for i in range(genus))
     return VerificationReport(
         genus,
         (
-            CheckCase("relator-fixed-by-twists", tuple(twist_mm)),
-            CheckCase("relator-fixed-by-pillar-switchings", tuple(sigma_mm)),
+            CheckCase("relator-fixed-by-twists", mismatches(twists)),
+            CheckCase("relator-fixed-by-pillar-switchings", mismatches(sigmas)),
         ),
     )
 

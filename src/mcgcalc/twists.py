@@ -15,6 +15,10 @@ parallel to the twist curve of w_i) and every unmentioned generator is
 fixed. Stored images are fully expanded over the x/y letters. Inverse
 twists carry the back-substituted images listed in ``dehn_twist_action``;
 the test suite certifies every twist/inverse pair by composing both ways.
+z-word text, the notation of these images and of the chain tables, is read
+by ``_z_codes`` straight to reduced letter codes, and a twist's map is
+built from its moved rows alone (``FreeEndomorphism._moving``), so
+building it neither boxes a word nor scans the rank.
 
 A ``TwistWord`` is a product of signed twists; like all products here it
 is evaluated rightmost factor first. Text grammar: whitespace-separated
@@ -94,6 +98,8 @@ class TwistWord(_Value):
         if self.genus < 1:
             raise ValueError(f"genus must be >= 1, got {self.genus}")
         for sym in self.symbols:
+            if not isinstance(sym, TwistSymbol):
+                raise TypeError(f"twist symbols are TwistSymbols, not {type(sym).__name__}")
             sym.validate_for_genus(self.genus)
 
     def inverse(self) -> "TwistWord":
@@ -197,17 +203,25 @@ def _z_error(genus: int, token: str, name: str, index: int, sign: int) -> str:
     return _letter_error(Basis.xy(genus), token, name, index, sign)
 
 
-def word_with_z(text: str, genus: int) -> Word:
-    """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
+def _z_codes(text: str, genus: int) -> tuple[int, ...]:
+    """The reduced letter codes of z-word text over the xy basis of ``genus``.
 
-    This is the notation the factorization chains are tabulated in. Like
-    every grammar, its tokens are read through a cached table
-    (``_z_token_table``), which is its one rule for the tokens it admits.
+    Like every grammar, its tokens are read through a cached table
+    (``_z_token_table``), which is its one rule for the tokens it admits;
+    the verifiers compare these codes without building a ``Word``.
     """
     reject = partial(_z_error, genus)
     pieces = _tokenize(text, "word text", _z_token_table(genus), ("x", "y", "z"), reject)
-    codes = [code for piece in pieces for code in piece]
-    return Word._reduced(Basis.xy(genus), _wordops.reduce_letters(codes))
+    return _wordops.reduce_letters([code for piece in pieces for code in piece])
+
+
+def word_with_z(text: str, genus: int) -> Word:
+    """Parse a word over x/y letters where z<k> abbreviates its xy expansion.
+
+    This is the notation the factorization chains are tabulated in; the
+    word holds the codes ``_z_codes`` reads.
+    """
+    return Word._reduced(Basis.xy(genus), _z_codes(text, genus))
 
 
 @_int_keyed(genus="genus")
@@ -228,8 +242,17 @@ def dehn_twist_action(sym: TwistSymbol, genus: int) -> FreeEndomorphism:
             f"y{i}": f"y{i} z{i}{same}",
             f"y{i + 1}": f"z{i}{opposite} y{i + 1}",
         }
-    expanded = {name: word_with_z(text, genus) for name, text in images.items()}
-    return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
+    return _z_map(images, genus)
+
+
+def _z_map(images: Mapping[str, str], genus: int) -> FreeEndomorphism:
+    """The xy map sending each generator named in ``images`` to its z-word
+    text, built from those moved rows, and fixing the others."""
+    basis = Basis.xy(genus)
+    codes = basis._codes
+    return FreeEndomorphism._moving(
+        basis, {codes[name]: _z_codes(text, genus) for name, text in images.items()}
+    )
 
 
 def evaluate_twist_word(

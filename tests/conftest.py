@@ -20,7 +20,9 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -86,7 +88,7 @@ CONFIG_SCRIPT = re.compile(r"python3\.(\d+)-config")
 
 def python_configs():
     """The ``python3.X-config`` scripts on PATH for every CPython 3.10 or
-    later, in PATH order, by version ("3.X").
+    later, in PATH order, as a tuple by version ("3.X").
 
     A pyenv shim answers only for the versions pyenv has selected, so the
     scripts of that name under pyenv's ``versions`` directory, which the
@@ -107,39 +109,70 @@ def python_configs():
             if os.path.basename(os.path.normpath(directory)) == "shims":
                 versions = Path(directory).resolve().parent / "versions"
                 candidates.extend(map(str, sorted(versions.glob(f"*/bin/{name}"))))
-    return found
+    return {version: tuple(candidates) for version, candidates in found.items()}
 
 
-def python_includes(candidates):
-    """(the ``-I`` flags of the first candidate whose ``--includes`` answers,
-    that candidate), or (None, why none did)."""
+class OtherPython(NamedTuple):
+    """An interpreter and the headers it was built with, from one candidate."""
+
+    interpreter: str
+    version: str  # the full release, "3.13.0"
+    includes: tuple  # the ``-I`` flags of its ``python3.X-config --includes``
+
+
+# Prints the running interpreter's full release and its include directory.
+_WHOAMI = (
+    "import platform, sysconfig; "
+    "print(platform.python_version()); print(sysconfig.get_paths()['include'])"
+)
+
+
+def _answer(argv):
+    """The stdout lines of ``argv``, or the reason it gave none."""
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    except OSError as exc:
+        return None, f"{argv[0]}: {exc}"
+    if proc.returncode == 0 and proc.stdout.split():
+        return proc.stdout.splitlines(), None
+    first = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[0]
+    return None, f"{argv[0]}: {first}"
+
+
+@lru_cache(maxsize=None)
+def other_python(candidates):
+    """(``OtherPython``, "") of the first ``python3.X-config`` candidate whose
+    interpreter beside it starts and whose ``--includes`` name that
+    interpreter's own include directory, or (None, why none did).
+
+    Interpreter and headers come from one candidate, so a pyenv shim that
+    runs one release is never paired with the headers of another; each
+    reason names the full release the candidate's interpreter ran.
+    """
     reasons = []
-    for script in dict.fromkeys(candidates):
-        try:
-            proc = subprocess.run(
-                [script, "--includes"], capture_output=True, text=True, timeout=60
-            )
-        except OSError as exc:
-            reasons.append(f"{script}: {exc}")
-            continue
-        if proc.returncode == 0 and proc.stdout.split():
-            return shlex.split(proc.stdout), script
-        first = (proc.stderr.strip().splitlines() or [f"exit {proc.returncode}"])[0]
-        reasons.append(f"{script}: {first}")
-    return None, "; ".join(reasons)
-
-
-def python_interpreter(candidates):
-    """The first interpreter beside a ``python3.X-config`` candidate that
-    starts, or None."""
     for script in dict.fromkeys(candidates):
         interpreter = script.removesuffix("-config")
         if not os.access(interpreter, os.X_OK):
+            reasons.append(f"no interpreter beside {script}")
             continue
-        proc = subprocess.run([interpreter, "-c", ""], capture_output=True, timeout=60)
-        if proc.returncode == 0:
-            return interpreter
-    return None
+        whoami, why = _answer([interpreter, "-c", _WHOAMI])
+        if whoami is None:
+            reasons.append(why)
+            continue
+        version, include = whoami[:2]
+        flags, why = _answer([script, "--includes"])
+        if flags is None:
+            reasons.append(f"{why} (beside CPython {version})")
+            continue
+        includes = tuple(shlex.split(" ".join(flags)))
+        if f"-I{include}" not in includes:
+            reasons.append(
+                f"{interpreter} runs CPython {version} with headers in {include}, "
+                f"but {script} names {' '.join(includes)}"
+            )
+            continue
+        return OtherPython(interpreter, version, includes), ""
+    return None, "; ".join(reasons)
 
 
 @pytest.fixture(scope="session")

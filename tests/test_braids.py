@@ -141,6 +141,22 @@ def test_artin_generators_and_their_inverses_compose_to_the_identity(strands):
         )
 
 
+def test_artin_generators_from_their_moved_rows_equal_their_from_images_maps():
+    for strands in range(2, 13):
+        basis = Basis.abstract(strands)
+        for k in range(1, strands):
+            a, b = f"al{k}", f"al{k + 1}"
+            texts = {
+                k: {a: b, b: f"{b}^-1 {a} {b}"},
+                -k: {a: f"{a} {b} {a}^-1", b: a},
+            }
+            for letter, images in texts.items():
+                f = _artin_generator(letter, strands)
+                reference = FreeEndomorphism.from_images(basis, images, fix_unlisted=True)
+                assert f == reference and f.table == reference.table, (letter, strands)
+                assert f._moved == type(f)._moved.func(f), (letter, strands)
+
+
 def test_free_reduce():
     b = BraidWord(3, (1, 2, -2, -1, 1))
     assert b.free_reduce().letters == (1,)

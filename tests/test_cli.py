@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from conftest import SRC, python_interpreter
+from conftest import SRC, other_python
 from test_kernel_parity import FUZZ_ARGVS, OTHER_PYTHONS
 
 from mcgcalc import (
@@ -573,11 +573,11 @@ print(repr([parse_outcomes(argv) for argv in ast.literal_eval(sys.stdin.read())]
 def test_each_command_parses_as_under_the_top_level_parser_in_other_pythons(version):
     if version is None:
         pytest.skip("no python3.X-config for another CPython 3.10+ on PATH")
-    interpreter = python_interpreter(OTHER_PYTHONS[version])
-    if interpreter is None:
-        pytest.skip(f"no interpreter for CPython {version} starts")
+    python, why = other_python(OTHER_PYTHONS[version])
+    if python is None:
+        pytest.skip(f"no CPython {version} with its own headers: {why}")
     proc = subprocess.run(
-        [interpreter, "-c", PARSE_IN_ANOTHER_PYTHON],
+        [python.interpreter, "-c", PARSE_IN_ANOTHER_PYTHON],
         input=repr(PARSE_ARGVS),
         capture_output=True,
         text=True,

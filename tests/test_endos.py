@@ -31,6 +31,7 @@ from mcgcalc import (
     pillar_switching_yz,
     product,
     random_braid_word,
+    restrict_to_z,
     verify_inverse_pair,
 )
 from mcgcalc.braids import _artin_generator
@@ -413,6 +414,68 @@ def test_constructor_checks_the_table_length():
     assert FreeEndomorphism(XY2, rows) == FreeEndomorphism.identity(XY2)
     with pytest.raises(ValueError):
         FreeEndomorphism(XY2, rows[:-1])
+
+
+# xy(2) uses the codes 1, 2, 5 and 6; 3, 4 and 99 are no letter of it.
+@pytest.mark.parametrize(
+    "table, error, message",
+    [
+        (((), (99,), (2,), (), (), (5,), (6,)), BasisMismatchError,
+         "image of x1: letter code 99 is not admitted by xy(2)"),
+        (((), (1,), (2,), (), (), (5,), (-4, 6)), BasisMismatchError,
+         "image of y2: letter code -4 is not admitted by xy(2)"),
+        (((), (1, -1, 1), (2,), (), (), (5,), (6,)), ValueError,
+         "image of x1: word is not freely reduced"),
+        (((), (1,), (2,), (3,), (), (5,), (6,)), ValueError,
+         "code 3 is no generator of xy(2), but its row is (3,)"),
+        (((), (1,), (True,), (), (), (5,), (6,)), TypeError,
+         "letter codes are ints, not bool"),
+    ],
+    ids=["unknown-letter", "unused-code-as-letter", "unreduced", "row-at-unused-code", "bool"],
+)
+def test_constructor_refuses_a_row_no_builder_makes(table, error, message):
+    # Before, the first table's repr raised IndexError and the third was an
+    # identity map that neither is_identity() nor == recognized.
+    with pytest.raises(error) as excinfo:
+        FreeEndomorphism(XY2, table)
+    assert str(excinfo.value) == message
+
+
+def test_constructor_accepts_the_rows_of_every_builder():
+    maps = [
+        A1, W1, A1.compose(W1), FreeEndomorphism.identity(XY2),
+        FreeEndomorphism.from_images(XY2, {"x1": "y2^-1 x1"}, fix_unlisted=True),
+        conjugate_to_yz(W1), pillar_switching_yz(1, 3), _artin_generator(-2, 4),
+    ]
+    for f in maps:
+        twin = FreeEndomorphism(f.basis, [list(row) for row in f.table])
+        assert twin == f and type(twin.table[1]) is tuple
+
+
+YZ_SIGMA1 = pillar_switching_yz(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeEndomorphism.identity(XY2),
+        lambda: FreeEndomorphism.from_images(XY2, {"x1": "y1"}, fix_unlisted=True),
+        lambda: FreeEndomorphism._moving(XY2, {1: (2,)}),
+        lambda: product(XY2, [A1, B1]),
+        lambda: conjugate_to_yz(A1),
+        lambda: restrict_to_z(YZ_SIGMA1),
+        lambda: FreeEndomorphism(XY2, A1.table),
+    ],
+    ids=["identity", "from_images", "_moving", "product", "conjugate_to_yz",
+         "restrict_to_z", "public"],
+)
+def test_every_builder_runs_post_init(build):
+    # the tracer counts constructed maps by wrapping __post_init__
+    post_init = FreeEndomorphism.__post_init__
+    with mock.patch.object(FreeEndomorphism, "__post_init__", autospec=True,
+                           side_effect=post_init) as hook:
+        build()
+    assert hook.call_count == 1
 
 
 # --- inverse verification -------------------------------------------------------

@@ -15,9 +15,11 @@ import hashlib
 import inspect
 import json
 import os
+import platform
 import random
 import subprocess
 import sys
+import sysconfig
 from itertools import cycle, repeat
 
 import pytest
@@ -25,11 +27,12 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     KERNEL_SOURCE,
+    OtherPython,
     SRC,
     c_compiler,
     compile_kernel,
+    other_python,
     python_configs,
-    python_includes,
     stale_kernel_reason,
 )
 from mcgcalc import _wordops_py as py
@@ -1226,6 +1229,30 @@ RUNNING = f"{sys.version_info[0]}.{sys.version_info[1]}"
 OTHER_PYTHONS = {v: c for v, c in python_configs().items() if v != RUNNING}
 
 
+def test_other_python_takes_interpreter_and_headers_from_one_candidate(tmp_path):
+    own = sysconfig.get_paths()["include"]
+
+    def candidate(name, includes):
+        """A python3.99-config that answers ``includes`` beside this interpreter."""
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "python3.99").symlink_to(sys.executable)
+        config = directory / "python3.99-config"
+        config.write_text(f"#!/bin/sh\necho {includes}\n")
+        config.chmod(0o755)
+        return str(config)
+
+    foreign, matching = candidate("foreign", "-I/elsewhere"), candidate("own", f"-I{own}")
+    python, why = other_python((foreign,))
+    assert python is None
+    assert f"CPython {platform.python_version()} with headers in {own}" in why
+    assert why.endswith(f"{foreign} names -I/elsewhere")
+    assert other_python((str(tmp_path / "none" / "python3.99-config"), foreign, matching)) == (
+        OtherPython(matching.removesuffix("-config"), platform.python_version(), (f"-I{own}",)),
+        "",
+    )
+
+
 def plain(value):
     """True iff ``repr(value)`` reads back as an equal value of the same types."""
     if type(value) in (tuple, list):
@@ -1283,27 +1310,25 @@ print(repr([(id, op_outcome(kernel, *row)) for id, *row in rows]))
 def test_kernel_source_compiles_against_other_pythons(compiled_kernel, tmp_path, version):
     if version is None:
         pytest.skip("no python3.X-config for another CPython 3.10+ on PATH")
+    python, why = other_python(OTHER_PYTHONS[version])
+    if python is None:
+        pytest.skip(f"no CPython {version} with its own headers: {why}")
     compiler = c_compiler()
     if compiler is None:
-        pytest.skip("no C compiler")
-    includes, script = python_includes(OTHER_PYTHONS[version])
-    if includes is None:
-        pytest.skip(f"no headers for CPython {version}: {script}")
-    target, proc = compile_kernel(compiler, tmp_path, STRICT, includes)
-    assert proc.returncode == 0, f"{' '.join(includes)}\n{proc.stderr}"
+        pytest.skip(f"no C compiler to build for CPython {python.version}")
+    target, proc = compile_kernel(compiler, tmp_path, STRICT, python.includes)
+    release = f"CPython {python.version} ({python.interpreter})"
+    assert proc.returncode == 0, f"{release}: {' '.join(python.includes)}\n{proc.stderr}"
     # Load the build there too: from 3.12 on, fast_letter takes another branch.
-    interpreter = script.removesuffix("-config")
-    if not os.access(interpreter, os.X_OK):
-        pytest.skip(f"no interpreter beside {script} to load the build")
     proc = subprocess.run(
-        [interpreter, "-c", REPLAY, str(target)],
+        [python.interpreter, "-c", REPLAY, str(target)],
         input=repr(PLAIN_ROWS),
         capture_output=True,
         text=True,
         env=dict(os.environ, MCGCALC_KERNEL="py", PYTHONPATH=str(SRC)),
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, f"{release}: {proc.stderr}"
     assert ast.literal_eval(proc.stdout) == [
         (id, op_outcome(compiled_kernel, *row)) for id, *row in PLAIN_ROWS
     ]

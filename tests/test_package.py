@@ -6,7 +6,7 @@ import types
 import pytest
 
 import mcgcalc
-from conftest import SRC, python_interpreter
+from conftest import SRC, other_python
 from test_kernel_parity import OTHER_PYTHONS
 
 
@@ -87,9 +87,10 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(version):
     if version == "running":
         interpreter = sys.executable
     else:
-        interpreter = python_interpreter(OTHER_PYTHONS[version])
-        if interpreter is None:
-            pytest.skip(f"no interpreter for CPython {version} starts")
+        python, why = other_python(OTHER_PYTHONS[version])
+        if python is None:
+            pytest.skip(f"no CPython {version} with its own headers: {why}")
+        interpreter = python.interpreter
         env["MCGCALC_KERNEL"] = "py"  # the compiled kernel is built for this interpreter
     proc = subprocess.run(
         [interpreter, "-I", "-c", COLD_IMPORT, str(SRC)],

@@ -7,6 +7,7 @@ from mcgcalc import (
     BasisKind,
     BasisMismatchError,
     FreeEndomorphism,
+    ImageBudgetError,
     TwistKind,
     TwistSymbol,
     Word,
@@ -28,8 +29,11 @@ from mcgcalc import (
     word_with_z,
     z_loop,
 )
-from mcgcalc.reports import CheckCase, case_from_endos
+from mcgcalc import pillars, twists
+from mcgcalc.endos import product
+from mcgcalc.reports import CheckCase, Mismatch, VerificationReport, case_from_endos
 from mcgcalc.twists import _all_twist_symbols
+from test_twists import scanned_moved, z_map_from_texts
 
 
 # --- switching actions ---------------------------------------------------------
@@ -421,6 +425,123 @@ def test_word_with_z_rejects_like_parse_word(text, message, position):
         word_with_z(text, 2)
     assert str(excinfo.value) == f"{message} (at position {position})"
     assert excinfo.value.position == position
+
+
+# Chains and relator with the table of a2^-1 at genus 2 mutated to
+# y2 -> y2 x2 y1 (it is y2 -> y2 x2). Its chains fail at step 7, the
+# only step that applies a2^-1; case 3 applies a2 and a1^-1, never a2^-1.
+# The texts and case names were read from the reports of the code that
+# replayed the chains through ``apply`` and ``Word`` equality.
+MUTATED_CHAIN_CASES = [
+    ("thm-2.2-chain-case-1-x1", (
+        "x1 after step 7 (a2^-1)",
+        "y2 x2 y1 x2^-1 y1^-1 x2^-1 y2^-1 x1 y1 x1^-1 y2 x2 y1 x2 y1^-1 x2^-1 y2^-1 "
+        "y1^-1 x1^-1 y2 x2 y1 x2 y1^-1 x2^-1 y2^-1",
+        "y2 x2^-1 y2^-1 x1 y1 x1^-1 y2 x2 y2^-1 y1^-1 x1^-1 y2 x2 y2^-1",
+    )),
+    ("thm-2.2-chain-case-1-y1", (
+        "y1 after step 7 (a2^-1)",
+        "y2 x2 y1 x2^-1 y1^-1 x2^-1 y2^-1 x1 y1^-1 x1^-1 y2 x2 y1 x2 y1^-1 x2^-1 y2^-1",
+        "y2 x2^-1 y2^-1 x1 y1^-1 x1^-1 y2 x2 y2^-1",
+    )),
+    ("thm-2.2-chain-case-1-y2", (
+        "y2 after step 7 (a2^-1)",
+        "y2 x2 y1 x2^-1 y1^-1 x2^-1 y2^-1 x1 y1 x1^-1 y2 x2 y1",
+        "y2 x2^-1 y2^-1 x1 y1 x1^-1 y2 x2",
+    )),
+    ("thm-2.2-chain-case-1-z1", (
+        "z1 after step 7 (a2^-1)",
+        "y2 x2 y1 x2^-1 y1^-1 x2^-1 y2^-1 x1 y1 x1 y1^-1 x1^-1 y2 x2 y1 x2 y1^-1 x2^-1 y2^-1",
+        "y2 x2^-1 y2^-1 x1 y1 x1 y1^-1 x1^-1 y2 x2 y2^-1",
+    )),
+    ("thm-2.2-chain-case-1-z1-vs-action", None),
+    ("thm-2.2-chain-case-3-x1", None),
+    ("thm-2.2-chain-case-3-x2", None),
+    ("thm-2.2-chain-case-3-y1", None),
+    ("thm-2.2-chain-case-3-y2", None),
+    ("thm-2.2-chain-case-3-z1", None),
+]
+MUTATED_RELATOR_CASES = [
+    ("relator-fixed-by-twists", (
+        "a2^-1",
+        "y1 x1 y1^-1 x1^-1 y2 x2 y1 x2 y1^-1 x2^-1 y2^-1 x2^-1",
+        "y1 x1 y1^-1 x1^-1 y2 x2 y2^-1 x2^-1",
+    )),
+    ("relator-fixed-by-pillar-switchings", None),
+]
+
+
+def pinned_report(cases):
+    """(the report, its repr, its JSON dict) for pinned (name, mismatch) cases,
+    the repr and JSON spelled out here rather than by the report."""
+    xy = Basis.xy(2)
+    report = VerificationReport(2, [
+        CheckCase(name, [] if m is None else [
+            Mismatch(m[0], parse_word(m[1], xy), parse_word(m[2], xy))
+        ])
+        for name, m in cases
+    ])
+    texts = [
+        f"CheckCase(name={name!r}, mismatches=())" if m is None else
+        f"CheckCase(name={name!r}, mismatches=(Mismatch(generator={m[0]!r}, "
+        f"lhs=Word({m[1]!r}, basis=xy(2)), rhs=Word({m[2]!r}, basis=xy(2))),))"
+        for name, m in cases
+    ]
+    json_dict = {"genus": 2, "cases": [
+        {"name": name, "holds": m is None, "mismatches": [] if m is None else [list(m)]}
+        for name, m in cases
+    ]}
+    return report, f"VerificationReport(genus=2, cases=({', '.join(texts)}))", json_dict
+
+
+@pytest.mark.parametrize(
+    "verify, cases",
+    [(replay_proof_chains, MUTATED_CHAIN_CASES),
+     (verify_relator_invariance, MUTATED_RELATOR_CASES)],
+    ids=["chains", "relator"],
+)
+def test_a_mutated_twist_table_is_reported_as_before(monkeypatch, verify, cases):
+    certified = pillars.dehn_twist_action
+    wrong = TwistSymbol(TwistKind.A, 2, -1)
+    mutated = FreeEndomorphism.from_images(Basis.xy(2), {"y2": "y2 x2 y1"}, fix_unlisted=True)
+    monkeypatch.setattr(
+        pillars, "dehn_twist_action",
+        lambda sym, genus: mutated if (sym, genus) == (wrong, 2) else certified(sym, genus),
+    )
+    report = verify(2)
+    expected, expected_repr, expected_json = pinned_report(cases)
+    assert report == expected
+    assert repr(report) == expected_repr
+    assert report.to_json_dict() == expected_json
+
+
+# (needed, budget) of the first image over budget at genus 3, as the
+# replay through ``apply`` raised them
+@pytest.mark.parametrize(
+    "verify, budget, needed",
+    [(replay_proof_chains, 8, 19), (replay_proof_chains, 30, 64),
+     (verify_relator_invariance, 8, 14), (verify_relator_invariance, 30, 40)],
+)
+def test_chains_and_relator_substitute_within_the_budget(verify, budget, needed):
+    with pytest.raises(ImageBudgetError) as excinfo:
+        verify(3, budget=budget)
+    assert (excinfo.value.needed, excinfo.value.budget) == (needed, budget)
+
+
+def test_every_switching_from_its_moved_rows_equals_its_from_images_map(monkeypatch):
+    genera = range(2, 13)
+    built = {(i, g): pillar_switching_action(i, g) for g in genera for i in range(g)}
+    inverses = {(i, g): pillar_switching_inverse(i, g) for g in genera for i in range(g)}
+    monkeypatch.setattr(pillars, "_z_map", z_map_from_texts)
+    monkeypatch.setattr(twists, "_z_map", z_map_from_texts)
+    for (i, g), f in built.items():
+        reference = pillar_switching_action.__wrapped__(i, g)
+        assert f == reference and f.table == reference.table, (i, g)
+        assert f._moved == scanned_moved(f), (i, g)
+        # the inverse is the product of the reversed factorization's twists
+        twists_of = pillar_switching_twist_word(i, g).inverse().symbols
+        factors = [dehn_twist_action.__wrapped__(sym, g) for sym in twists_of]
+        assert inverses[i, g].table == product(Basis.xy(g), factors).table, (i, g)
 
 
 # --- yz switching forms ------------------------------------------------------------------

@@ -14,8 +14,11 @@ from mcgcalc import (
     parse_twist_word,
     parse_word,
     verify_inverse_pair,
+    word_with_z,
     z_loop,
 )
+from mcgcalc import twists
+from mcgcalc.twists import _all_twist_symbols, _z_codes
 
 XY2 = Basis.xy(2)
 
@@ -95,6 +98,17 @@ def test_a_twist_word_refuses_a_genus_that_is_not_an_int(genus):
     assert str(excinfo.value) == f"genus must be an int, got {genus!r}"
     with pytest.raises(ValueError):
         parse_twist_word("a1", genus)
+
+
+@pytest.mark.parametrize(
+    "symbols, name", [(["a1"], "str"), ([twist("a", 1), None], "NoneType"), ([(1, 1)], "tuple")]
+)
+def test_a_twist_word_refuses_a_symbol_that_is_not_a_twist_symbol(symbols, name):
+    # as BraidWord refuses a letter that is not an int; before, "a1" raised
+    # AttributeError from validate_for_genus
+    with pytest.raises(TypeError) as excinfo:
+        TwistWord(2, symbols)
+    assert str(excinfo.value) == f"twist symbols are TwistSymbols, not {name}"
 
 
 # The genus-keyed caches: True and 2.0 hash and compare like 1 and 2, so each
@@ -194,3 +208,56 @@ def test_twist_word_product():
     assert format_twist_word(left * right) == "a1 b1 w1"
     with pytest.raises(ValueError):
         left * parse_twist_word("w1", 3)
+
+
+# --- z-word text and the maps built from their moved rows ------------------------
+
+
+@st.composite
+def z_texts(draw):
+    """(text, genus): canonical x/y/z tokens of one genus, or the text ``1``."""
+    genus = draw(st.integers(1, 12))
+    names = st.sampled_from(["x", "y", "z"])
+    tokens = st.builds(
+        "{}{}{}".format, names, st.integers(1, genus), st.sampled_from(["", "^-1"])
+    )
+    return " ".join(draw(st.lists(tokens, max_size=12))) or "1", genus
+
+
+@given(z_texts())
+def test_z_codes_are_the_codes_of_the_expanded_word(case):
+    text, genus = case
+    expanded = []
+    for token in text.split():
+        if token.startswith("z"):
+            z = z_loop(int(token[1:].removesuffix("^-1")), genus)
+            token = str(z.inverse() if token.endswith("^-1") else z)
+        expanded.append(token)
+    codes = _z_codes(text, genus)
+    assert type(codes) is tuple
+    assert word_with_z(text, genus).data == codes
+    assert codes == parse_word(" ".join(expanded), Basis.xy(genus)).data
+
+
+def z_map_from_texts(images, genus):
+    """The map of z-word ``images`` as it was built before maps were built from
+    their moved rows: each image boxed as a word, then tabled by ``from_images``."""
+    expanded = {name: word_with_z(text, genus) for name, text in images.items()}
+    return FreeEndomorphism.from_images(Basis.xy(genus), expanded, fix_unlisted=True)
+
+
+def scanned_moved(f):
+    """``f``'s moved rows as a scan of its whole table finds them."""
+    return type(f)._moved.func(f)
+
+
+def test_every_twist_from_its_moved_rows_equals_its_from_images_map(monkeypatch):
+    built = {
+        (sym, g): dehn_twist_action(sym, g)
+        for g in range(1, 13) for sym in _all_twist_symbols(g)
+    }
+    monkeypatch.setattr(twists, "_z_map", z_map_from_texts)
+    for (sym, g), f in built.items():
+        reference = dehn_twist_action.__wrapped__(sym, g)
+        assert f == reference and f.table == reference.table, (sym, g)
+        assert f._moved == scanned_moved(f) == scanned_moved(reference), (sym, g)
