@@ -15,13 +15,16 @@ k-factor cases. Iterated composition can grow images exponentially, so
 (default 10**7) and raise ``ImageBudgetError`` instead of thrashing. The
 budget is checked inside the kernel's ``substitute``, which sums the
 image lengths before it substitutes; ``product`` also checks its running
-total after each step. A row that a generator only renames, as each braid
-generator renames one of its two moved rows, is reused there, not copied.
-Each map computes the rows it moves and its letter total once, the first
-time ``product`` reads them, so a step costs what its factor moves; a map
-built from its moved rows (``FreeEndomorphism._moving``) records them as
-it is built and never scans the rank. A product of one factor is that
-factor.
+total after each step. A budget of None is no limit; any other budget is
+read as an index. ``product`` keeps one list of rows per call and
+rewrites it in place, with no per-step copy of the table: each step
+computes its new rows from the rows before the step, then writes them. A
+row that a generator only renames, as each braid generator renames one
+of its two moved rows, is reused there, not copied. Each map computes the
+rows it moves and its letter total once, the first time ``product`` reads
+them, so a step costs what its factor moves; a map built from its moved
+rows (``FreeEndomorphism._moving``) records them as it is built and never
+scans the rank. A product of one factor is that factor.
 
 The public constructor ``FreeEndomorphism(basis, table)`` checks every
 row: it refuses a letter the basis does not admit, an unreduced row and a
@@ -40,6 +43,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from math import inf
+from operator import index
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from . import _wordops
@@ -218,14 +223,14 @@ class FreeEndomorphism(_Value):
                 f"cannot apply a map over {self.basis} to a word over {w.basis}"
             )
 
-    def apply(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> Word:
+    def apply(self, w: Word, *, budget: Optional[int] = DEFAULT_IMAGE_BUDGET) -> Word:
         """Image of ``w``: substitute letterwise and reduce."""
         self._check_word(w)
         return Word._reduced(
             self.basis, _wordops.substitute(w.data, self.table, budget=budget)
         )
 
-    def image_text(self, w: Word, *, budget: int = DEFAULT_IMAGE_BUDGET) -> str:
+    def image_text(self, w: Word, *, budget: Optional[int] = DEFAULT_IMAGE_BUDGET) -> str:
         """``format_word(self.apply(w, budget=budget))``, ``1`` for the identity.
 
         One call of the kernel's ``format_image`` substitutes and writes the
@@ -236,7 +241,7 @@ class FreeEndomorphism(_Value):
         return _wordops.format_image(w.data, self.table, self.basis._names, budget=budget) or "1"
 
     def compose(
-        self, other: "FreeEndomorphism", *, budget: int = DEFAULT_IMAGE_BUDGET
+        self, other: "FreeEndomorphism", *, budget: Optional[int] = DEFAULT_IMAGE_BUDGET
     ) -> "FreeEndomorphism":
         """The map acting as ``other`` first, then ``self``."""
         return product(self.basis, (self, other), budget=budget)
@@ -247,7 +252,7 @@ class FreeEndomorphism(_Value):
         return self.compose(other)
 
     def power(
-        self, k: int, *, budget: int = DEFAULT_IMAGE_BUDGET
+        self, k: int, *, budget: Optional[int] = DEFAULT_IMAGE_BUDGET
     ) -> "FreeEndomorphism":
         """k-fold self-composition; ``power(0)`` is the identity."""
         if k < 0:
@@ -290,50 +295,89 @@ def product(
     basis: Basis,
     factors: Sequence[FreeEndomorphism],
     *,
-    budget: int = DEFAULT_IMAGE_BUDGET,
+    budget: Optional[int] = DEFAULT_IMAGE_BUDGET,
 ) -> FreeEndomorphism:
     """The product f_1 f_2 ... f_n of ``factors``, rightmost acting first.
 
     ``product(basis, ())`` is the identity, and one factor is returned as
-    it is. The factors' code tables are composed directly: each step
-    substitutes only the rows its factor moves (``_moved``, computed once
-    per map), a generator it fixes keeps its accumulated image, and a
-    generator it sends to a positive letter c takes c's accumulated image,
-    the same object, without a kernel call. Raises ``ImageBudgetError``
+    it is. The factors' code tables are composed directly in one row list
+    per call, with no per-step copy: each step computes the new rows of the
+    rows its factor moves (``_moved``, computed once per map) from the rows
+    before the step, then writes them; the first step reads them from the
+    first factor's table. A factor moving two rows, as every Artin
+    generator does, is stepped inline. A generator the factor fixes keeps
+    its accumulated image, and a generator it sends to a positive letter c
+    takes c's accumulated image, the same object, without a kernel call.
+
+    ``budget`` is read once, as the kernel reads it: None is no limit, and
+    any other value is taken as an index. Raises ``ImageBudgetError``
     before materializing an image whose unreduced size exceeds ``budget``,
     and after any step whose images total more than ``budget`` letters.
     """
-    for f in factors:
-        if f.basis is not basis:
-            raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
-    if not factors:
-        return FreeEndomorphism.identity(basis)
-    table = factors[0].table
-    total = factors[0]._letter_total
-    if total > budget:
-        raise ImageBudgetError(total, budget)
-    if len(factors) == 1:
-        return factors[0]
-    for f in factors[1:]:
-        step = list(table)
-        for code, img, renamed in f._moved:
-            # A rename reuses the accumulated row and, like a fixed row, needs
-            # no budget check: the total checked before this step counts
-            # table[renamed], so len(table[renamed]) <= total <= budget.
-            if renamed:
-                new = table[renamed]
-            else:
-                new = _wordops.substitute(img, table, budget=budget)
-            total += len(new) - len(table[code])
-            step[code] = new
-        table = tuple(step)
-        if total > budget:
+    try:
+        for f in factors:
+            if f.basis is not basis:
+                raise BasisMismatchError(f"cannot compose maps over {basis} and {f.basis}")
+        if budget is None:
+            limit = inf
+        else:
+            limit = budget = index(budget)
+        if not factors:
+            return FreeEndomorphism.identity(basis)
+        first = factors[0]
+        total = first._letter_total
+        if total > limit:
             raise ImageBudgetError(total, budget)
-    return FreeEndomorphism._trusted(basis, table)
+        if len(factors) == 1:
+            return first
+        # A rename reuses the accumulated row and, like a fixed row, needs no
+        # budget check: the total checked before its step counts that row, so
+        # its length is at most total <= budget.
+        substitute = _wordops.substitute
+        table = first.table
+        rows = list(table)
+        # The first step reads the first factor's table, which it leaves as
+        # it is, so it writes each new row at once.
+        for code, img, renamed in factors[1]._moved:
+            new = table[renamed] if renamed else substitute(img, table, budget=budget)
+            total += len(new) - len(table[code])
+            rows[code] = new
+        if total > limit:
+            raise ImageBudgetError(total, budget)
+        # Every later step reads the rows it rewrites: it computes all its
+        # new rows before it writes any.
+        for f in factors[2:]:
+            moved = f._moved
+            if len(moved) == 2:  # every Artin generator: two locals, two writes
+                (c, img, renamed), (d, img_d, renamed_d) = moved
+                new = rows[renamed] if renamed else substitute(img, rows, budget=budget)
+                new_d = rows[renamed_d] if renamed_d else substitute(img_d, rows, budget=budget)
+                total += len(new) - len(rows[c]) + len(new_d) - len(rows[d])
+                rows[c] = new
+                rows[d] = new_d
+            else:
+                pending = []  # a loop: a comprehension costs a frame per step on 3.11
+                for code, img, renamed in moved:
+                    pending.append(
+                        (code, rows[renamed] if renamed else substitute(img, rows, budget=budget))
+                    )
+                for code, new in pending:
+                    total += len(new) - len(rows[code])
+                    rows[code] = new
+            if total > limit:
+                raise ImageBudgetError(total, budget)
+        return FreeEndomorphism._trusted(basis, tuple(rows))
+    except AttributeError:  # a factor that is no map has no basis or rows
+        for f in factors:
+            if not isinstance(f, FreeEndomorphism):
+                raise TypeError(
+                    f"factors are FreeEndomorphisms, not {type(f).__name__}"
+                ) from None
+        raise
 
 
 def verify_inverse_pair(
-    f: FreeEndomorphism, h: FreeEndomorphism, *, budget: int = DEFAULT_IMAGE_BUDGET
+    f: FreeEndomorphism, h: FreeEndomorphism, *, budget: Optional[int] = DEFAULT_IMAGE_BUDGET
 ) -> bool:
     """True iff ``f`` and ``h`` compose to the identity in both orders."""
     if f.basis is not h.basis:

@@ -213,16 +213,29 @@ def budget_outcome(evaluate, *args, **kwargs):
 
 
 # A row is either fixed (None) or a short image, so factors fix some rows,
-# move others, and now and then move every row.
+# move others, and now and then move every row. A permutation of the
+# generators moves its rows by renames alone: after the first step, a
+# 2-cycle takes product's two-row step and a 3-cycle its pending list.
 AB3 = Basis.abstract(3)
-ENDOS_AB3 = st.lists(
-    st.one_of(st.none(), words(AB3, max_size=5)), min_size=3, max_size=3
-).map(
-    lambda rows: FreeEndomorphism.from_images(
-        AB3,
-        {sym.name: w for sym, w in zip(AB3.symbols, rows) if w is not None},
-        fix_unlisted=True,
+
+
+def permutation_map(names):
+    return FreeEndomorphism.from_images(
+        AB3, {sym.name: name for sym, name in zip(AB3.symbols, names)}
     )
+
+
+ENDOS_AB3 = st.one_of(
+    st.lists(
+        st.one_of(st.none(), words(AB3, max_size=5)), min_size=3, max_size=3
+    ).map(
+        lambda rows: FreeEndomorphism.from_images(
+            AB3,
+            {sym.name: w for sym, w in zip(AB3.symbols, rows) if w is not None},
+            fix_unlisted=True,
+        )
+    ),
+    st.permutations(["al1", "al2", "al3"]).map(permutation_map),
 )
 
 
@@ -281,6 +294,101 @@ def test_a_renamed_row_is_the_accumulated_row():
     assert f.table[al1] is s2.table[al2]
     assert calls.call_count == 1
     assert f == artin_action(BraidWord(3, (2, 1)))
+
+
+AL1, AL2, AL3 = (AB3.generator(name).data[0] for name in ("al1", "al2", "al3"))
+# a map that moves every row, so each row of the accumulated table differs
+MIXER = FreeEndomorphism.from_images(
+    AB3, {"al1": "al1 al2", "al2": "al3^-1 al2", "al3": "al1^-1 al3 al3"}
+)
+SWAP = permutation_map(["al2", "al1", "al3"])
+CYCLE = permutation_map(["al2", "al3", "al1"])
+
+
+@pytest.mark.parametrize(
+    "f, rows",
+    [(SWAP, {AL1: AL2, AL2: AL1}), (CYCLE, {AL1: AL2, AL2: AL3, AL3: AL1})],
+    ids=["two-cycle", "three-cycle"],
+)
+def test_product_steps_a_permutation_by_renames_alone(compiled_kernel, f, rows):
+    # The first step reads MIXER's table and the second the row list it
+    # rewrites, so every new row must be read before any is written: a row
+    # written first would be read back in place of the row it replaced.
+    twice = {code: rows[renamed] for code, renamed in rows.items()}
+    for kernel in (py, compiled_kernel):
+        with mock.patch.object(_wordops, "substitute", wraps=kernel.substitute) as calls:
+            got = product(AB3, [MIXER, f, f])
+        assert calls.call_count == 0, kernel.BACKEND
+        assert all(got.table[code] is MIXER.table[renamed] for code, renamed in twice.items())
+        assert got == reference_product(AB3, [MIXER, f, f], DEFAULT_IMAGE_BUDGET, [])
+
+
+@pytest.mark.parametrize("k", [1, -1, 2, -2], ids=["s1", "s1inv", "s2", "s2inv"])
+def test_product_steps_an_artin_generator_on_the_rows_before_it(compiled_kernel, k):
+    # One moved row is a rename and the other's image reads the renamed row,
+    # so it must read the row as it was before the step: as the first step
+    # and as a later one.
+    s = _artin_generator(k, 3)
+    assert len(s._moved) == 2 and sum(1 for *_, renamed in s._moved if renamed) == 1
+    for kernel in (py, compiled_kernel):
+        with mock.patch.object(_wordops, "substitute", kernel.substitute):
+            got = product(AB3, [MIXER, s, MIXER, s])
+            assert got == reference_product(
+                AB3, [MIXER, s, MIXER, s], DEFAULT_IMAGE_BUDGET, []
+            ), kernel.BACKEND
+    assert got == MIXER.compose(s).compose(MIXER.compose(s))
+
+
+def test_product_steps_factors_of_one_two_and_three_rows(compiled_kernel):
+    one = FreeEndomorphism.from_images(AB3, {"al2": "al2 al1 al2"}, fix_unlisted=True)
+    two = FreeEndomorphism.from_images(
+        AB3, {"al1": "al3", "al3": "al1^-1 al2"}, fix_unlisted=True
+    )
+    factors = [MIXER, one, two, SWAP, MIXER, CYCLE, one, _artin_generator(-2, 3), two]
+    assert sorted({len(f._moved) for f in factors}) == [1, 2, 3]
+    expected = reference_product(AB3, factors, DEFAULT_IMAGE_BUDGET, [])
+    for kernel in (py, compiled_kernel):
+        with mock.patch.object(_wordops, "substitute", kernel.substitute):
+            assert product(AB3, factors) == expected, kernel.BACKEND
+
+
+def test_product_changes_no_factor_and_returns_a_tuple_table():
+    factors = [MIXER, SWAP, _artin_generator(1, 3), CYCLE, MIXER]
+    tables = [f.table for f in factors]
+    copies = [tuple(table) for table in tables]
+    f = product(AB3, factors)
+    assert all(g.table is table for g, table in zip(factors, tables))
+    assert [g.table for g in factors] == copies
+    assert type(f.table) is tuple and all(type(row) is tuple for row in f.table)
+
+
+def test_product_substitutes_every_step_through_one_row_list():
+    # No step copies the table: the first step reads the first factor's
+    # table, and every later kernel call of one product reads the same row
+    # list, which is no factor's table.
+    factors = [MIXER, _artin_generator(1, 3), MIXER, CYCLE, _artin_generator(-2, 3)]
+    substitute = _wordops.substitute
+    with mock.patch.object(_wordops, "substitute", wraps=substitute) as calls:
+        product(AB3, factors)
+    first, *later = [call.args[1] for call in calls.call_args_list]
+    assert first is MIXER.table and len(later) == 4
+    assert type(later[0]) is list and all(table is later[0] for table in later)
+
+
+@pytest.mark.parametrize(
+    "evaluate, name",
+    [
+        (lambda: A1.compose(5), "int"),
+        (lambda: product(XY2, [A1, "x"]), "str"),
+        # a word over the same basis passes the basis check
+        (lambda: A1.compose(parse_word("x1", XY2)), "Word"),
+        (lambda: product(XY2, [parse_word("x1", XY2)]), "Word"),
+    ],
+    ids=["compose-int", "product-str", "compose-word", "product-word"],
+)
+def test_product_refuses_a_factor_that_is_no_map(evaluate, name):
+    with pytest.raises(TypeError, match=f"^factors are FreeEndomorphisms, not {name}$"):
+        evaluate()
 
 
 def test_product_rejects_basis_mismatch():
@@ -510,6 +618,35 @@ def test_compose_respects_budget():
         W1.compose(W1, budget=3)
     assert excinfo.value.budget == 3
     assert excinfo.value.needed > 3
+
+
+# apply hands its budget to the kernel; product reads it the same way, once:
+# None is no limit and any other budget is read as an index.
+WORD = parse_word("x1 y1 x2 y2", XY2)
+BUDGET_CALLS = [
+    pytest.param(lambda budget: W1.apply(WORD, budget=budget), id="apply"),
+    pytest.param(lambda budget: product(XY2, [W1, A1, W1], budget=budget), id="product"),
+]
+
+
+@pytest.mark.parametrize("evaluate", BUDGET_CALLS)
+def test_budget_none_is_no_limit(evaluate):
+    assert evaluate(None) == evaluate(DEFAULT_IMAGE_BUDGET)
+    with pytest.raises(ImageBudgetError):
+        evaluate(1)
+
+
+@pytest.mark.parametrize("evaluate", BUDGET_CALLS)
+def test_a_budget_that_is_no_index_is_refused(evaluate):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        evaluate(2.5)
+
+
+@pytest.mark.parametrize("evaluate", BUDGET_CALLS)
+def test_a_bool_budget_is_read_as_an_index(evaluate):
+    with pytest.raises(ImageBudgetError, match="budget 1$") as excinfo:
+        evaluate(True)
+    assert type(excinfo.value.budget) is int and excinfo.value.budget == 1
 
 
 # Each budget admits the first factor (or, for conjugate_to_yz, the images of

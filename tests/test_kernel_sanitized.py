@@ -3,7 +3,10 @@
 The kernel is built with both sanitizers into a temporary directory and
 loaded, under its package name, into a fresh interpreter that runs the
 kernel's contract rows, its budget rows, a fixed-seed parity sweep against
-the pure kernel and the reference-count tests of ``test_kernel_parity.py``.
+the pure kernel and the reference-count tests of ``test_kernel_parity.py``,
+and the ``product`` tests of ``test_endos.py``, where the kernel substitutes
+through a row list that ``product`` rewrites between calls, with one row
+object in two slots after a rename.
 Both runtimes are preloaded, as the interpreter itself is not built with
 them, and ``PYTHONMALLOC=malloc`` sends every Python allocation through
 the sanitized ``malloc``, so a read or write past a buffer the kernel
@@ -26,12 +29,15 @@ SANITIZE = ["-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 RUNTIMES = ["libasan.so", "libubsan.so"]
 EXAMPLES = 10
 
-# The tests of test_kernel_parity.py run against the sanitized build.
+# The tests that run against the sanitized build: of test_kernel_parity.py
+# the first four, of test_endos.py the last, which no name there shares.
+FILES = ["test_kernel_parity.py", "test_endos.py"]
 SELECTED = " or ".join([
     "test_kernel_contract",
     "test_kernel_budget",
     "test_kernels_agree",
     "reference_count",
+    "product",
 ])
 
 # Loads the kernel built at argv[1] under its package name, so that the
@@ -88,7 +94,7 @@ def test_kernel_is_clean_under_the_sanitizers(tmp_path):
          "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "-k", SELECTED,
          # a sanitizer report is written to fd 2 and ends the process at once
          "--capture=sys",
-         str(TESTS / "test_kernel_parity.py")],
+         *[str(TESTS / name) for name in FILES]],
         capture_output=True,
         text=True,
         env=env,
